@@ -26,6 +26,13 @@
 // Repetitions are interleaved (every config samples every window) and each
 // config reports its best repetition.
 //
+// A second study, the design-size axis, holds the traffic fixed and grows
+// the design: one session per size (3k, 30k and 300k registers by default,
+// --sizes to override) replays the same local-edit transcript shape, and
+// the bench reports recompose_region p50/p99 per size. A recompose runs on
+// the session's kept compatibility graph, so its latency should follow the
+// edited region, not the design.
+//
 // Results go to BENCH_service_throughput.json (or argv[1]) with
 // "schema": 1.
 #include <sys/socket.h>
@@ -84,6 +91,8 @@ struct Settings {
   // reports the concurrent-vs-serial comparison without gating the exit
   // code on it (request errors always gate).
   bool advisory_speedup = false;
+  // Design-size axis: registers per point.
+  std::vector<int> sizes = {3000, 30000, 300000};
 };
 
 struct BenchConfig {
@@ -476,6 +485,162 @@ ConfigResult run_config(const lib::Library& library, const Workload& workload,
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Design-size axis.
+// ---------------------------------------------------------------------------
+
+/// Timed rounds per size point, and edits per round (mbrcbench's round
+/// shape: one round = a batch of local edits, a timing query and a
+/// recompose).
+constexpr int kSizeRounds = 100;
+constexpr int kSizeEditsPerRound = 10;
+/// Subgraph bound of the size axis, as in mbrcbench: at the paper's 30 a
+/// single dense subgraph's enumeration can take seconds, and the
+/// percentiles would measure which subgraphs the edits hit, not the size.
+constexpr int kSizeSubgraphBound = 20;
+
+struct SizePoint {
+  int registers = 0;
+  double open_seconds = 0.0;  // generation + first full timing build
+  double recompose_p50_ms = 0.0;
+  double recompose_p99_ms = 0.0;
+  std::int64_t compat_full_builds = 0;
+  std::int64_t compat_incremental_updates = 0;
+  std::int64_t errors = 0;
+};
+
+/// One session on a `registers`-sized design, in-process (no transport, so
+/// the latency is the request's own). The transcript is the same at every
+/// size: rounds of kSizeEditsPerRound local edits on random movable
+/// registers -- 35% moves of up to 6 um per axis, 55% skews in +-0.08 ns,
+/// 10% swaps within the family -- then one query_timing and one implicit
+/// recompose_region, which is the timed request. One untimed warm-up round
+/// builds the session's compatibility graph first.
+SizePoint run_size_point(const lib::Library& library, const Settings& settings,
+                         int registers) {
+  SizePoint point;
+  point.registers = registers;
+  service::DaemonOptions options;
+  options.session_defaults.composition.partition.max_nodes = kSizeSubgraphBound;
+  service::Daemon daemon(library, options);
+  const auto request = [&](const std::string& line) {
+    std::string response = daemon.handle_sync(line);
+    if (!response_ok(response)) ++point.errors;
+    return response;
+  };
+
+  Settings sized = settings;
+  sized.registers = registers;
+  const Clock::time_point t_open = Clock::now();
+  const obs::JsonParseResult opened =
+      obs::parse_json(request(open_request("s", sized)));
+  request(query_request(0, "s"));
+  point.open_seconds =
+      std::chrono::duration<double>(Clock::now() - t_open).count();
+  const obs::JsonParseResult listed = obs::parse_json(
+      request(R"({"id":0,"cmd":"list_registers","session":"s"})"));
+  const obs::JsonValue* core = opened.ok ? opened.value.find("core") : nullptr;
+  const obs::JsonValue* list = listed.ok ? listed.value.find("registers") : nullptr;
+  if (core == nullptr || !core->is_array() || core->array().size() != 4 ||
+      list == nullptr || !list->is_array()) {
+    ++point.errors;
+    return point;
+  }
+  const geom::Rect box{core->array()[0].as_number(),
+                       core->array()[1].as_number(),
+                       core->array()[2].as_number(),
+                       core->array()[3].as_number()};
+
+  struct Reg {
+    std::int64_t id;
+    double x, y, width, height;
+    std::vector<std::string> variants;
+  };
+  std::vector<Reg> regs;
+  for (const obs::JsonValue& r : list->array()) {
+    if (r.bool_or("fixed", true)) continue;
+    const lib::RegisterCell* cell =
+        library.register_by_name(r.string_or("variant", ""));
+    if (cell == nullptr) continue;
+    Reg reg{r.int_or("cell", -1), r.number_or("x", 0.0), r.number_or("y", 0.0),
+            cell->width, cell->height, {}};
+    for (const lib::RegisterCell* v :
+         library.cells_for(cell->function, cell->bits))
+      if (v->scan_style == cell->scan_style) {
+        reg.variants.push_back(v->name);
+        reg.width = std::max(reg.width, v->width);
+        reg.height = std::max(reg.height, v->height);
+      }
+    regs.push_back(std::move(reg));
+  }
+  if (regs.empty()) {
+    ++point.errors;
+    return point;
+  }
+
+  util::Rng rng(0x512e'0000u);
+  std::int64_t next_id = 1;
+  std::vector<double> recompose_ms;
+  for (int round = -1; round < kSizeRounds; ++round) {
+    std::ostringstream os;
+    obs::JsonWriter w(os, 0);
+    w.begin_object().kv("id", next_id++).kv("cmd", "apply_edits");
+    w.kv("session", "s").key("edits").begin_array();
+    for (int k = 0; k < kSizeEditsPerRound; ++k) {
+      Reg& reg = regs[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(regs.size()) - 1))];
+      w.begin_object().kv("cell", reg.id);
+      const double roll = rng.uniform_real(0.0, 1.0);
+      if (roll < 0.35) {
+        reg.x = std::clamp(reg.x + rng.uniform_real(-6.0, 6.0), box.xlo,
+                           box.xhi - reg.width);
+        reg.y = std::clamp(reg.y + rng.uniform_real(-6.0, 6.0), box.ylo,
+                           box.yhi - reg.height);
+        w.kv("op", "move").kv("x", reg.x).kv("y", reg.y);
+      } else if (roll < 0.9 || reg.variants.size() < 2) {
+        w.kv("op", "skew").kv("skew", rng.uniform_real(-0.08, 0.08));
+      } else {
+        w.kv("op", "swap").kv(
+            "variant", reg.variants[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(reg.variants.size()) -
+                                  1))]);
+      }
+      w.end_object();
+    }
+    w.end_array().end_object();
+    request(os.str());
+    request(query_request(next_id++, "s"));
+
+    std::ostringstream recompose;
+    obs::JsonWriter rw(recompose, 0);
+    rw.begin_object().kv("id", next_id++).kv("cmd", "recompose_region");
+    rw.kv("session", "s").end_object();
+    const Clock::time_point t0 = Clock::now();
+    request(recompose.str());
+    if (round >= 0)  // round -1 is the warm-up that builds the graph
+      recompose_ms.push_back(1e-3 * micros_between(t0, Clock::now()));
+  }
+
+  const obs::JsonParseResult stats =
+      obs::parse_json(request(R"({"id":0,"cmd":"stats"})"));
+  const obs::JsonValue* sessions =
+      stats.ok ? stats.value.find("sessions") : nullptr;
+  const obs::JsonValue* session =
+      sessions != nullptr ? sessions->find("s") : nullptr;
+  const obs::JsonValue* compat =
+      session != nullptr ? session->find("compat") : nullptr;
+  if (compat != nullptr) {
+    point.compat_full_builds = compat->int_or("full_builds", 0);
+    point.compat_incremental_updates = compat->int_or("incremental_updates", 0);
+  }
+  request(R"({"id":0,"cmd":"close","session":"s"})");
+
+  std::sort(recompose_ms.begin(), recompose_ms.end());
+  point.recompose_p50_ms = obs::Histogram::percentile(recompose_ms, 0.50);
+  point.recompose_p99_ms = obs::Histogram::percentile(recompose_ms, 0.99);
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -496,6 +661,13 @@ int main(int argc, char** argv) {
     if (int_flag("--reps", settings.repetitions)) continue;
     if (arg == "--advisory-speedup") {
       settings.advisory_speedup = true;
+      continue;
+    }
+    if (arg == "--sizes" && i + 1 < argc) {
+      settings.sizes.clear();
+      std::istringstream list(argv[++i]);
+      for (std::string item; std::getline(list, item, ',');)
+        settings.sizes.push_back(std::atoi(item.c_str()));
       continue;
     }
     settings.out_path = arg;
@@ -552,6 +724,25 @@ int main(int argc, char** argv) {
                 r.edits_per_second, r.queries_per_second, r.p50_us, r.p95_us,
                 r.p99_us, static_cast<long long>(r.errors));
 
+  std::vector<SizePoint> points;
+  std::printf("\ndesign-size axis: %d rounds of %d local edits + query + "
+              "recompose_region per size, in-process daemon\n",
+              kSizeRounds, kSizeEditsPerRound);
+  std::printf("%10s %10s %16s %16s %12s %7s\n", "registers", "open_s",
+              "recompose_p50_ms", "recompose_p99_ms", "graph_builds", "errors");
+  for (int registers : settings.sizes) {
+    points.push_back(run_size_point(library, settings, registers));
+    const SizePoint& p = points.back();
+    std::printf("%10d %10.2f %16.3f %16.3f %12lld %7lld\n", p.registers,
+                p.open_seconds, p.recompose_p50_ms, p.recompose_p99_ms,
+                static_cast<long long>(p.compat_full_builds),
+                static_cast<long long>(p.errors));
+  }
+  const double size_ratio =
+      points.size() >= 2 && points.front().recompose_p50_ms > 0.0
+          ? points.back().recompose_p50_ms / points.front().recompose_p50_ms
+          : 0.0;
+
   const ConfigResult& serial = rows[0];
   const ConfigResult& concurrent4 = rows[2];
   const double speedup =
@@ -563,6 +754,8 @@ int main(int argc, char** argv) {
   obs::JsonWriter w(out);
   w.begin_object();
   w.kv("schema", 1).kv("bench", "service_throughput");
+  w.kv("hardware_threads",
+       static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.kv("transport", "unix socket");
   w.key("design").begin_object();
   w.kv("profile", "svcbench")
@@ -600,6 +793,29 @@ int main(int argc, char** argv) {
   }
   w.end_array();
   w.kv("concurrent_4_vs_serial_speedup", speedup);
+  w.key("size_axis").begin_object();
+  w.kv("profile", "svcbench")
+      .kv("seed", static_cast<std::int64_t>(settings.design_seed));
+  w.kv("rounds", static_cast<std::int64_t>(kSizeRounds));
+  w.kv("edits_per_round", static_cast<std::int64_t>(kSizeEditsPerRound));
+  w.key("points").begin_array();
+  for (const SizePoint& p : points) {
+    w.begin_object()
+        .kv("name", "regs_" + std::to_string(p.registers))
+        .kv("registers", static_cast<std::int64_t>(p.registers))
+        .kv("open_seconds", p.open_seconds);
+    w.key("recompose_region_ms")
+        .begin_object()
+        .kv("p50", p.recompose_p50_ms)
+        .kv("p99", p.recompose_p99_ms)
+        .end_object();
+    w.kv("compat_full_builds", p.compat_full_builds);
+    w.kv("compat_incremental_updates", p.compat_incremental_updates);
+    w.kv("errors", p.errors).end_object();
+  }
+  w.end_array();
+  w.kv("recompose_p50_largest_over_smallest", size_ratio);
+  w.end_object();
   w.end_object();
   out << '\n';
   std::printf("wrote %s (concurrent_4 vs serial: %.2fx)\n",
@@ -607,6 +823,7 @@ int main(int argc, char** argv) {
 
   std::int64_t errors = 0;
   for (const ConfigResult& r : rows) errors += r.errors;
+  for (const SizePoint& p : points) errors += p.errors;
   const bool beats_serial =
       concurrent4.edits_per_second > serial.edits_per_second;
   const bool ok =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "util/assert.hpp"
 
@@ -17,6 +16,9 @@ int Library::add_register(RegisterCell cell) {
                   "duplicate register cell name: " + cell.name);
   const int index = static_cast<int>(registers_.size());
   register_index_.emplace(cell.name, index);
+  std::vector<int>& widths = widths_[cell.function.encode()];
+  const auto at = std::lower_bound(widths.begin(), widths.end(), cell.bits);
+  if (at == widths.end() || *at != cell.bits) widths.insert(at, cell.bits);
   registers_.push_back(std::move(cell));
   return index;
 }
@@ -45,12 +47,11 @@ const CombCell* Library::comb_by_name(const std::string& name) const {
   return it == comb_index_.end() ? nullptr : &combs_[it->second];
 }
 
-std::vector<int> Library::available_widths(
+const std::vector<int>& Library::available_widths(
     const RegisterFunction& function) const {
-  std::set<int> widths;
-  for (const RegisterCell& cell : registers_)
-    if (cell.function == function) widths.insert(cell.bits);
-  return {widths.begin(), widths.end()};
+  static const std::vector<int> kNone;
+  const auto it = widths_.find(function.encode());
+  return it == widths_.end() ? kNone : it->second;
 }
 
 std::vector<const RegisterCell*> Library::cells_for(

@@ -38,8 +38,11 @@ public:
   const CombCell* comb_by_name(const std::string& name) const;
 
   /// Distinct MBR bit-widths available for `function`, ascending. These are
-  /// the valid clique sizes during candidate enumeration (Sec. 3).
-  std::vector<int> available_widths(const RegisterFunction& function) const;
+  /// the valid clique sizes during candidate enumeration (Sec. 3). Kept
+  /// up to date by add_register, so the lookup allocates nothing; empty
+  /// when the library has no cell of `function`.
+  const std::vector<int>& available_widths(
+      const RegisterFunction& function) const;
 
   /// Cells of `function` with exactly `bits` bits.
   std::vector<const RegisterCell*> cells_for(const RegisterFunction& function,
@@ -74,6 +77,8 @@ private:
   std::vector<ClockBufferCell> buffers_;
   std::unordered_map<std::string, int> register_index_;
   std::unordered_map<std::string, int> comb_index_;
+  /// Sorted distinct widths per RegisterFunction::encode().
+  std::unordered_map<unsigned, std::vector<int>> widths_;
 };
 
 /// Parameters for the built-in parametric library (a 28 nm-flavored model).

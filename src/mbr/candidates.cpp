@@ -28,6 +28,21 @@ BlockerIndex::BlockerIndex(const CompatibilityGraph& graph, double bin_size)
   }
 }
 
+void BlockerIndex::move(int node, geom::Point from, geom::Point to) {
+  const std::int64_t from_key = key(from.x, from.y);
+  std::vector<Entry>& old_bin = bins_.at(from_key);
+  const auto it = std::find_if(old_bin.begin(), old_bin.end(),
+                               [&](const Entry& e) { return e.node == node; });
+  MBRC_ASSERT_MSG(it != old_bin.end(), "BlockerIndex::move: unknown node");
+  const std::int64_t to_key = key(to.x, to.y);
+  if (to_key == from_key) {
+    it->center = to;
+    return;
+  }
+  old_bin.erase(it);
+  bins_[to_key].push_back({to, node});
+}
+
 std::int64_t BlockerIndex::key(double x, double y) const {
   const auto bx = static_cast<std::int64_t>(std::floor(x / bin_size_));
   const auto by = static_cast<std::int64_t>(std::floor(y / bin_size_));
@@ -111,7 +126,7 @@ struct Enumerator {
   std::vector<int> nodes;              // subgraph, ascending graph indices
   util::ArenaVector<std::uint64_t> adjacency{
       util::ArenaAllocator<std::uint64_t>(&arena)};  // local masks
-  std::vector<int> widths{};           // ascending library widths
+  const std::vector<int>* widths = nullptr;  // ascending library widths
   lib::RegisterFunction function{};
   bool has_per_bit_scan_cells = false;
 
@@ -168,12 +183,12 @@ struct Enumerator {
     std::sort(members.begin(), members.end());
 
     const bool complete =
-        std::binary_search(widths.begin(), widths.end(), bits);
+        std::binary_search(widths->begin(), widths->end(), bits);
     int mapped_width = bits;
     if (!complete) {
       if (!options.allow_incomplete || members.size() < 2) return;
-      const auto up = std::upper_bound(widths.begin(), widths.end(), bits);
-      if (up == widths.end()) return;  // no wider cell
+      const auto up = std::upper_bound(widths->begin(), widths->end(), bits);
+      if (up == widths->end()) return;  // no wider cell
       mapped_width = *up;
       const lib::RegisterCell* cell =
           library.cheapest_cell(function, mapped_width);
@@ -228,7 +243,7 @@ struct Enumerator {
       return;
     }
     const int n = static_cast<int>(nodes.size());
-    const int max_width = widths.back();
+    const int max_width = widths->back();
     for (int v = last_local + 1; v < n; ++v) {
       // v must be adjacent to every current member (clique property).
       bool adjacent_to_all = true;
@@ -260,10 +275,10 @@ struct Enumerator {
     if (n == 0) return;
 
     function = graph.node(nodes.front()).lib_cell->function;
-    widths = library.available_widths(function);
-    MBRC_ASSERT_MSG(!widths.empty(), "composable register with no widths");
+    widths = &library.available_widths(function);
+    MBRC_ASSERT_MSG(!widths->empty(), "composable register with no widths");
 
-    for (int width : widths) {
+    for (int width : *widths) {
       for (const lib::RegisterCell* cell :
            library.cells_for(function, width)) {
         if (cell->scan_style == lib::ScanStyle::kPerBitPins)

@@ -87,6 +87,11 @@ public:
   int count_blockers(const CompatibilityGraph& graph,
                      const std::vector<int>& members) const;
 
+  /// Moves node `node`'s center from `from` to `to` (the session graph's
+  /// incremental maintenance). Counts do not depend on the order of nodes
+  /// within a bin, so the index stays equal to a fresh one.
+  void move(int node, geom::Point from, geom::Point to);
+
 private:
   struct Entry {
     geom::Point center;

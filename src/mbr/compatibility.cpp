@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <tuple>
-#include <unordered_map>
 
 #include "runtime/thread_pool.hpp"
 #include "util/assert.hpp"
@@ -55,6 +53,27 @@ void CompatibilityGraph::finalize() {
   dirty_ = false;
 }
 
+void CompatibilityGraph::clear_edges(int i) {
+  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph edited before finalize()");
+  for (int j : adjacency_[i]) {
+    auto& adj = adjacency_[j];
+    adj.erase(std::lower_bound(adj.begin(), adj.end(), i));
+  }
+  adjacency_[i].clear();
+}
+
+void CompatibilityGraph::insert_edge(int a, int b) {
+  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph edited before finalize()");
+  MBRC_ASSERT(a != b && a >= 0 && b >= 0 && a < node_count() &&
+              b < node_count());
+  const auto insert = [](std::vector<int>& adj, int v) {
+    const auto at = std::lower_bound(adj.begin(), adj.end(), v);
+    if (at == adj.end() || *at != v) adj.insert(at, v);
+  };
+  insert(adjacency_[a], b);
+  insert(adjacency_[b], a);
+}
+
 std::vector<std::vector<int>> CompatibilityGraph::connected_components() const {
   MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph read before finalize()");
   std::vector<int> component(node_count(), -1);
@@ -87,7 +106,8 @@ bool is_composable(const netlist::Design& design, netlist::CellId cell_id) {
   if (cell.dead || cell.kind != netlist::CellKind::kRegister) return false;
   if (cell.fixed || cell.size_only) return false;
   if (!design.register_clock_net(cell_id).valid()) return false;
-  const auto widths = design.library().available_widths(cell.reg->function);
+  const std::vector<int>& widths =
+      design.library().available_widths(cell.reg->function);
   if (widths.empty()) return false;
   // A register already at the widest library MBR of its class cannot grow.
   return cell.reg->bits < widths.back();
@@ -179,9 +199,57 @@ bool timing_compatible(const RegisterInfo& a, const RegisterInfo& b,
          std::abs(a.q_slack - b.q_slack) <= options.slack_similarity;
 }
 
+PairIndex::Signature PairIndex::signature(const RegisterInfo& n) {
+  return {n.lib_cell->function.encode(), n.clock_net.index, n.gating_group,
+          n.reset_net.index,             n.set_net.index,   n.enable_net.index,
+          n.scan_enable_net.index,       n.scan.partition};
+}
+
+// The bins are sorted flat (key, node) vectors rather than hash maps:
+// probing walks a lower_bound range, so candidate pairs are visited in
+// (bin key, node index) order on every platform. Probing works in integer
+// bin coordinates: re-deriving a neighbor's key from the float point
+// c + d*bin can land in the wrong bin when c sits at a bin boundary (the
+// rounded sum crosses it), silently dropping compatible pairs.
+PairIndex::PairIndex(const CompatibilityGraph& graph,
+                     const CompatibilityOptions& options)
+    : bin_(std::max(1.0, options.max_distance)) {
+  std::map<Signature, std::vector<int>> members;
+  for (int i = 0; i < graph.node_count(); ++i)
+    members[signature(graph.node(i))].push_back(i);
+  group_of_.assign(static_cast<std::size_t>(graph.node_count()), -1);
+  bins_.reserve(members.size());
+  for (const auto& group_members : members) {
+    const std::vector<int>& nodes = group_members.second;
+    const int group = static_cast<int>(bins_.size());
+    std::vector<Bin>& bins = bins_.emplace_back();
+    bins.reserve(nodes.size());
+    for (int i : nodes) {
+      group_of_[i] = group;
+      const geom::Point c = graph.node(i).center();
+      bins.emplace_back(key(coord(c.x), coord(c.y)), i);
+    }
+    std::sort(bins.begin(), bins.end());
+  }
+}
+
+void PairIndex::rebin(const CompatibilityGraph& graph, int i,
+                      geom::Point from) {
+  const geom::Point to = graph.node(i).center();
+  const Bin old_bin{key(coord(from.x), coord(from.y)), i};
+  const Bin new_bin{key(coord(to.x), coord(to.y)), i};
+  if (old_bin == new_bin) return;
+  std::vector<Bin>& bins = bins_[group_of_[i]];
+  const auto at = std::lower_bound(bins.begin(), bins.end(), old_bin);
+  MBRC_ASSERT_MSG(at != bins.end() && *at == old_bin,
+                  "PairIndex::rebin: node not in its old bin");
+  bins.erase(at);
+  bins.insert(std::lower_bound(bins.begin(), bins.end(), new_bin), new_bin);
+}
+
 CompatibilityGraph build_compatibility_graph(
     const netlist::Design& design, const sta::TimingReport& timing,
-    const CompatibilityOptions& options) {
+    const CompatibilityOptions& options, PairIndex* pairs) {
   CompatibilityGraph graph;
   // Node infos fan out over the pool: make_register_info only reads the
   // design and the timing report (timing_feasible_region dominates), each
@@ -201,85 +269,28 @@ CompatibilityGraph build_compatibility_graph(
   // Functional compatibility is an equivalence: group first, then do the
   // geometric/timing pair checks only within a group, with a spatial grid
   // to avoid the O(n^2) blowup on large designs.
-  using Key = std::tuple<unsigned, std::int32_t, int, std::int32_t,
-                         std::int32_t, std::int32_t, std::int32_t, int>;
-  std::map<Key, std::vector<int>> groups;
-  for (int i = 0; i < graph.node_count(); ++i) {
-    const RegisterInfo& n = graph.node(i);
-    groups[Key{n.lib_cell->function.encode(), n.clock_net.index,
-               n.gating_group, n.reset_net.index, n.set_net.index,
-               n.enable_net.index, n.scan_enable_net.index,
-               n.scan.partition}]
-        .push_back(i);
-  }
+  PairIndex index(graph, options);
 
-  // Spatial hash per group: bin by center; candidate pairs live in the 3x3
-  // block. Neighbor probing works in integer bin coordinates: re-deriving a
-  // neighbor's key from the float point c + d*bin can land in the wrong
-  // bin when c sits at a bin boundary (the rounded sum crosses it),
-  // silently dropping compatible pairs.
-  // The bins are a sorted flat (key, node) vector rather than a hash map:
-  // probing walks a lower_bound range, so candidate pairs are visited in
-  // (bin key, node index) order on every platform.
-  const double bin = std::max(1.0, options.max_distance);
-  auto key_of = [](std::int64_t bx, std::int64_t by) {
-    return (bx << 32) ^ (by & 0xffffffff);
-  };
-  auto bin_coord = [&](double v) {
-    return static_cast<std::int64_t>(std::floor(v / bin));
-  };
-
-  // Edge detection fans out per node: each task walks its own 3x3 bin block
-  // and returns node i's forward (j > i) edges. Tasks only read the node
-  // array and their group's bins; the reduction below appends the per-node
-  // lists in (group, node) order and finalize() sorts each adjacency, so
-  // the graph is byte-identical to the serial double loop at any job count.
-  struct NodeTask {
-    int node;
-    const std::vector<std::pair<std::int64_t, int>>* bins;
-  };
-  std::vector<std::vector<std::pair<std::int64_t, int>>> group_bins;
-  group_bins.reserve(groups.size());
-  std::vector<NodeTask> tasks;
-  tasks.reserve(graph.node_count());
-  for (const auto& [key, members] : groups) {
-    auto& bins_of_group = group_bins.emplace_back();
-    bins_of_group.reserve(members.size());
-    for (int i : members) {
-      const geom::Point c = graph.node(i).center();
-      bins_of_group.emplace_back(key_of(bin_coord(c.x), bin_coord(c.y)), i);
-    }
-    std::sort(bins_of_group.begin(), bins_of_group.end());
-    for (int i : members) tasks.push_back({i, &bins_of_group});
-  }
-
+  // Edge detection fans out per node: each task probes its own 3x3 bin
+  // block and returns node i's forward (j > i) edges. Tasks only read the
+  // node array and the index; the reduction below appends the per-node
+  // lists in node order and finalize() sorts each adjacency, so the graph
+  // is byte-identical to the serial double loop at any job count.
+  std::vector<int> tasks(static_cast<std::size_t>(graph.node_count()));
+  for (int i = 0; i < graph.node_count(); ++i) tasks[i] = i;
   const std::vector<std::vector<int>> forward = runtime::parallel_transform(
       &runtime::ThreadPool::global(), options.jobs, tasks,
-      [&](const NodeTask& task) {
+      [&](int i) {
         std::vector<int> out;
-        const int i = task.node;
         const RegisterInfo& a = graph.node(i);
-        const geom::Point c = a.center();
-        const std::int64_t bx = bin_coord(c.x);
-        const std::int64_t by = bin_coord(c.y);
-        for (int dx = -1; dx <= 1; ++dx) {
-          for (int dy = -1; dy <= 1; ++dy) {
-            const std::int64_t probe = key_of(bx + dx, by + dy);
-            for (auto it = std::lower_bound(task.bins->begin(),
-                                            task.bins->end(),
-                                            std::pair{probe, -1});
-                 it != task.bins->end() && it->first == probe; ++it) {
-              const int j = it->second;
-              if (j <= i) continue;  // each unordered pair once
-              const RegisterInfo& b = graph.node(j);
-              if (!placement_compatible(a, b, options)) continue;
-              if (!timing_compatible(a, b, options)) continue;
-              MBRC_ASSERT(functionally_compatible(a, b) &&
-                          scan_compatible(a, b));
-              out.push_back(j);
-            }
-          }
-        }
+        index.for_each_near(graph, i, [&](int j) {
+          if (j <= i) return;  // each unordered pair once
+          const RegisterInfo& b = graph.node(j);
+          if (!placement_compatible(a, b, options)) return;
+          if (!timing_compatible(a, b, options)) return;
+          MBRC_ASSERT(functionally_compatible(a, b) && scan_compatible(a, b));
+          out.push_back(j);
+        });
         return out;
       },
       /*grain=*/32);
@@ -287,14 +298,15 @@ CompatibilityGraph build_compatibility_graph(
   // Exact degree pre-count so the bulk add_edge pass below appends into
   // right-sized adjacency lists instead of reallocating them as they grow.
   std::vector<int> degrees(graph.node_count(), 0);
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    degrees[tasks[t].node] += static_cast<int>(forward[t].size());
-    for (int j : forward[t]) ++degrees[j];
+  for (int i = 0; i < graph.node_count(); ++i) {
+    degrees[i] += static_cast<int>(forward[i].size());
+    for (int j : forward[i]) ++degrees[j];
   }
   graph.reserve_degrees(degrees);
-  for (std::size_t t = 0; t < tasks.size(); ++t)
-    for (int j : forward[t]) graph.add_edge(tasks[t].node, j);
+  for (int i = 0; i < graph.node_count(); ++i)
+    for (int j : forward[i]) graph.add_edge(i, j);
   graph.finalize();
+  if (pairs != nullptr) *pairs = std::move(index);
   return graph;
 }
 

@@ -14,6 +14,9 @@
 //               similar slack magnitudes.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "geom/rect.hpp"
@@ -99,6 +102,13 @@ public:
   void reserve_degrees(const std::vector<int>& degrees);
   void finalize();
 
+  // Incremental maintenance of a finalized graph (the service session's
+  // IncrementalCompatibilityGraph). Both keep every list sorted and unique.
+  /// Removes every edge of node `i`.
+  void clear_edges(int i);
+  /// Adds edge (a, b) when absent.
+  void insert_edge(int a, int b);
+
 private:
   std::vector<RegisterInfo> nodes_;
   std::vector<std::vector<int>> adjacency_;  // sorted once finalized
@@ -124,9 +134,66 @@ bool placement_compatible(const RegisterInfo& a, const RegisterInfo& b,
 bool timing_compatible(const RegisterInfo& a, const RegisterInfo& b,
                        const CompatibilityOptions& options);
 
-/// Builds the full compatibility graph of `design`.
+/// The candidate pairs of the compatibility graph. Nodes are grouped by the
+/// signature functional and scan compatibility compare (function, clock,
+/// gating group, control nets, scan partition) and binned per group by
+/// center in max_distance cells. Two registers within max_distance of each
+/// other lie in each other's 3x3 bin block, so probing that block finds
+/// every edge, and the probe is symmetric: j is found from i exactly when i
+/// is found from j.
+class PairIndex {
+public:
+  PairIndex() = default;
+  PairIndex(const CompatibilityGraph& graph,
+            const CompatibilityOptions& options);
+
+  /// Calls fn(j) for every node j != i of i's group in the 3x3 bin block
+  /// around i's center, in (bin key, node) order.
+  template <typename Fn>
+  void for_each_near(const CompatibilityGraph& graph, int i, Fn&& fn) const {
+    const std::vector<Bin>& bins = bins_[group_of_[i]];
+    const geom::Point c = graph.node(i).center();
+    const std::int64_t bx = coord(c.x);
+    const std::int64_t by = coord(c.y);
+    for (int dx = -1; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        const std::int64_t probe = key(bx + dx, by + dy);
+        for (auto it = std::lower_bound(bins.begin(), bins.end(),
+                                        Bin{probe, -1});
+             it != bins.end() && it->first == probe; ++it)
+          if (it->second != i) fn(it->second);
+      }
+    }
+  }
+
+  /// Re-bins node `i` after its center moved away from `from`; the graph
+  /// already holds the new center.
+  void rebin(const CompatibilityGraph& graph, int i, geom::Point from);
+
+  /// What groups a register: two registers can share an edge only when
+  /// their signatures are equal.
+  using Signature = std::tuple<unsigned, std::int32_t, int, std::int32_t,
+                               std::int32_t, std::int32_t, std::int32_t, int>;
+  static Signature signature(const RegisterInfo& info);
+
+private:
+  using Bin = std::pair<std::int64_t, int>;  // (bin key, node), sorted
+  std::int64_t coord(double v) const {
+    return static_cast<std::int64_t>(std::floor(v / bin_));
+  }
+  static std::int64_t key(std::int64_t bx, std::int64_t by) {
+    return (bx << 32) ^ (by & 0xffffffff);
+  }
+
+  double bin_ = 1.0;
+  std::vector<int> group_of_;
+  std::vector<std::vector<Bin>> bins_;  // per group
+};
+
+/// Builds the full compatibility graph of `design`. When `pairs` is given,
+/// it receives the pair index the build probed, for incremental re-probing.
 CompatibilityGraph build_compatibility_graph(
     const netlist::Design& design, const sta::TimingReport& timing,
-    const CompatibilityOptions& options = {});
+    const CompatibilityOptions& options = {}, PairIndex* pairs = nullptr);
 
 }  // namespace mbrc::mbr

@@ -1,6 +1,7 @@
 #include "mbr/composition.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -42,13 +43,75 @@ ilp::SetPartitionResult solve_subgraph(
 
 namespace {
 
-// Shared back half of plan_composition / plan_composition_region: enumerate
-// and solve the given subgraphs over an already-built graph, then reduce
-// into the plan in deterministic order.
-void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
-                         const std::vector<std::vector<int>>& subgraphs,
-                         const CompositionOptions& options) {
-  const BlockerIndex blockers(plan.graph);
+// The components holding a region node, found by a walk from each region
+// node. Each comes out sorted and the list is ordered by smallest node, so
+// it is the matching sublist of graph.connected_components().
+std::vector<std::vector<int>> region_components(
+    const CompatibilityGraph& graph, const std::vector<int>& region) {
+  std::vector<std::vector<int>> components;
+  std::unordered_set<int> seen;
+  for (int start : region) {
+    if (!seen.insert(start).second) continue;
+    std::vector<int> component{start};
+    for (std::size_t k = 0; k < component.size(); ++k)
+      for (int u : graph.neighbors(component[k]))
+        if (seen.insert(u).second) component.push_back(u);
+    std::sort(component.begin(), component.end());
+    components.push_back(std::move(component));
+  }
+  std::sort(components.begin(), components.end(),
+            [](const std::vector<int>& a, const std::vector<int>& b) {
+              return a.front() < b.front();
+            });
+  return components;
+}
+
+}  // namespace
+
+CompatibilityOptions compatibility_with_jobs(const CompositionOptions& options) {
+  CompatibilityOptions compatibility = options.compatibility;
+  compatibility.jobs = options.jobs;
+  return compatibility;
+}
+
+std::vector<int> region_nodes(const CompatibilityGraph& graph,
+                              const std::vector<netlist::CellId>& cells) {
+  const std::vector<RegisterInfo>& nodes = graph.nodes();
+  std::vector<int> out;
+  out.reserve(cells.size());
+  for (netlist::CellId cell : cells) {
+    const auto it = std::lower_bound(
+        nodes.begin(), nodes.end(), cell,
+        [](const RegisterInfo& n, netlist::CellId c) { return n.cell < c; });
+    if (it != nodes.end() && it->cell == cell)
+      out.push_back(static_cast<int>(it - nodes.begin()));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
+                              const BlockerIndex& blockers,
+                              const netlist::Design& design,
+                              const std::optional<std::vector<int>>& region,
+                              const CompositionOptions& options) {
+  std::vector<std::vector<int>> subgraphs;
+  for (std::vector<int>& component :
+       region ? region_components(graph, *region)
+              : graph.connected_components()) {
+    for (std::vector<int>& part : partition_component(
+             graph, design, std::move(component), options.partition)) {
+      // partition_component hands each part out sorted.
+      const bool keep =
+          !region || std::any_of(part.begin(), part.end(), [&](int node) {
+            return std::binary_search(region->begin(), region->end(), node);
+          });
+      if (keep) subgraphs.push_back(std::move(part));
+    }
+  }
+
+  CompositionPlan plan;
   plan.subgraph_count = static_cast<int>(subgraphs.size());
 
   // Per-subgraph fan-out: enumeration and the branch & bound solve are
@@ -65,9 +128,8 @@ void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
       [&](const std::vector<int>& subgraph) {
         obs::Span span("plan.subgraph");
         SubgraphOutcome outcome;
-        outcome.enumeration =
-            enumerate_candidates(plan.graph, design.library(), blockers,
-                                 subgraph, options.enumeration);
+        outcome.enumeration = enumerate_candidates(
+            graph, design.library(), blockers, subgraph, options.enumeration);
         outcome.solved = solve_subgraph(
             subgraph, outcome.enumeration.candidates, options.solver);
         return outcome;
@@ -89,7 +151,7 @@ void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
       Selection selection;
       selection.candidate = enumeration.candidates[index];
       for (int node : selection.candidate.nodes)
-        selection.members.push_back(plan.graph.node(node).cell);
+        selection.members.push_back(graph.node(node).cell);
       plan.selections.push_back(std::move(selection));
     }
   }
@@ -99,29 +161,17 @@ void plan_over_subgraphs(CompositionPlan& plan, const netlist::Design& design,
             [](const Selection& a, const Selection& b) {
               return a.members.front() < b.members.front();
             });
+  return plan;
 }
-
-}  // namespace
-
-namespace {
-
-// The flow-wide jobs knob also drives the compatibility-graph fan-out.
-CompatibilityOptions compatibility_with_jobs(const CompositionOptions& options) {
-  CompatibilityOptions compatibility = options.compatibility;
-  compatibility.jobs = options.jobs;
-  return compatibility;
-}
-
-}  // namespace
 
 CompositionPlan plan_composition(const netlist::Design& design,
                                  const sta::TimingReport& timing,
                                  const CompositionOptions& options) {
-  CompositionPlan plan;
-  plan.graph =
+  CompatibilityGraph graph =
       build_compatibility_graph(design, timing, compatibility_with_jobs(options));
-  const auto subgraphs = partition_graph(plan.graph, design, options.partition);
-  plan_over_subgraphs(plan, design, subgraphs, options);
+  CompositionPlan plan = plan_on_graph(graph, BlockerIndex(graph), design,
+                                       std::nullopt, options);
+  plan.graph = std::move(graph);
   return plan;
 }
 
@@ -129,22 +179,12 @@ CompositionPlan plan_composition_region(
     const netlist::Design& design, const sta::TimingReport& timing,
     const std::vector<netlist::CellId>& region,
     const CompositionOptions& options) {
-  CompositionPlan plan;
-  plan.graph =
+  CompatibilityGraph graph =
       build_compatibility_graph(design, timing, compatibility_with_jobs(options));
-
-  std::vector<netlist::CellId> sorted_region = region;
-  std::sort(sorted_region.begin(), sorted_region.end());
-
-  auto subgraphs = partition_graph(plan.graph, design, options.partition);
-  std::erase_if(subgraphs, [&](const std::vector<int>& subgraph) {
-    for (int node : subgraph)
-      if (std::binary_search(sorted_region.begin(), sorted_region.end(),
-                             plan.graph.node(node).cell))
-        return false;
-    return true;
-  });
-  plan_over_subgraphs(plan, design, subgraphs, options);
+  CompositionPlan plan =
+      plan_on_graph(graph, BlockerIndex(graph), design,
+                    region_nodes(graph, region), options);
+  plan.graph = std::move(graph);
   return plan;
 }
 

@@ -6,6 +6,7 @@
 // independent, so the global optimum is the union of per-subgraph optima.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "ilp/set_partition.hpp"
@@ -27,6 +28,10 @@ struct CompositionOptions {
   /// identical at any job count; 1 runs the serial loop.
   int jobs = 1;
 };
+
+/// options.compatibility with the flow-wide jobs knob, which also drives
+/// the compatibility-graph fan-out.
+CompatibilityOptions compatibility_with_jobs(const CompositionOptions& options);
 
 /// One selected MBR (or kept singleton) after solving the ILP.
 struct Selection {
@@ -51,19 +56,44 @@ struct CompositionPlan {
   }
 };
 
-/// Builds the compatibility graph, partitions it, enumerates candidates and
-/// solves the per-subgraph ILPs. Does not modify the design.
+/// The one planner. Partitions the connected components of `graph` (the
+/// components holding a node of `region`, or every component when `region`
+/// is absent), enumerates candidates and solves the per-subgraph ILPs. With
+/// a region, only the subgraphs holding a region node are planned: the
+/// others are independent and their plan would be the same as before.
+/// Components are visited in ascending order of their smallest node, as
+/// CompatibilityGraph::connected_components lists them, so the objective's
+/// floating-point sum has the same order as a whole-graph plan's. Blockers
+/// are counted against every node of `graph` through `blockers`. The
+/// returned plan's `graph` stays empty: selections name their cells
+/// through Selection::members, and callers that apply the plan attach the
+/// graph themselves. `region` holds node ids, sorted and unique.
+CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
+                              const BlockerIndex& blockers,
+                              const netlist::Design& design,
+                              const std::optional<std::vector<int>>& region,
+                              const CompositionOptions& options);
+
+/// The graph nodes of `cells`, sorted and unique; cells that are not nodes
+/// (not composable) are skipped. Requires the graph's nodes in ascending
+/// cell order, as build_compatibility_graph creates them.
+std::vector<int> region_nodes(const CompatibilityGraph& graph,
+                              const std::vector<netlist::CellId>& cells);
+
+/// plan_on_graph over a freshly built graph, planning every register. Does
+/// not modify the design; the plan carries the graph for apply.
 CompositionPlan plan_composition(const netlist::Design& design,
                                  const sta::TimingReport& timing,
                                  const CompositionOptions& options = {});
 
-/// Incremental planning for the service's recompose_region request: builds
-/// the compatibility graph and partition exactly like plan_composition, but
-/// enumerates candidates and solves ILPs only for the subgraphs containing
-/// at least one cell of `region` (the cells a session's edits touched).
-/// Untouched subgraphs are skipped entirely, so the cost scales with the
-/// edited neighborhood, not the design. Within the retained subgraphs the
-/// plan is identical to the full plan's (subgraphs are independent).
+/// plan_on_graph over a freshly built graph, planning only the subgraphs
+/// that hold a cell of `region`. Within them the plan is identical to the
+/// full plan's. Building the graph still costs O(design): the debank loop
+/// calls this once per iteration, because applying a plan is a structural
+/// edit that invalidates any kept graph. The service session instead keeps
+/// an IncrementalCompatibilityGraph and calls plan_on_graph directly, so a
+/// region plan costs what the region and the edits since the previous plan
+/// touch, not the design.
 CompositionPlan plan_composition_region(
     const netlist::Design& design, const sta::TimingReport& timing,
     const std::vector<netlist::CellId>& region,

@@ -519,8 +519,12 @@ FlowResult run_flow_stages(netlist::Design& design,
       guard("debank.split", result.skew);
 
       // Scoped recomposition: only the subgraphs touching the freed pieces
-      // are re-planned (the service's incremental-planning path), so the
-      // iteration cost scales with the perturbation, not the design.
+      // are enumerated and solved. The compatibility graph is still built
+      // fresh, at O(design) per iteration: splitting and apply_plan_merges
+      // are structural edits that move topology_version, and the kept graph
+      // of mbr/incremental_graph.hpp handles only moves and swaps. The
+      // service session, whose edits keep the topology, plans on such a
+      // kept graph instead.
       const sta::TimingReport& replan_timing = engine.update(result.skew);
       CompositionPlan region_plan = plan_composition_region(
           design, replan_timing, split.pieces, composition_options);

@@ -76,7 +76,7 @@ CompositionPlan plan_composition_heuristic(const netlist::Design& design,
     obs::Span span("plan.subgraph");
     SubgraphOutcome outcome;
     if (subgraph.empty()) return outcome;
-    const auto widths = design.library().available_widths(
+    const std::vector<int>& widths = design.library().available_widths(
         plan.graph.node(subgraph.front()).lib_cell->function);
 
     // Single pass, as in the refs-[8]/[12] style baseline: identify the

@@ -345,6 +345,13 @@ void Daemon::update_gauges(Strand& strand) {
   gauges.incremental_updates.store(
       static_cast<std::int64_t>(engine.incremental_updates),
       std::memory_order_relaxed);
+  const mbr::IncrementalCompatibilityGraph::Stats& compat =
+      session.compat_stats();
+  gauges.compat_full_builds.store(static_cast<std::int64_t>(compat.full_builds),
+                                  std::memory_order_relaxed);
+  gauges.compat_incremental_updates.store(
+      static_cast<std::int64_t>(compat.incremental_updates),
+      std::memory_order_relaxed);
 }
 
 std::string Daemon::handle_sync(const std::string& line) {
@@ -447,6 +454,11 @@ std::string Daemon::do_stats(std::int64_t id) {
     w.kv("full_builds", g.full_builds.load(std::memory_order_relaxed));
     w.kv("incremental_updates",
          g.incremental_updates.load(std::memory_order_relaxed));
+    w.end_object();
+    w.key("compat").begin_object();
+    w.kv("full_builds", g.compat_full_builds.load(std::memory_order_relaxed));
+    w.kv("incremental_updates",
+         g.compat_incremental_updates.load(std::memory_order_relaxed));
     w.end_object();
     w.end_object();
   }
@@ -579,9 +591,29 @@ std::string Daemon::do_open(Strand& strand, const obs::JsonValue& request) {
   if (!level_text.empty() &&
       !parse_check_level(level_text, session_options.check_level))
     return open_fail("check_level must be off, stage or paranoid");
-  const std::int64_t max_snapshots = request.int_or("max_snapshots", -1);
-  if (max_snapshots >= 0)
-    session_options.max_snapshots = static_cast<std::size_t>(max_snapshots);
+  // Numeric parameters are checked before anything is built: a value that
+  // is not an integer, or above its ceiling, fails the open instead of
+  // being truncated or falling back to a default.
+  const auto bounded = [&](const char* key, std::int64_t fallback,
+                           std::int64_t ceiling) -> std::optional<std::int64_t> {
+    const obs::JsonValue* value = request.find(key);
+    if (value == nullptr) return fallback;
+    const std::optional<std::int64_t> n = value->as_int();
+    if (!n || *n > ceiling) return std::nullopt;
+    return n;
+  };
+  const std::optional<std::int64_t> max_snapshots =
+      bounded("max_snapshots", -1, kMaxSessionSnapshots);
+  if (!max_snapshots)
+    return open_fail("max_snapshots must be an integer of at most " +
+                     std::to_string(kMaxSessionSnapshots));
+  if (*max_snapshots >= 0)
+    session_options.max_snapshots = static_cast<std::size_t>(*max_snapshots);
+  const std::optional<std::int64_t> registers =
+      bounded("registers", 0, kMaxOpenRegisters);
+  if (!registers)
+    return open_fail("registers must be an integer of at most " +
+                     std::to_string(kMaxOpenRegisters));
 
   const std::string path = request.string_or("path", "");
   const std::string profile_name = request.string_or("profile", "");
@@ -604,8 +636,7 @@ std::string Daemon::do_open(Strand& strand, const obs::JsonValue& request) {
       profile.name = profile_name;  // custom profile, parameterized below
       profile.register_cells = 200;
     }
-    const std::int64_t registers = request.int_or("registers", 0);
-    if (registers > 0) profile.register_cells = static_cast<int>(registers);
+    if (*registers > 0) profile.register_cells = static_cast<int>(*registers);
     const std::int64_t seed = request.int_or("seed", 0);
     if (seed > 0) profile.seed = static_cast<std::uint64_t>(seed);
     benchgen::GeneratedDesign generated =

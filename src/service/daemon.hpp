@@ -67,6 +67,13 @@
 
 namespace mbrc::service {
 
+/// Ceilings on open_design's numeric parameters; a request above one gets
+/// an error response and opens no session. 2M registers is about twice the
+/// largest scaled profile (D1 x 340, ~1M registers).
+inline constexpr std::int64_t kMaxOpenRegisters = 2'000'000;
+/// Each snapshot is a full design copy; the default is 64.
+inline constexpr std::int64_t kMaxSessionSnapshots = 256;
+
 struct DaemonOptions {
   /// Request-execution lanes. <= 1: inline serial execution (deterministic
   /// transcript order); > 1: a pool of jobs - 1 workers plus the calling
@@ -135,6 +142,8 @@ private:
     std::atomic<std::int64_t> topology_version{0};
     std::atomic<std::int64_t> full_builds{0};
     std::atomic<std::int64_t> incremental_updates{0};
+    std::atomic<std::int64_t> compat_full_builds{0};
+    std::atomic<std::int64_t> compat_incremental_updates{0};
   };
 
   /// One open design and its FIFO request queue. `session` is null until

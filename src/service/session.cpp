@@ -15,6 +15,7 @@ Session::Session(const lib::Library& library, netlist::Design design,
       design_(std::move(design)),
       options_(options),
       engine_(design_, options.timing),
+      graph_(design_, mbr::compatibility_with_jobs(options.composition)),
       baseline_(check::DesignChecker::capture(design_)) {}
 
 std::string Session::validate(const Edit& edit) const {
@@ -193,11 +194,13 @@ RecomposeAnswer Session::recompose(const std::vector<netlist::CellId>& region,
   answer.region_registers = static_cast<int>(cells.size());
   if (cells.empty()) return answer;  // nothing touched: empty plan
 
-  const sta::TimingReport& report = engine_.update(skew_);
+  engine_.update(skew_);
+  graph_.sync(engine_);
   mbr::CompositionOptions composition = options_.composition;
   if (cost) composition.enumeration.cost = *cost;
-  const mbr::CompositionPlan plan = mbr::plan_composition_region(
-      design_, report, cells, composition);
+  const mbr::CompositionPlan plan = mbr::plan_on_graph(
+      graph_.graph(), graph_.blockers(), design_,
+      mbr::region_nodes(graph_.graph(), cells), composition);
 
   answer.subgraphs = plan.subgraph_count;
   answer.candidates = plan.candidate_count;

@@ -25,6 +25,7 @@
 
 #include "check/checker.hpp"
 #include "mbr/composition.hpp"
+#include "mbr/incremental_graph.hpp"
 #include "netlist/design.hpp"
 #include "sta/timing_engine.hpp"
 
@@ -140,7 +141,10 @@ public:
   /// every register edited since the last implicit recompose (that set is
   /// consumed). Planning only: the design is not modified. `cost`, when
   /// present, overrides the session's multi-objective cost knobs
-  /// (alpha/beta/gamma, mbr/cost.hpp) for this request only.
+  /// (alpha/beta/gamma, mbr/cost.hpp) for this request only. The plan runs
+  /// on the session's incremental compatibility graph, so its cost follows
+  /// the region and the edits since the last recompose, not the design; it
+  /// equals plan_composition_region on a fresh run_sta report.
   RecomposeAnswer recompose(const std::vector<netlist::CellId>& region,
                             const std::optional<mbr::CostModel>& cost = {});
 
@@ -168,6 +172,11 @@ public:
   const sta::TimingEngine::Stats& engine_stats() const {
     return engine_.stats();
   }
+  const mbr::IncrementalCompatibilityGraph::Stats& compat_stats() const {
+    return graph_.stats();
+  }
+  /// The compatibility graph as of the last recompose (empty before it).
+  const mbr::CompatibilityGraph& compat_graph() const { return graph_.graph(); }
 
 private:
   std::string validate(const Edit& edit) const;  // empty when applicable
@@ -178,6 +187,9 @@ private:
   netlist::Design design_;
   SessionOptions options_;
   sta::TimingEngine engine_;
+  /// Kept in sync from the edit journal and engine_'s change log on each
+  /// recompose; rebuilt after a rollback.
+  mbr::IncrementalCompatibilityGraph graph_;
   sta::SkewMap skew_;
   /// Registers edited since the last implicit recompose, ordered by id
   /// (deterministic region resolution).

@@ -346,6 +346,19 @@ void TimingEngine::full_build() {
   fwd_bucket_.assign(levels, {});
   bwd_bucket_.assign(levels, {});
   epoch_ = 0;
+  changed_pins_.clear();
+  changed_flag_.assign(n, 0);
+}
+
+void TimingEngine::clear_changed_pins() {
+  for (const std::int32_t pin : changed_pins_) changed_flag_[pin] = 0;
+  changed_pins_.clear();
+}
+
+void TimingEngine::log_change(std::int32_t pin) {
+  if (changed_flag_[pin] != 0) return;
+  changed_flag_[pin] = 1;
+  changed_pins_.push_back(pin);
 }
 
 const TimingReport& TimingEngine::update(const SkewMap& skew) {
@@ -564,6 +577,7 @@ void TimingEngine::repair_forward() {
       }
       arrival[pin] = a;
       arrival_min[pin] = a_min;
+      log_change(pin);
       if (endpoint_slot_[pin] >= 0) mark_endpoint(pin);
       for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e)
         mark_forward(succ_to_[e]);  // strictly higher levels only
@@ -601,6 +615,7 @@ void TimingEngine::repair_backward() {
       }
       required[pin] = r;
       req_min[pin] = r_min;
+      log_change(pin);
       for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e)
         mark_backward(pred_to_[e]);  // strictly lower levels only
     }

@@ -69,6 +69,19 @@ public:
   };
   const Stats& stats() const { return stats_; }
 
+  /// Change log for observers that derive data from the report (the
+  /// service session's compatibility graph): every pin whose arrival or
+  /// required time, setup or hold side, changed in an incremental repair
+  /// since the last clear_changed_pins(), each listed once, in repair
+  /// order. These are exactly the pins the repair did not early-stop on,
+  /// and a register endpoint's slack moves only with them. A full build
+  /// empties the log: observers detect it by stats().full_builds moving
+  /// and must then treat every pin as changed.
+  const std::vector<std::int32_t>& changed_pins() const {
+    return changed_pins_;
+  }
+  void clear_changed_pins();
+
 private:
   // --- delay model (identical to run_sta's; see sta.hpp header note) -----
   double register_skew(netlist::CellId cell) const;
@@ -95,6 +108,7 @@ private:
   void repair_forward();
   void repair_backward();
   void refresh_endpoints();
+  void log_change(std::int32_t pin);
 
   const netlist::Design& design_;
   const TimingOptions options_;
@@ -141,6 +155,10 @@ private:
   std::int32_t fwd_lo_ = 0, fwd_hi_ = -1;  // touched level range
   std::int32_t bwd_lo_ = 0, bwd_hi_ = -1;
   std::vector<std::int32_t> ep_marks_;
+
+  // Change log (see changed_pins()); the flag keeps each pin in it once.
+  std::vector<std::int32_t> changed_pins_;
+  std::vector<std::uint8_t> changed_flag_;
 
   Stats stats_;
 };

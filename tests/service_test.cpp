@@ -557,6 +557,48 @@ TEST(ServiceTest, ProtocolErrorsAreReported) {
   expect_error(query_request(10, "s", {}, {}), "unknown session");
 }
 
+// open_design's numeric inputs are bounded before anything is generated:
+// 2^32 + 5 registers must not wrap to 5, 10^8 registers must not start a
+// minutes-long generation, and max_snapshots has a ceiling. Each gets an
+// error response and leaves no session behind.
+TEST(ServiceTest, OpenDesignRejectsOutOfRangeNumbers) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 1});
+  const auto expect_refused = [&](const std::string& line,
+                                  const std::string& fragment) {
+    const obs::JsonParseResult parsed =
+        obs::parse_json(daemon.handle_sync(line));
+    ASSERT_TRUE(parsed.ok);
+    EXPECT_FALSE(parsed.value.bool_or("ok", true)) << line;
+    EXPECT_NE(parsed.value.string_or("error", "").find(fragment),
+              std::string::npos)
+        << parsed.value.string_or("error", "");
+    EXPECT_EQ(daemon.session_count(), 0u) << line;
+  };
+
+  expect_refused(
+      R"({"id":1,"cmd":"open_design","session":"s","profile":"svc","registers":4294967301})",
+      "registers must be");
+  expect_refused(
+      R"({"id":2,"cmd":"open_design","session":"s","profile":"svc","registers":100000000})",
+      "registers must be");
+  expect_refused(
+      R"({"id":3,"cmd":"open_design","session":"s","profile":"svc","registers":40,"max_snapshots":1000000000000})",
+      "max_snapshots must be");
+  expect_refused(
+      R"({"id":4,"cmd":"open_design","session":"s","profile":"svc","registers":40,"max_snapshots":1e300})",
+      "max_snapshots must be");
+
+  // The refusals vacated the name; in-range values open normally.
+  std::ostringstream os;
+  obs::JsonWriter w(os, 0);
+  w.begin_object().kv("id", 5).kv("cmd", "open_design").kv("session", "s");
+  w.kv("profile", kProfile).kv("registers", service::kMaxOpenRegisters / 50000);
+  w.kv("max_snapshots", service::kMaxSessionSnapshots).end_object();
+  parse_ok(daemon.handle_sync(os.str()));
+  EXPECT_EQ(daemon.session_count(), 1u);
+}
+
 // A batch stopping at its first invalid edit reports the prefix applied
 // and the failing index; earlier edits stay applied.
 TEST(ServiceTest, EditBatchStopsAtFirstInvalidEdit) {
@@ -752,7 +794,7 @@ TEST(ServiceTest, StatsVerbPinsKeyLayout) {
   EXPECT_EQ(member_keys(*gauges),
             (std::vector<std::string>{"requests", "journal_length",
                                       "snapshots", "topology_version",
-                                      "engine"}));
+                                      "engine", "compat"}));
   EXPECT_EQ(gauges->int_or("requests", -1), 3);
   EXPECT_EQ(gauges->int_or("snapshots", -1), 1);
   const obs::JsonValue* engine = gauges->find("engine");
@@ -760,6 +802,13 @@ TEST(ServiceTest, StatsVerbPinsKeyLayout) {
   EXPECT_EQ(member_keys(*engine),
             (std::vector<std::string>{"full_builds", "incremental_updates"}));
   EXPECT_EQ(engine->int_or("full_builds", -1), 1);
+  // No recompose yet: the session's compatibility graph is built lazily.
+  const obs::JsonValue* compat = gauges->find("compat");
+  ASSERT_NE(compat, nullptr);
+  EXPECT_EQ(member_keys(*compat),
+            (std::vector<std::string>{"full_builds", "incremental_updates"}));
+  EXPECT_EQ(compat->int_or("full_builds", -1), 0);
+  EXPECT_EQ(compat->int_or("incremental_updates", -1), 0);
 
   EXPECT_NE(stats.find("counters"), nullptr);
   EXPECT_NE(stats.find("histograms"), nullptr);
@@ -798,6 +847,8 @@ TEST(ServiceTest, StatsCounterDeltasBitIdenticalAcrossJobs) {
       transcript.push_back(edits_request(
           id++, session, mutate_reference(generated.design, skew, rng)));
       transcript.push_back(query_request(id++, session, {}, {}));
+      if (burst % 2 == 1)  // the kept compatibility graph's counters too
+        transcript.push_back(simple_request(id++, "recompose_region", session));
     }
     if (burst == 3)  // stats racing mid-transcript must not perturb deltas
       transcript.push_back("{\"id\":" + std::to_string(id++) +
@@ -823,6 +874,8 @@ TEST(ServiceTest, StatsCounterDeltasBitIdenticalAcrossJobs) {
   const auto pooled = run_at(4);
   EXPECT_EQ(serial, pooled);
   EXPECT_GT(serial.at("service.edits.applied"), 0);
+  EXPECT_EQ(serial.at("mbr.compat.full_builds"), 2);  // one per session
+  EXPECT_EQ(serial.at("mbr.compat.incremental_updates"), 4);
 }
 
 // A live-traced run that ends via shutdown (not trace_stop) must keep the
