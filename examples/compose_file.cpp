@@ -51,7 +51,7 @@ int compose(const lib::Library& library, const std::string& in_path,
   }
   std::cout << "Saved " << out_path << "\n\nStage timings (jobs="
             << options.jobs << "):\n"
-            << runtime::format_stage_table(result.stages);
+            << obs::format_stage_table(result.stages);
   return 0;
 }
 

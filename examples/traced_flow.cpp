@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::cout << "Composition: " << result.mbrs_created << " new MBRs from "
             << result.registers_merged << " registers in "
             << result.total_seconds << " s\n\n";
-  std::cout << "Stages:\n" << runtime::format_stage_table(result.stages);
+  std::cout << "Stages:\n" << obs::format_stage_table(result.stages);
   std::cout << "\nWork counters (bit-identical at any jobs value):\n"
             << obs::format_counters(result.counters);
   std::cout << "\nTrace: " << result.trace.events.size() << " spans on "

@@ -1,10 +1,10 @@
 // Flow-integrity checking for the in-place composition flow.
 //
-// The flow mutates one Design across eight stages (decompose -> plan ->
-// map/place/rewire -> legalize -> restitch -> skew -> size) with an
-// incremental STA engine riding on an edit journal -- exactly the setup
-// where a stale cache or a half-updated invariant corrupts results silently
-// instead of crashing. DesignChecker validates the invariants each stage is
+// The flow mutates one Design across its stages (plan -> map/place/rewire
+// -> legalize -> restitch -> skew -> size, then the optional bank/debank
+// loop's split and commit rounds) with an incremental STA engine riding on
+// an edit journal -- exactly the setup where a stale cache or a
+// half-updated invariant corrupts results silently instead of crashing. DesignChecker validates the invariants each stage is
 // supposed to preserve:
 //
 //   structure      every pin's net back-references it (driver/sink lists and
@@ -20,7 +20,7 @@
 //                  covering every scan element exactly once, with ordered
 //                  sections in (section, order) sequence;
 //   conservation   connected register bits are conserved and the register
-//                  count never grows across compose/decompose;
+//                  count never grows across composition;
 //   timing         the incremental engine's report is bit-identical to a
 //                  fresh run_sta rebuild (the engine's core contract).
 //
@@ -98,8 +98,8 @@ public:
   DesignChecker& check_scan_chains();
   /// Connected register bits conserved; when `require_count_bounded`, the
   /// register count must not exceed the baseline (true at the flow's input
-  /// and output; mid-flow the decompose pre-pass legitimately inflates the
-  /// count until composition and recombination absorb the pieces).
+  /// and output; mid-loop a debank split legitimately inflates the count
+  /// until recomposition absorbs the pieces).
   DesignChecker& check_conservation(const Baseline& baseline,
                                     bool require_count_bounded = true);
   /// The incremental engine's report is bit-identical to a fresh run_sta.
@@ -124,9 +124,10 @@ struct StageExpectations {
   bool placement_legal = true;
   bool scan_stitched = true;
   bool nets_clean = true;
-  /// Register count <= baseline. False between the decompose pre-pass
-  /// (which splits wide MBRs into more, narrower registers) and the output
-  /// boundary, where the paper's no-increase guarantee must hold again.
+  /// Register count <= baseline. False from the first debank split (which
+  /// turns one MBR into more, narrower registers) to the output boundary,
+  /// where the paper's no-increase guarantee holds again unless a debank
+  /// iteration was kept.
   bool register_count_bounded = true;
 };
 

@@ -168,8 +168,7 @@ void size_new_mbrs(netlist::Design& design,
 namespace {
 
 // Outcome of applying one composition plan's merges (map -> place ->
-// rewire); the flow runs this once for the main plan and once per
-// bank/debank loop iteration for the scoped recomposition plans.
+// rewire).
 struct ApplyOutcome {
   std::vector<netlist::CellId> new_cells;
   int mbrs_created = 0;
@@ -292,13 +291,134 @@ place::LegalizeResult legalize_new_cells(
   return place::legalize_cells(design, grid, order);
 }
 
+// What the stages of one flow run share: the design under edit, the
+// resolved options, the one timing engine, the stage table, and the state
+// of the flow-integrity checks (FlowOptions::check_level).
+struct FlowContext {
+  netlist::Design& design;
+  const FlowOptions& options;
+  const sta::TimingOptions& timing_options;  // options.timing at options.jobs
+  sta::TimingEngine& engine;
+  obs::StageStore stages{};
+  check::DesignChecker::Baseline check_baseline{};
+  // Which invariants hold at the current point of the flow: mid-flow states
+  // legitimately run with dangling scan nets and unlegalized MBRs, and the
+  // expectations are restored as the repairing stages run.
+  check::StageExpectations expect{};
+  // Whether a commit has rebuilt the scan chains yet (see commit_plan).
+  bool chains_restitched = false;
+
+  void guard(const std::string& stage, const sta::SkewMap& skew) {
+    check::enforce_stage(design, stage.c_str(), options.check_level, expect,
+                         check_baseline, &engine, skew);
+  }
+};
+
+struct CommitOutcome {
+  ApplyOutcome applied;
+  sta::SkewMap skew;                   // the skew map after the commit
+  place::LegalizeResult legalization;  // default when no MBR was created
+  RestitchStats restitch;              // zero when the chains were kept
+  double compose_seconds = 0.0;        // apply through restitch, wall time
+};
+
+// Commits one composition plan, the part of the paper's Fig. 4 after
+// planning: map -> place -> rewire, drop the skew entries of the merged
+// members, legalize the new MBRs, restitch the scan chains, useful skew over
+// the working set (the new MBRs plus the live `extra_cells`), then sizing.
+// The main pass commits the flow's plan under an empty skew map; each
+// bank/debank iteration commits its scoped plan under the current skew with
+// its split pieces as extra cells. New MBRs are named `name_prefix` plus a
+// per-call counter; stage rows and guard names carry `stage_prefix`.
+CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
+                          const std::string& stage_prefix,
+                          const std::string& name_prefix, sta::SkewMap skew,
+                          const std::vector<netlist::CellId>& extra_cells) {
+  netlist::Design& design = flow.design;
+  const FlowOptions& options = flow.options;
+  check::StageExpectations& expect = flow.expect;
+  const auto stage = [&](const char* name) { return stage_prefix + name; };
+  util::Stopwatch compose_clock;
+  CommitOutcome out;
+
+  // Map -> place -> rewire (speculative parallel map/place, serial rewire
+  // with replay -- see apply_plan_merges).
+  {
+    obs::StageTimer timer(flow.stages, stage("apply"));
+    out.applied = apply_plan_merges(design, plan, options, name_prefix);
+    timer.add_items(out.applied.mbrs_created);
+  }
+  const std::vector<netlist::CellId>& new_cells = out.applied.new_cells;
+  // Merged members die in the rewire; drop their stale skew entries so the
+  // map only ever names live registers.
+  std::erase_if(skew, [&](const auto& entry) {
+    return design.cell(entry.first).dead;
+  });
+  if (!new_cells.empty()) {
+    // New MBRs sit at their LP positions (not yet legalized) with
+    // unstitched scan pins; the replaced members' chain nets dangle.
+    expect.placement_legal = false;
+    expect.scan_stitched = false;
+    expect.nets_clean = false;
+  }
+  flow.guard(stage("apply"), skew);
+
+  // Incremental legalization of the new MBRs.
+  if (!new_cells.empty()) {
+    obs::StageTimer timer(flow.stages, stage("legalize"));
+    timer.add_items(static_cast<std::int64_t>(new_cells.size()));
+    out.legalization = legalize_new_cells(design, new_cells);
+    MBRC_ASSERT_MSG(out.legalization.success,
+                    "MBR legalization failed: core too full");
+    expect.placement_legal = true;
+    flow.guard(stage("legalize"), skew);
+  }
+
+  // The flow's first commit always rebuilds the scan chains. A later commit
+  // that created no MBR finds them as the last restitch left them; as a
+  // restitch replaces every link net, running it again would only churn
+  // the netlist.
+  if (!new_cells.empty() || !flow.chains_restitched) {
+    obs::StageTimer timer(flow.stages, stage("scan_restitch"));
+    out.restitch = restitch_scan_chains(design);
+    flow.chains_restitched = true;
+  }
+  expect.scan_stitched = true;
+  expect.nets_clean = true;
+  flow.guard(stage("restitch"), skew);
+  out.compose_seconds = compose_clock.seconds();
+
+  // Useful skew over the working set, then sizing under the final skews.
+  std::vector<netlist::CellId> working = new_cells;
+  for (netlist::CellId cell : extra_cells)
+    if (!design.cell(cell).dead) working.push_back(cell);
+  if (options.apply_useful_skew && !working.empty()) {
+    obs::StageTimer timer(flow.stages, stage("useful_skew"));
+    const std::unordered_set<netlist::CellId> allowed(working.begin(),
+                                                      working.end());
+    sta::UsefulSkewResult skew_result = optimize_useful_skew(
+        design, flow.timing_options, options.skew, skew,
+        options.skew_only_new_mbrs ? &allowed : nullptr, &flow.engine);
+    skew = std::move(skew_result.skew);
+    timer.add_items(skew_result.iterations_run);
+    flow.guard(stage("useful_skew"), skew);
+  }
+  if (options.size_new_mbrs) {
+    obs::StageTimer timer(flow.stages, stage("size_mbrs"));
+    size_new_mbrs(design, working, skew, flow.engine);
+    timer.add_items(static_cast<std::int64_t>(working.size()));
+    flow.guard(stage("size_mbrs"), skew);
+  }
+  out.skew = std::move(skew);
+  return out;
+}
+
 // The flow stages proper; run_composition_flow wraps this with the
 // observability envelope (tracer install, counter delta, report files).
 FlowResult run_flow_stages(netlist::Design& design,
                            const FlowOptions& options) {
   obs::Span flow_span("flow");
   util::Stopwatch total_clock;
-  runtime::Metrics stage_metrics;
   FlowResult result;
 
   // One jobs knob drives every stage: the copies push it into the nested
@@ -313,148 +433,53 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   // One timing engine spans the whole flow: the timing graph is built once
   // per netlist topology and every later query is an incremental repair.
-  // Structural stages (decompose, rewire) bump the design's topology
+  // Structural stages (rewire, debank splits) bump the design's topology
   // version, so the engine rebuilds exactly when it must; the useful-skew
   // loop and the post-compose queries ride on cheap dirty-cone updates.
   sta::TimingEngine engine(design, timing_options);
 
-  // Flow-integrity checking (FlowOptions::check_level). `expect` tracks
-  // which invariants hold at the current point of the flow: mid-flow states
-  // legitimately run with dangling scan nets and unlegalized MBRs, and the
-  // expectations are restored as the repairing stages run.
-  const check::CheckLevel check_level = options.check_level;
-  check::DesignChecker::Baseline check_baseline;
-  if (check_level != check::CheckLevel::kOff)
-    check_baseline = check::DesignChecker::capture(design);
-  check::StageExpectations expect;
+  FlowContext flow{design, options, timing_options, engine};
+  if (options.check_level != check::CheckLevel::kOff)
+    flow.check_baseline = check::DesignChecker::capture(design);
   const sta::SkewMap no_skew;
-  const auto guard = [&](const char* stage, const sta::SkewMap& skew) {
-    check::enforce_stage(design, stage, check_level, expect, check_baseline,
-                         &engine, skew);
+  const auto tally = [&](const ApplyOutcome& applied) {
+    result.mbrs_created += applied.mbrs_created;
+    result.registers_merged += applied.registers_merged;
+    result.rejected_at_mapping += applied.rejected_at_mapping;
+    result.incomplete_mbrs += applied.incomplete_mbrs;
   };
 
   {
-    runtime::StageTimer timer(stage_metrics, "evaluate.before");
+    obs::StageTimer timer(flow.stages, "evaluate.before");
     result.before = evaluate_design(design, options, {}, &engine);
   }
-  guard("input", no_skew);
+  flow.guard("input", no_skew);
 
   util::Stopwatch compose_clock;
-
-  // Optional pre-pass (the paper's future-work extension): break up wide
-  // MBRs so composition can regroup their bits with neighbors. Slack-gated:
-  // critical registers stay intact.
-  if (options.decompose_wide_mbrs) {
-    runtime::StageTimer timer(stage_metrics, "decompose");
-    const sta::TimingReport& pre = engine.update();
-    result.decomposition =
-        decompose_registers(design, options.decompose, &pre);
-    timer.add_items(
-        static_cast<std::int64_t>(result.decomposition.pieces.size()));
-    if (!result.decomposition.pieces.empty()) {
-      place::RowGrid grid =
-          place::build_occupancy(design, result.decomposition.pieces);
-      const place::LegalizeResult legal = place::legalize_cells(
-          design, grid, result.decomposition.pieces);
-      MBRC_ASSERT_MSG(legal.success, "decomposition legalization failed");
-      // Split pieces carry unstitched scan pins and the removed originals
-      // leave their chain-link nets dangling until the restitch stage. The
-      // splits also inflate the register count until composition and
-      // recombination absorb the pieces; the no-increase guarantee is
-      // re-armed at the output boundary.
-      expect.scan_stitched = false;
-      expect.nets_clean = false;
-      expect.register_count_bounded = false;
-    }
-    guard("decompose", no_skew);
-  }
-
   sta::TimingReport timing;
   {
-    runtime::StageTimer timer(stage_metrics, "sta.plan");
+    obs::StageTimer timer(flow.stages, "sta.plan");
     timing = engine.update();  // copy: planning reads it across later edits
   }
 
   {
-    runtime::StageTimer timer(stage_metrics, "plan");
+    obs::StageTimer timer(flow.stages, "plan");
     result.plan = options.allocator == Allocator::kIlp
                       ? plan_composition(design, timing, composition_options)
                       : plan_composition_heuristic(design, timing,
                                                    composition_options);
     timer.add_items(result.plan.subgraph_count);
   }
-  guard("plan", no_skew);
+  flow.guard("plan", no_skew);
 
-  // Apply the merges: map -> place -> rewire (speculative parallel
-  // map/place, serial rewire with replay -- see apply_plan_merges).
-  std::vector<netlist::CellId> new_cells;
-  {
-    runtime::StageTimer timer(stage_metrics, "apply");
-    ApplyOutcome applied =
-        apply_plan_merges(design, result.plan, options, "mbrc_");
-    new_cells = std::move(applied.new_cells);
-    result.mbrs_created = applied.mbrs_created;
-    result.registers_merged = applied.registers_merged;
-    result.rejected_at_mapping = applied.rejected_at_mapping;
-    result.incomplete_mbrs = applied.incomplete_mbrs;
-    timer.add_items(result.mbrs_created);
-  }
-  if (result.mbrs_created > 0) {
-    // New MBRs sit at their LP positions (not yet legalized) with
-    // unstitched scan pins; the replaced members' chain nets dangle.
-    expect.placement_legal = false;
-    expect.scan_stitched = false;
-    expect.nets_clean = false;
-  }
-  guard("apply", no_skew);
-
-  // Undo splits whose pieces found no partners (no-lose guarantee of the
-  // decomposition pre-pass).
-  if (options.decompose_wide_mbrs) {
-    const RecombineResult recombined =
-        recombine_unused_pieces(design, result.decomposition);
-    for (netlist::CellId cell : recombined.restored)
-      new_cells.push_back(cell);
-  }
-
-  // Incremental legalization of the new MBRs.
-  if (!new_cells.empty()) {
-    runtime::StageTimer timer(stage_metrics, "legalize");
-    timer.add_items(static_cast<std::int64_t>(new_cells.size()));
-    result.legalization = legalize_new_cells(design, new_cells);
-    MBRC_ASSERT_MSG(result.legalization.success,
-                    "MBR legalization failed: core too full");
-    expect.placement_legal = true;
-    guard("legalize", no_skew);
-  }
-
-  {
-    runtime::StageTimer timer(stage_metrics, "scan_restitch");
-    result.restitch = restitch_scan_chains(design);
-  }
-  expect.scan_stitched = true;
-  expect.nets_clean = true;
-  guard("restitch", no_skew);
-  result.compose_seconds = compose_clock.seconds();
-
-  // Useful skew on the new MBRs, then sizing under the final skews.
-  if (options.apply_useful_skew && !new_cells.empty()) {
-    runtime::StageTimer timer(stage_metrics, "useful_skew");
-    std::unordered_set<netlist::CellId> allowed(new_cells.begin(),
-                                                new_cells.end());
-    const auto skew_result = optimize_useful_skew(
-        design, timing_options, options.skew, {},
-        options.skew_only_new_mbrs ? &allowed : nullptr, &engine);
-    result.skew = skew_result.skew;
-    timer.add_items(skew_result.iterations_run);
-    guard("useful_skew", result.skew);
-  }
-  if (options.size_new_mbrs) {
-    runtime::StageTimer timer(stage_metrics, "size_mbrs");
-    size_new_mbrs(design, new_cells, result.skew, engine);
-    timer.add_items(static_cast<std::int64_t>(new_cells.size()));
-    guard("size_mbrs", result.skew);
-  }
+  const double plan_seconds = compose_clock.seconds();
+  CommitOutcome committed =
+      commit_plan(flow, result.plan, "", "mbrc_", {}, {});
+  tally(committed.applied);
+  result.legalization = committed.legalization;
+  result.restitch = committed.restitch;
+  result.compose_seconds = plan_seconds + committed.compose_seconds;
+  result.skew = std::move(committed.skew);
 
   // Bank/debank loop: repeatedly split the most timing-critical MBRs back
   // into narrow registers, re-legalize them, offer them to scoped
@@ -466,7 +491,7 @@ FlowResult run_flow_stages(netlist::Design& design,
   bool debank_accepted_any = false;
   if (options.debank_loop) {
     obs::Span debank_span("flow.debank");
-    runtime::StageTimer timer(stage_metrics, "debank_loop");
+    obs::StageTimer timer(flow.stages, "debank_loop");
     static obs::Counter& c_iterations = obs::counter("flow.debank.iterations");
     static obs::Counter& c_accepted = obs::counter("flow.debank.accepted");
     static obs::Counter& c_reverted = obs::counter("flow.debank.reverted");
@@ -501,22 +526,23 @@ FlowResult run_flow_stages(netlist::Design& design,
       record.cost_before = best_cost;
 
       // The removed banks' skews die with them; the pieces start unskewed
-      // (the skew pass below may grant them fresh offsets).
+      // (the commit's skew pass may grant them fresh offsets).
       for (netlist::CellId removed : split.removed) result.skew.erase(removed);
 
       // The pieces overlap the old footprints and carry unstitched scan
-      // pins; repair both before planning on the new state.
-      expect.placement_legal = false;
-      expect.scan_stitched = false;
-      expect.nets_clean = false;
-      expect.register_count_bounded = false;
+      // pins, and they outnumber the banks they replace; repair placement
+      // and chains before planning on the new state.
+      flow.expect.placement_legal = false;
+      flow.expect.scan_stitched = false;
+      flow.expect.nets_clean = false;
+      flow.expect.register_count_bounded = false;
       MBRC_ASSERT_MSG(legalize_new_cells(design, split.pieces).success,
                       "debank legalization failed");
-      expect.placement_legal = true;
+      flow.expect.placement_legal = true;
       restitch_scan_chains(design);
-      expect.scan_stitched = true;
-      expect.nets_clean = true;
-      guard("debank.split", result.skew);
+      flow.expect.scan_stitched = true;
+      flow.expect.nets_clean = true;
+      flow.guard("debank.split", result.skew);
 
       // Scoped recomposition: only the subgraphs touching the freed pieces
       // are enumerated and solved. The compatibility graph is still built
@@ -526,52 +552,16 @@ FlowResult run_flow_stages(netlist::Design& design,
       // service session, whose edits keep the topology, plans on such a
       // kept graph instead.
       const sta::TimingReport& replan_timing = engine.update(result.skew);
-      CompositionPlan region_plan = plan_composition_region(
+      const CompositionPlan region_plan = plan_composition_region(
           design, replan_timing, split.pieces, composition_options);
-      ApplyOutcome applied = apply_plan_merges(
-          design, region_plan, options,
-          "mbrc_d" + std::to_string(iter) + "_");
-      record.mbrs_created = applied.mbrs_created;
-      // Merged members die in the rewire; drop their stale skew entries so
-      // the map only ever names live registers.
-      for (auto it = result.skew.begin(); it != result.skew.end();) {
-        if (design.cell(it->first).dead)
-          it = result.skew.erase(it);
-        else
-          ++it;
-      }
-      if (!applied.new_cells.empty()) {
-        expect.placement_legal = false;
-        expect.scan_stitched = false;
-        expect.nets_clean = false;
-        MBRC_ASSERT_MSG(legalize_new_cells(design, applied.new_cells).success,
-                        "debank recomposition legalization failed");
-        expect.placement_legal = true;
-        restitch_scan_chains(design);
-        expect.scan_stitched = true;
-        expect.nets_clean = true;
-      }
-      guard("debank.recompose", result.skew);
-
       // Fresh skew freedom is the point of the split: the surviving pieces
-      // and the recomposed MBRs each get their own offset where the old
-      // bank had to share one.
-      std::vector<netlist::CellId> working = applied.new_cells;
-      for (netlist::CellId piece : split.pieces)
-        if (!design.cell(piece).dead) working.push_back(piece);
-      if (options.apply_useful_skew && !working.empty()) {
-        std::unordered_set<netlist::CellId> allowed(working.begin(),
-                                                    working.end());
-        const auto skew_result = optimize_useful_skew(
-            design, timing_options, options.skew, result.skew,
-            options.skew_only_new_mbrs ? &allowed : nullptr, &engine);
-        result.skew = skew_result.skew;
-        guard("debank.useful_skew", result.skew);
-      }
-      if (options.size_new_mbrs && !working.empty()) {
-        size_new_mbrs(design, working, result.skew, engine);
-        guard("debank.size_mbrs", result.skew);
-      }
+      // join the recomposed MBRs in the commit's working set, each getting
+      // its own offset where the old bank had to share one.
+      committed = commit_plan(flow, region_plan, "debank.",
+                              "mbrc_d" + std::to_string(iter) + "_",
+                              std::move(result.skew), split.pieces);
+      result.skew = std::move(committed.skew);
+      record.mbrs_created = committed.applied.mbrs_created;
 
       const Metrics trial = evaluate_design(design, options, result.skew,
                                             &engine);
@@ -589,12 +579,9 @@ FlowResult run_flow_stages(netlist::Design& design,
       if (record.accepted) {
         debank_accepted_any = true;
         best_cost = record.cost_after;
-        result.mbrs_created += applied.mbrs_created;
-        result.registers_merged += applied.registers_merged;
-        result.rejected_at_mapping += applied.rejected_at_mapping;
-        result.incomplete_mbrs += applied.incomplete_mbrs;
+        tally(committed.applied);
         c_accepted.add(1);
-        c_mbrs.add(applied.mbrs_created);
+        c_mbrs.add(committed.applied.mbrs_created);
       } else {
         // restore() bumps the topology version past every handed-out
         // version, so the engine fully rebuilds on its next update and the
@@ -607,13 +594,13 @@ FlowResult run_flow_stages(netlist::Design& design,
     }
     timer.add_items(
         static_cast<std::int64_t>(result.debank_iterations.size()));
-    expect.placement_legal = true;
-    expect.scan_stitched = true;
-    expect.nets_clean = true;
+    flow.expect.placement_legal = true;
+    flow.expect.scan_stitched = true;
+    flow.expect.nets_clean = true;
   }
 
   {
-    runtime::StageTimer timer(stage_metrics, "evaluate.after");
+    obs::StageTimer timer(flow.stages, "evaluate.after");
     result.after = evaluate_design(design, options, result.skew, &engine);
   }
   result.final_cost = options.cost.combined_cost(
@@ -624,10 +611,10 @@ FlowResult run_flow_stages(netlist::Design& design,
   // register count. An accepted debank iteration deliberately trades count
   // for timing (split pieces may outlive recomposition), so the bound is
   // only enforced when no iteration was kept.
-  expect.register_count_bounded = !debank_accepted_any;
-  guard("output", result.skew);
+  flow.expect.register_count_bounded = !debank_accepted_any;
+  flow.guard("output", result.skew);
   result.total_seconds = total_clock.seconds();
-  result.stages = stage_metrics.snapshot();
+  result.stages = flow.stages.snapshot();
   return result;
 }
 

@@ -3,7 +3,7 @@
 //   placed design -> STA -> compatibility graph -> partition -> candidate
 //   enumeration -> per-subgraph ILP (or greedy heuristic) -> mapping ->
 //   placement LP -> rewiring -> incremental legalization -> scan re-stitch
-//   -> MBR sizing -> useful skew on the new MBRs -> evaluation.
+//   -> useful skew on the new MBRs -> MBR sizing -> evaluation.
 //
 // Also exposes the evaluation harness that produces the Table 1 metrics
 // for a design state (before/after).
@@ -17,16 +17,15 @@
 #include "mbr/composition.hpp"
 #include "mbr/cost.hpp"
 #include "mbr/debank.hpp"
-#include "mbr/decompose.hpp"
 #include "mbr/heuristic.hpp"
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/rewire.hpp"
 #include "obs/counters.hpp"
+#include "obs/stage_store.hpp"
 #include "obs/trace.hpp"
 #include "place/legalizer.hpp"
 #include "route/congestion.hpp"
-#include "runtime/stage_timer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sta/useful_skew.hpp"
 
@@ -62,11 +61,6 @@ struct FlowOptions {
   /// loop. Deterministic at any `jobs`.
   bool debank_loop = false;
   DebankOptions debank;
-  /// The paper's future-work extension: split pre-existing max-width MBRs
-  /// into pieces before composition so they can regroup with neighbors
-  /// (targets D4-like designs that are already 8-bit rich).
-  bool decompose_wide_mbrs = false;
-  DecomposeOptions decompose;
   bool apply_useful_skew = true;
   /// Useful skew is restricted to the newly composed MBRs (the paper's
   /// Fig. 4); set false to let every register move.
@@ -129,7 +123,6 @@ struct FlowResult {
   int registers_merged = 0;      // members absorbed into new MBRs
   int rejected_at_mapping = 0;   // selections dropped by Sec. 4.1 rules
   int incomplete_mbrs = 0;
-  DecomposeResult decomposition;  // empty unless decompose_wide_mbrs
   /// One entry per bank/debank loop iteration (debank_loop only). The cost
   /// fields are part of the deterministic output contract; `accepted` tells
   /// whether the iteration's state was kept or rolled back (a rejected
@@ -154,10 +147,11 @@ struct FlowResult {
   sta::SkewMap skew;
   double compose_seconds = 0.0;  // plan + map + place + rewire + legalize
   double total_seconds = 0.0;
-  /// Per-stage wall times and work counts (runtime::StageTimer probes).
-  /// Measurement only: stage timings vary run to run and are excluded from
-  /// the deterministic-output contract.
-  runtime::StageTable stages;
+  /// Per-stage wall times and work counts (obs::StageTimer probes); rows
+  /// of the bank/debank iterations carry a "debank." prefix. Measurement
+  /// only: stage timings vary run to run and are excluded from the
+  /// deterministic-output contract.
+  obs::StageTable stages;
   /// Work counts accumulated during this run (delta over the obs counter
   /// registry: solver nodes, simplex iterations, repair-cone sizes, cliques
   /// enumerated, ...). Deterministic output: bit-identical at any `jobs`

@@ -1,10 +1,10 @@
-// Per-stage wall-clock accounting, subsuming the old runtime StageTable.
+// Per-stage wall-clock accounting.
 //
 // A StageStore interns stage names once and then records through stable
 // per-stage slots with lock-free atomic accumulation, so probes in parallel
 // stages neither serialize on a global mutex nor allocate a key string per
-// call (the old Metrics::record hot-path bug). runtime::Metrics is now a
-// thin view over this store.
+// call. StageTimer is the RAII probe that times one section into a store
+// and spans it in the trace.
 //
 // Stage seconds are wall time: measurement, never output. Flow results
 // compared across `jobs` values exclude them; the deterministic counterpart
@@ -18,6 +18,9 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+
+#include "obs/trace.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mbrc::obs {
 
@@ -77,6 +80,37 @@ public:
 private:
   mutable std::shared_mutex mutex_;
   std::map<std::string, std::unique_ptr<Slot>, std::less<>> slots_;
+};
+
+/// RAII stage probe: times its scope, records into the store's slot for
+/// `stage` on destruction (or earlier via stop()), and spans the scope in
+/// the trace.
+class StageTimer {
+public:
+  StageTimer(StageStore& store, std::string_view stage)
+      : slot_(&store.slot(stage)), span_(stage) {}
+
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+  ~StageTimer() { stop(); }
+
+  /// Attributes `count` work units to this section.
+  void add_items(std::int64_t count) { items_ += count; }
+
+  /// Records now instead of at scope exit; idempotent. The trace span still
+  /// closes at scope exit.
+  void stop() {
+    if (slot_ == nullptr) return;
+    slot_->record(clock_.seconds(), items_);
+    slot_ = nullptr;
+  }
+
+private:
+  StageStore::Slot* slot_;
+  std::int64_t items_ = 0;
+  Span span_;
+  util::Stopwatch clock_;
 };
 
 }  // namespace mbrc::obs

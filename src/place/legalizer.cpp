@@ -91,7 +91,10 @@ std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
   double best_cost = std::numeric_limits<double>::infinity();
   auto consider = [&](double gap_lo, double gap_hi) -> bool {
     if (gap_hi - gap_lo < width - 1e-9) return false;
-    double x = std::clamp(target_x, gap_lo, gap_hi - width);
+    // The tolerance admits a gap up to 1e-9 narrower than the cell; keep
+    // the clamp's upper bound at or above its lower one.
+    double x =
+        std::clamp(target_x, gap_lo, std::max(gap_lo, gap_hi - width));
     x = std::max(gap_lo, snap_x(x));
     if (x + width > gap_hi + 1e-9) x -= options_.site_width;
     if (x < gap_lo - 1e-9) return false;

@@ -134,8 +134,10 @@ T help_get(ThreadPool& pool, std::future<T> future) {
 /// exception unwinds past the help_get that was supposed to collect them;
 /// a FutureDrain declared *before* the submissions blocks scope exit --
 /// normal or exceptional -- until every watched future settled, helping
-/// the pool drain instead of idling (same loop as help_get). mbrc-analyze
-/// rule A2 recognizes this type as a wait that dominates every exit.
+/// the pool drain instead of idling (same loop as help_get). It holds the
+/// watched futures by reference, so declare them before the drain: they
+/// must outlive it. mbrc-analyze rule A2 recognizes this type as a wait
+/// that dominates every exit.
 class FutureDrain {
  public:
   explicit FutureDrain(ThreadPool& pool) : pool_(&pool) {}

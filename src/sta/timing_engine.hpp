@@ -17,7 +17,7 @@
 //     through the Design edit journal (Design::notify_moved /
 //     swap_register_cell). The engine re-evaluates only the touched nets'
 //     edge delays and repairs the cones behind the ones that changed.
-//   - A structural edit (rewire, decompose, cell removal) bumps the
+//   - A structural edit (rewire, debank split, cell removal) bumps the
 //     design's topology version; the next update() falls back to a full
 //     rebuild, exactly run_sta's path.
 //

@@ -233,7 +233,7 @@ TEST(CheckerFlow, ParanoidFlowRunsClean) {
   }
 }
 
-TEST(CheckerFlow, ParanoidCoversDecomposeAndHeuristic) {
+TEST(CheckerFlow, ParanoidCoversDebankAndHeuristic) {
   const lib::Library library = lib::make_default_library();
   benchgen::DesignProfile profile;
   profile.seed = 21;
@@ -244,10 +244,13 @@ TEST(CheckerFlow, ParanoidCoversDecomposeAndHeuristic) {
   mbr::FlowOptions options;
   options.timing.clock_period = generated.calibrated_clock_period;
   options.check_level = CheckLevel::kParanoid;
-  options.decompose_wide_mbrs = true;
   options.allocator = mbr::Allocator::kHeuristic;
+  options.debank_loop = true;
   const mbr::FlowResult r = run_composition_flow(generated.design, options);
   EXPECT_GE(r.mbrs_created, 0);
+  // The loop split banks, so its commits ran under the guard too.
+  ASSERT_FALSE(r.debank_iterations.empty());
+  EXPECT_TRUE(r.stages.contains("debank.apply"));
 }
 
 }  // namespace

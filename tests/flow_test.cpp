@@ -258,6 +258,23 @@ TEST_F(DebankFixture, BetaGammaDominantNeverRegressesPowerOrArea) {
   EXPECT_LE(r_loop.final_cost, r_plain.final_cost);
 }
 
+TEST_F(DebankFixture, CommitWithoutMergesKeepsTheSplitStepChains) {
+  // With single-node subgraphs nothing merges, neither in the main pass nor
+  // in the loop's recomposition. The main commit still rebuilds the scan
+  // chains; an iteration's commit finds them as its split step left them
+  // and must not rebuild them again, since a restitch replaces every link
+  // net.
+  FlowOptions options;
+  options.debank_loop = true;
+  options.composition.partition.max_nodes = 1;
+  const FlowResult r = run(options);
+  ASSERT_FALSE(r.debank_iterations.empty());
+  EXPECT_EQ(r.mbrs_created, 0);
+  EXPECT_TRUE(r.stages.contains("scan_restitch"));
+  EXPECT_TRUE(r.stages.contains("debank.apply"));
+  EXPECT_FALSE(r.stages.contains("debank.scan_restitch"));
+}
+
 TEST_F(DebankFixture, JobsInvariantBitIdentical) {
   FlowOptions serial_options;
   FlowOptions parallel_options;

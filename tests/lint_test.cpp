@@ -287,8 +287,6 @@ TEST(LintR3Clock, SanctionedMeasurementFilesAreExempt) {
       {"src/obs/trace.cpp",
        "long now() { return std::chrono::steady_clock::now()"
        ".time_since_epoch().count(); }\n"},
-      {"src/runtime/stage_timer.hpp",
-       "using Clock = std::chrono::steady_clock;\n"},
       {"src/util/stopwatch.hpp",
        "using Clock = std::chrono::steady_clock;\n"}};
   EXPECT_TRUE(run_lint(files, {}, {}).active().empty());

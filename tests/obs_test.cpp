@@ -23,6 +23,7 @@
 #include "obs/json_reader.hpp"
 #include "obs/stage_store.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace mbrc::obs {
 namespace {
@@ -170,6 +171,42 @@ TEST(StageStoreTest, SlotsInternAndAccumulate) {
   EXPECT_EQ(table.at("compose").calls, 2);
   EXPECT_EQ(table.at("compose").items, 16);
   EXPECT_NE(store.report().find("compose"), std::string::npos);
+}
+
+TEST(StageTimerTest, RecordsCallsItemsAndTime) {
+  StageStore store;
+  for (int i = 0; i < 3; ++i) {
+    StageTimer timer(store, "stage.a");
+    timer.add_items(10);
+  }
+  {
+    StageTimer timer(store, "stage.b");
+    timer.stop();
+    timer.stop();  // idempotent: records once
+  }
+
+  const StageTable table = store.snapshot();
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.at("stage.a").calls, 3);
+  EXPECT_EQ(table.at("stage.a").items, 30);
+  EXPECT_GE(table.at("stage.a").seconds, 0.0);
+  EXPECT_EQ(table.at("stage.b").calls, 1);
+
+  const std::string report = format_stage_table(table);
+  EXPECT_NE(report.find("stage.a"), std::string::npos);
+  EXPECT_NE(report.find("stage.b"), std::string::npos);
+}
+
+TEST(StageTimerTest, ConcurrentRecordsAggregate) {
+  StageStore store;
+  runtime::ThreadPool pool(4);
+  runtime::parallel_for(&pool, 4, 100, [&](std::size_t) {
+    StageTimer timer(store, "hot");
+    timer.add_items(1);
+  });
+  const StageTable table = store.snapshot();
+  EXPECT_EQ(table.at("hot").calls, 100);
+  EXPECT_EQ(table.at("hot").items, 100);
 }
 
 // --- Tracer / Span ---------------------------------------------------------
@@ -521,10 +558,6 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.debank.max_banks_per_iteration += 4;
   o.debank.max_iterations += 3;
   o.debank.cost_epsilon += 1e-6;
-  o.decompose_wide_mbrs = !o.decompose_wide_mbrs;
-  o.decompose.min_bits -= 2;
-  o.decompose.piece_bits -= 2;
-  o.decompose.min_slack += 0.03;
   o.apply_useful_skew = !o.apply_useful_skew;
   o.skew_only_new_mbrs = !o.skew_only_new_mbrs;
   o.skew.iterations -= 4;
@@ -580,10 +613,6 @@ TEST(FlowReport, OptionsEchoIsComplete) {
       "debank.piece_bits",
       "debank.slack_threshold",
       "debank_loop",
-      "decompose.min_bits",
-      "decompose.min_slack",
-      "decompose.piece_bits",
-      "decompose_wide_mbrs",
       "jobs",
       "mapping.incomplete_area_overhead",
       "placement.use_lp",

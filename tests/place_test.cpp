@@ -51,6 +51,19 @@ TEST(RowGrid, OccupantsReporting) {
   EXPECT_TRUE(grid.occupants(2, 15, 5).empty());
 }
 
+TEST(RowGrid, GapWithinToleranceTakesTheCellAtItsLeftEdge) {
+  // The gap [10, 14 - 5e-10) is narrower than the 4 um cell by less than
+  // the fit tolerance, so it is accepted and the cell lands at its left
+  // edge, the spot nearest the target.
+  RowGrid grid({0, 0, 100, 1.8}, {});
+  ASSERT_EQ(grid.row_count(), 1);
+  ASSERT_TRUE(grid.occupy(0, 0, 10));
+  ASSERT_TRUE(grid.occupy(0, 14 - 5e-10, 20));
+  const auto spot = grid.find_nearest_free({10, 0}, 4);
+  ASSERT_TRUE(spot.has_value());
+  EXPECT_DOUBLE_EQ(spot->x, 10.0);
+}
+
 TEST(RowGrid, FindNearestFreePrefersTarget) {
   RowGrid grid({0, 0, 100, 18}, {});
   const auto spot = grid.find_nearest_free({40.05, 5.4}, 4);

@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "runtime/stage_timer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/arena.hpp"
 
@@ -64,8 +64,9 @@ TEST(FutureDrain, DrainsWatchedFuturesOnScopeExit) {
   std::atomic<bool> release{false};
   std::atomic<bool> task_done{false};
   {
+    std::future<int> future;  // declared first: it must outlive the drain
     FutureDrain drain(pool);
-    auto future = pool.async([&] {
+    future = pool.async([&] {
       while (!release.load()) std::this_thread::yield();
       task_done.store(true);
       return 7;
@@ -83,8 +84,9 @@ TEST(FutureDrain, KeepsFrameAliveThroughExceptionalUnwind) {
   std::atomic<int> sum{0};
   auto run = [&] {
     std::atomic<bool> release{false};
+    std::future<int> future;  // declared first: it must outlive the drain
     FutureDrain drain(pool);
-    auto future = pool.async([&] {
+    future = pool.async([&] {
       while (!release.load()) std::this_thread::yield();
       sum.fetch_add(41);
       return 0;
@@ -101,8 +103,9 @@ TEST(FutureDrain, KeepsFrameAliveThroughExceptionalUnwind) {
 
 TEST(FutureDrain, SkipsFuturesAlreadyConsumed) {
   ThreadPool pool(2);
+  std::future<int> future;  // declared first: it must outlive the drain
   FutureDrain drain(pool);
-  auto future = pool.async([] { return 5; });
+  future = pool.async([] { return 5; });
   drain.watch(future);
   EXPECT_EQ(help_get(pool, std::move(future)), 5);
   // Destructor sees an invalid future and must not wait on it.
@@ -195,42 +198,6 @@ TEST(ParallelTransform, MatchesSerialMapInOrder) {
 
   ASSERT_EQ(serial.size(), items.size());
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(StageTimerTest, RecordsCallsItemsAndTime) {
-  Metrics metrics;
-  for (int i = 0; i < 3; ++i) {
-    StageTimer timer(metrics, "stage.a");
-    timer.add_items(10);
-  }
-  {
-    StageTimer timer(metrics, "stage.b");
-    timer.stop();
-    timer.stop();  // idempotent: records once
-  }
-
-  const StageTable table = metrics.snapshot();
-  ASSERT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.at("stage.a").calls, 3);
-  EXPECT_EQ(table.at("stage.a").items, 30);
-  EXPECT_GE(table.at("stage.a").seconds, 0.0);
-  EXPECT_EQ(table.at("stage.b").calls, 1);
-
-  const std::string report = format_stage_table(table);
-  EXPECT_NE(report.find("stage.a"), std::string::npos);
-  EXPECT_NE(report.find("stage.b"), std::string::npos);
-}
-
-TEST(StageTimerTest, ConcurrentRecordsAggregate) {
-  Metrics metrics;
-  ThreadPool pool(4);
-  parallel_for(&pool, 4, 100, [&](std::size_t) {
-    StageTimer timer(metrics, "hot");
-    timer.add_items(1);
-  });
-  const StageTable table = metrics.snapshot();
-  EXPECT_EQ(table.at("hot").calls, 100);
-  EXPECT_EQ(table.at("hot").items, 100);
 }
 
 }  // namespace

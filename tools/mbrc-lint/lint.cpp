@@ -339,8 +339,8 @@ struct Engine {
   }
 
   /// Clock exemption is a substring match (unlike the RNG suffix match):
-  /// it names whole directories (src/obs/) as well as file stems
-  /// (runtime/stage_timer covers both .hpp and .cpp).
+  /// it names whole directories (src/obs/) as well as single files
+  /// (util/stopwatch.hpp).
   bool clock_exempt() const {
     for (const std::string& part : options.clock_exempt_paths)
       if (scan->file->path.find(part) != std::string::npos) return true;
@@ -357,9 +357,9 @@ struct Engine {
         emit("R3", t[i],
              "reads the wall clock via '" + t[i].text +
                  "' -- wall-clock time is measurement-only and confined to "
-                 "src/obs/, runtime/stage_timer and util/stopwatch.hpp "
+                 "src/obs/ and util/stopwatch.hpp "
                  "(DESIGN.md section 11); time a region with "
-                 "runtime::StageTimer or obs::Span instead");
+                 "obs::StageTimer or obs::Span instead");
       if (rng_ok) continue;
       if (t[i].kind == TokKind::kIdent) {
         if ((t[i].text == "rand" || t[i].text == "srand") &&
