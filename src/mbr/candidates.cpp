@@ -6,7 +6,6 @@
 
 #include "geom/convex_hull.hpp"
 #include "obs/counters.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::mbr {
@@ -110,22 +109,14 @@ bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
 
 namespace {
 
-// Per-worker scratch arena for the enumeration DFS: one reset per subgraph,
-// so the adjacency masks, the SoA node arrays and the DFS stack reuse the
-// same cache-warm pages instead of hitting the global allocator from every
-// pool lane.
-thread_local util::Arena enumerate_arena;
-
 struct Enumerator {
   const CompatibilityGraph& graph;
   const lib::Library& library;
   const BlockerIndex& blockers;
   const EnumerationOptions& options;
-  util::Arena& arena;
 
   std::vector<int> nodes;              // subgraph, ascending graph indices
-  util::ArenaVector<std::uint64_t> adjacency{
-      util::ArenaAllocator<std::uint64_t>(&arena)};  // local masks
+  std::vector<std::uint64_t> adjacency{};  // local masks
   const std::vector<int>* widths = nullptr;  // ascending library widths
   lib::RegisterFunction function{};
   bool has_per_bit_scan_cells = false;
@@ -135,10 +126,9 @@ struct Enumerator {
   // DFS state. The inner loop reads only these flat SoA arrays (bit count
   // and feasible region per local node), not the ~150-byte RegisterInfo
   // records scattered through the graph's node table.
-  util::ArenaVector<int> members_local{util::ArenaAllocator<int>(&arena)};
-  util::ArenaVector<int> node_bits{util::ArenaAllocator<int>(&arena)};
-  util::ArenaVector<geom::Rect> node_region{
-      util::ArenaAllocator<geom::Rect>(&arena)};
+  std::vector<int> members_local{};
+  std::vector<int> node_bits{};
+  std::vector<geom::Rect> node_region{};
 
   // The physical outcome the cost model prices: a keep-as-is singleton
   // keeps its own cell, a merge creates (at least) the cheapest cell of
@@ -349,9 +339,7 @@ EnumerationResult enumerate_candidates(const CompatibilityGraph& graph,
                                        const BlockerIndex& blockers,
                                        const std::vector<int>& subgraph,
                                        const EnumerationOptions& options) {
-  enumerate_arena.reset();
-  Enumerator enumerator{graph, library, blockers, options, enumerate_arena,
-                        subgraph};
+  Enumerator enumerator{graph, library, blockers, options, subgraph};
   enumerator.run();
 
   static obs::Counter& c_calls = obs::counter("mbr.candidates.calls");

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "obs/counters.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::mbr {
@@ -14,14 +13,9 @@ namespace {
 
 using Mask = std::uint64_t;
 
-// Per-worker scratch arena: clique enumeration runs once per subgraph on
-// pool workers, and its short-lived mask/clique vectors otherwise hammer
-// the global allocator from every lane. Each call rewinds its own arena.
-thread_local util::Arena clique_arena;
-
 struct BronKerbosch {
-  const util::ArenaVector<Mask>& adjacency;  // local adjacency masks
-  util::ArenaVector<Mask> cliques;
+  const std::vector<Mask>& adjacency;  // local adjacency masks
+  std::vector<Mask> cliques;
 
   void expand(Mask r, Mask p, Mask x) {
     if (p == 0 && x == 0) {
@@ -61,13 +55,10 @@ std::vector<std::vector<int>> maximal_cliques(const CompatibilityGraph& graph,
                            "partition the component first");
   if (n == 0) return {};
 
-  clique_arena.reset();
-  const util::ArenaAllocator<Mask> alloc(&clique_arena);
-
   // Local adjacency masks restricted to `nodes`: merge each node's sorted
   // neighbor list against the sorted subgraph (O(degree + n) per node)
   // instead of the n^2/2 has_edge binary searches this replaces.
-  util::ArenaVector<Mask> adjacency(static_cast<std::size_t>(n), 0, alloc);
+  std::vector<Mask> adjacency(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     const std::vector<int>& neighbors = graph.neighbors(nodes[i]);
     std::size_t a = 0;
@@ -87,7 +78,7 @@ std::vector<std::vector<int>> maximal_cliques(const CompatibilityGraph& graph,
     adjacency[static_cast<std::size_t>(i)] = mask;
   }
 
-  BronKerbosch bk{adjacency, util::ArenaVector<Mask>(alloc)};
+  BronKerbosch bk{adjacency, {}};
   const Mask all = n == 64 ? ~Mask{0} : (Mask{1} << n) - 1;
   bk.expand(0, all, 0);
 

@@ -177,96 +177,28 @@ struct ApplyOutcome {
   int incomplete_mbrs = 0;
 };
 
-// Applies the plan's merges: mapping and the per-MBR LP placement solves
-// fan out over the pool as a *speculative* pass against the pre-apply
-// design, each task writing its own pre-sized slot. map_candidate reads
-// only the library and the plan graph, so its result never depends on
-// apply order. place_mbr reads exactly the members' D/Q nets; each task
-// records that read set, and the serial rewire loop below replays the
-// solve in place for the few selections whose read set intersects a net an
-// earlier rewire touched. Untouched selections keep the speculative bytes,
-// touched ones are recomputed at the same point the serial loop would have
-// -- the stage output is bit-identical to the serial flow at any `jobs`.
-// New MBRs are named `name_prefix` + a per-call counter; callers must keep
+// Applies the plan's merges in plan order, each as map (Sec. 4.1) -> place
+// (Sec. 4.2) -> rewire against the design the earlier rewires left. New
+// MBRs are named `name_prefix` + a per-call counter; callers must keep
 // prefixes distinct across calls.
 ApplyOutcome apply_plan_merges(netlist::Design& design,
                                const CompositionPlan& plan,
                                const FlowOptions& options,
                                const std::string& name_prefix) {
   ApplyOutcome result;
-  const std::vector<const Selection*> merges = plan.merges();
-
-  struct Prepared {
-    std::optional<Mapping> mapping;
-    geom::Point position;
-    std::vector<std::int32_t> read_nets;  // member D/Q nets, sorted unique
-  };
-  const std::vector<Prepared> prepared = runtime::parallel_transform(
-      &runtime::ThreadPool::global(), options.jobs, merges,
-      [&](const Selection* selection) {
-        obs::Span span("apply.map_place");
-        Prepared p;
-        p.mapping = map_candidate(design, plan.graph, selection->candidate,
-                                  options.mapping);
-        if (!p.mapping) return p;
-        p.position = place_mbr(design, plan.graph, selection->candidate,
-                               *p.mapping, options.placement);
-        for (int node : selection->candidate.nodes) {
-          const RegisterInfo& info = plan.graph.node(node);
-          for (int bit = 0; bit < info.bits; ++bit) {
-            for (const netlist::PinId pin :
-                 {design.register_d_pin(info.cell, bit),
-                  design.register_q_pin(info.cell, bit)}) {
-              if (!pin.valid()) continue;
-              const netlist::NetId net = design.pin(pin).net;
-              if (net.valid()) p.read_nets.push_back(net.index);
-            }
-          }
-        }
-        std::sort(p.read_nets.begin(), p.read_nets.end());
-        p.read_nets.erase(
-            std::unique(p.read_nets.begin(), p.read_nets.end()),
-            p.read_nets.end());
-        return p;
-      });
-
-  static obs::Counter& replays = obs::counter("flow.apply.replayed");
-  std::unordered_set<std::int32_t> touched_nets;
-  const auto touch_cell_nets = [&](netlist::CellId id) {
-    for (const netlist::PinId pin : design.cell(id).pins) {
-      const netlist::NetId net = design.pin(pin).net;
-      if (net.valid()) touched_nets.insert(net.index);
-    }
-  };
-
   int name_counter = 0;
-  for (std::size_t m = 0; m < merges.size(); ++m) {
-    const Selection* selection = merges[m];
-    const Prepared& p = prepared[m];
-    if (!p.mapping) {
+  for (const Selection* selection : plan.merges()) {
+    const std::optional<Mapping> mapping = map_candidate(
+        design, plan.graph, selection->candidate, options.mapping);
+    if (!mapping) {
       ++result.rejected_at_mapping;
       continue;
     }
-    geom::Point position = p.position;
-    const bool stale = std::any_of(
-        p.read_nets.begin(), p.read_nets.end(),
-        [&](std::int32_t net) { return touched_nets.count(net) > 0; });
-    if (stale) {
-      // An earlier rewire edited a net this solve read; redo it here,
-      // where the design state matches the serial loop's.
-      replays.add(1);
-      position = place_mbr(design, plan.graph, selection->candidate,
-                           *p.mapping, options.placement);
-    }
-    // The write set: every net incident to a member (the rewire moves or
-    // drops those pins), plus the new MBR's nets afterwards.
-    for (int node : selection->candidate.nodes)
-      touch_cell_nets(plan.graph.node(node).cell);
-    const netlist::CellId mbr = rewire_candidate(
-        design, plan.graph, selection->candidate, *p.mapping, position,
-        name_prefix + std::to_string(name_counter++));
-    touch_cell_nets(mbr);
-    result.new_cells.push_back(mbr);
+    const geom::Point position = place_mbr(
+        design, plan.graph, selection->candidate, *mapping, options.placement);
+    result.new_cells.push_back(rewire_candidate(
+        design, plan.graph, selection->candidate, *mapping, position,
+        name_prefix + std::to_string(name_counter++)));
     ++result.mbrs_created;
     result.registers_merged +=
         static_cast<int>(selection->candidate.nodes.size());
@@ -341,8 +273,7 @@ CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
   util::Stopwatch compose_clock;
   CommitOutcome out;
 
-  // Map -> place -> rewire (speculative parallel map/place, serial rewire
-  // with replay -- see apply_plan_merges).
+  // Map -> place -> rewire, one merge at a time (apply_plan_merges).
   {
     obs::StageTimer timer(flow.stages, stage("apply"));
     out.applied = apply_plan_merges(design, plan, options, name_prefix);

@@ -1,5 +1,5 @@
 // Strongly-typed integer ids for netlist entities. Cells, pins and nets live
-// in arena vectors inside Design; ids are indices wrapped in distinct types
+// in flat vectors inside Design; ids are indices wrapped in distinct types
 // so that a PinId cannot be passed where a CellId is expected.
 #pragma once
 

@@ -102,6 +102,9 @@ Design load_design(const lib::Library& library, std::istream& is) {
     std::string tag;
     ss >> tag;
     if (tag == "core") {
+      // A second core would replace the design while `cells` still holds
+      // the discarded one's ids.
+      MBRC_ASSERT_MSG(!design.has_value(), "repeated core line");
       geom::Rect core;
       ss >> core.xlo >> core.ylo >> core.xhi >> core.yhi;
       MBRC_ASSERT_MSG(ss && !core.is_empty(), "bad core line");

@@ -365,6 +365,50 @@ std::string Daemon::handle_sync(const std::string& line) {
   return future.get();
 }
 
+void Daemon::reject_oversized_line(
+    const std::function<void(std::string)>& sink) {
+  static obs::Counter& c_requests = obs::counter("service.requests");
+  static obs::Counter& c_bad = obs::counter("service.requests.bad");
+  c_requests.add(1);
+  c_bad.add(1);
+  obs::flight::record(obs::flight::EventKind::kProtocolError,
+                      "request line too long", -1);
+  dump_flight("protocol error");
+  sink(fail(-1, "request line exceeds " +
+                    std::to_string(kMaxRequestLineBytes) + " bytes"));
+}
+
+namespace {
+
+enum class LineRead { kLine, kTooLong, kEnd };
+
+// std::getline with a cap: reads one line (without its '\n') into `line`.
+// A line longer than kMaxRequestLineBytes is consumed through its newline
+// but not kept (kTooLong); kEnd is EOF with nothing read.
+LineRead read_request_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf& buf = *in.rdbuf();
+  bool too_long = false;
+  for (;;) {
+    const int c = buf.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      if (too_long) return LineRead::kTooLong;
+      return line.empty() ? LineRead::kEnd : LineRead::kLine;
+    }
+    if (c == '\n') return too_long ? LineRead::kTooLong : LineRead::kLine;
+    if (too_long) continue;
+    if (line.size() == kMaxRequestLineBytes) {
+      too_long = true;
+      line.clear();
+      continue;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+}
+
+}  // namespace
+
 std::size_t Daemon::serve(std::istream& in, std::ostream& out) {
   std::mutex out_mutex;
   // The sink captures this frame; a throw on the read loop's back edge
@@ -379,11 +423,15 @@ std::size_t Daemon::serve(std::istream& in, std::ostream& out) {
 
   std::size_t served = 0;
   std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.empty()) continue;
-    handle(std::move(line), sink);
+  while (!shutdown_requested()) {
+    const LineRead read = read_request_line(in, line);
+    if (read == LineRead::kEnd) break;
+    if (read == LineRead::kLine && line.empty()) continue;
+    if (read == LineRead::kTooLong)
+      reject_oversized_line(sink);
+    else
+      handle(std::move(line), sink);
     ++served;
-    line.clear();
   }
   return served;  // drain_guard drains before out/out_mutex go away
 }

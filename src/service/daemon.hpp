@@ -73,6 +73,11 @@ namespace mbrc::service {
 inline constexpr std::int64_t kMaxOpenRegisters = 2'000'000;
 /// Each snapshot is a full design copy; the default is 64.
 inline constexpr std::int64_t kMaxSessionSnapshots = 256;
+/// Longest request line a transport buffers (bytes, without the '\n'). A
+/// longer line gets an error response instead of growing memory without
+/// bound; the stdio loop then skips to the next newline and the socket
+/// transport closes the connection.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
 
 struct DaemonOptions {
   /// Request-execution lanes. <= 1: inline serial execution (deterministic
@@ -103,13 +108,19 @@ public:
   /// before handle() returns. `sink` must be callable concurrently.
   void handle(std::string line, std::function<void(std::string)> sink);
 
+  /// Answers a request line longer than kMaxRequestLineBytes, which the
+  /// transport did not buffer: an id -1 error response, counted in
+  /// service.requests.bad and recorded as a flight-recorder protocol error.
+  void reject_oversized_line(const std::function<void(std::string)>& sink);
+
   /// handle() + wait for this request's response: the synchronous
   /// round-trip a blocking client sees.
   std::string handle_sync(const std::string& line);
 
   /// NDJSON serve loop: reads request lines from `in` until EOF or a
   /// shutdown request, writing one response line each (mutex-serialized,
-  /// flushed). Returns the number of requests served.
+  /// flushed). An oversized line is rejected and skipped. Returns the
+  /// number of requests served.
   std::size_t serve(std::istream& in, std::ostream& out);
 
   /// Blocks until every accepted request has delivered its response.

@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -120,23 +121,37 @@ void SocketServer::serve_connection(int fd) {
     }
   };
 
+  // `pending` never holds more than kMaxRequestLineBytes plus one recv
+  // chunk: an oversized line is answered with an error and the connection
+  // closed, which also frees this thread from a client that never sends
+  // a newline.
   std::string pending;
   char buffer[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n <= 0) break;
+    const std::size_t scanned = pending.size();  // holds no '\n'
     pending.append(buffer, static_cast<std::size_t>(n));
     std::size_t start = 0;
+    bool too_long = false;
     for (;;) {
-      const std::size_t nl = pending.find('\n', start);
+      const std::size_t nl = pending.find('\n', std::max(start, scanned));
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxRequestLineBytes) {
+        too_long = true;
+        break;
+      }
       std::string line = pending.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty()) daemon_.handle(std::move(line), sink);
       if (daemon_.shutdown_requested()) break;
     }
-    pending.erase(0, start);
     if (daemon_.shutdown_requested()) break;
+    pending.erase(0, start);
+    if (too_long || pending.size() > kMaxRequestLineBytes) {
+      daemon_.reject_oversized_line(sink);
+      break;
+    }
   }
 }
 

@@ -96,8 +96,6 @@ UsefulSkewResult optimize_useful_skew(
     report = &engine->update(result.skew);
   }
 
-  result.report = *report;
-
   static obs::Counter& c_calls = obs::counter("sta.useful_skew.calls");
   static obs::Counter& c_iters = obs::counter("sta.useful_skew.iterations");
   c_calls.add(1);

@@ -34,7 +34,6 @@ struct UsefulSkewOptions {
 
 struct UsefulSkewResult {
   SkewMap skew;
-  TimingReport report;  // STA with the final skews
   int iterations_run = 0;
 };
 

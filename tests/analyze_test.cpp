@@ -1,4 +1,4 @@
-// mbrc-analyze rule-engine tests: each A1-A4 rule is exercised against
+// mbrc-analyze rule-engine tests: each A2-A4 rule is exercised against
 // fixture sources with planted violations (and near-miss negatives), plus
 // the cross-file spawn summary, the suppression-comment contract, baseline
 // match/stale behavior and file:line:col accuracy. The fixtures are
@@ -25,100 +25,6 @@ std::vector<std::string> active_rules(const AnalyzeResult& result) {
   std::vector<std::string> rules;
   for (const analysis::Finding* f : result.active()) rules.push_back(f->rule);
   return rules;
-}
-
-// --- A1: arena escape -------------------------------------------------------
-
-TEST(AnalyzeA1, ReturningArenaViewIsFlaggedWithDerivationChain) {
-  const auto result = analyze_one(R"(
-    int& pick(util::Arena& arena) {
-      int* slot = static_cast<int*>(arena.allocate(4, 4));
-      int& view = *slot;
-      return view;
-    }
-  )");
-  ASSERT_EQ(active_rules(result), std::vector<std::string>{"A1"});
-  EXPECT_EQ(result.findings[0].line, 5);
-  ASSERT_FALSE(result.findings[0].chain.empty());
-  // The chain names the transitive derivation back to the arena.
-  EXPECT_NE(result.findings[0].chain[0].find("arena"), std::string::npos);
-}
-
-TEST(AnalyzeA1, ReturningOwnedCopyIsNotFlagged) {
-  const auto result = analyze_one(R"(
-    std::vector<int> copy_out(util::ArenaVector<int>& scratch) {
-      return std::vector<int>(scratch.begin(), scratch.end());
-    }
-  )");
-  EXPECT_TRUE(result.active().empty());
-}
-
-TEST(AnalyzeA1, StoringViewIntoOutParamIsFlagged) {
-  const auto result = analyze_one(R"(
-    void fill(util::Arena& arena, int*& out) {
-      int* view = static_cast<int*>(arena.allocate(8, 8));
-      out = view;
-    }
-  )");
-  ASSERT_EQ(active_rules(result), std::vector<std::string>{"A1"});
-  EXPECT_NE(result.findings[0].message.find("out"), std::string::npos);
-}
-
-TEST(AnalyzeA1, StoringViewIntoMemberIsFlagged) {
-  const auto result = analyze_one(R"(
-    struct Holder {
-      void stash(util::Arena& arena) {
-        const int* view = static_cast<const int*>(arena.allocate(4, 4));
-        view_ = view;
-      }
-      const int* view_ = nullptr;
-    };
-  )");
-  ASSERT_EQ(active_rules(result), std::vector<std::string>{"A1"});
-}
-
-TEST(AnalyzeA1, InsertingViewIntoEscapingContainerIsFlagged) {
-  const auto result = analyze_one(R"(
-    void collect(util::Arena& arena, std::vector<int*>& sink) {
-      int* view = static_cast<int*>(arena.allocate(8, 8));
-      sink.push_back(view);
-    }
-  )");
-  ASSERT_EQ(active_rules(result), std::vector<std::string>{"A1"});
-}
-
-TEST(AnalyzeA1, InsertingViewIntoLocalContainerIsNotFlagged) {
-  const auto result = analyze_one(R"(
-    int sum(util::Arena& arena) {
-      int* view = static_cast<int*>(arena.allocate(8, 8));
-      std::vector<int*> local;
-      local.push_back(view);
-      return static_cast<int>(local.size());
-    }
-  )");
-  EXPECT_TRUE(result.active().empty());
-}
-
-TEST(AnalyzeA1, DeferredTaskCapturingViewIsFlagged) {
-  const auto result = analyze_one(R"(
-    void kick(runtime::ThreadPool& pool, util::Arena& arena) {
-      int* view = static_cast<int*>(arena.allocate(8, 8));
-      pool.submit([view] { consume(view); });
-    }
-  )");
-  const auto rules = active_rules(result);
-  ASSERT_FALSE(rules.empty());
-  EXPECT_EQ(rules[0], "A1");
-}
-
-TEST(AnalyzeA1, ArenaImplementationPathIsExempt) {
-  const auto result = run_analyze({{"src/util/arena.hpp", R"(
-    int& pick(util::Arena& arena) {
-      int& view = *static_cast<int*>(arena.allocate(4, 4));
-      return view;
-    }
-  )"}});
-  EXPECT_TRUE(result.active().empty());
 }
 
 // --- A2: task-capture lifetime ----------------------------------------------

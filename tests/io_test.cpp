@@ -132,6 +132,24 @@ TEST_F(IoFixture, RejectsMalformedInput) {
     std::stringstream bad("mbrc-design 1\n");  // no core
     EXPECT_THROW(load_design(library, bad), util::AssertionError);
   }
+  {
+    // A second core line must not discard the cells a later net names.
+    std::stringstream bad("mbrc-design 1\ncore 0 0 10 10\nport a in 0 0\n"
+                          "core 0 0 10 10\nnet signal 1 0 0\n");
+    EXPECT_THROW(load_design(library, bad), util::AssertionError);
+  }
+  {
+    // A net naming a pin an earlier net already connected.
+    std::stringstream bad("mbrc-design 1\ncore 0 0 10 10\nport a in 0 0\n"
+                          "net signal 1 0 0\nnet signal 1 0 0\n");
+    EXPECT_THROW(load_design(library, bad), util::AssertionError);
+  }
+  {
+    // A net with two drivers (both input ports).
+    std::stringstream bad("mbrc-design 1\ncore 0 0 10 10\nport a in 0 0\n"
+                          "port b in 0 1\nnet signal 2 0 0 1 0\n");
+    EXPECT_THROW(load_design(library, bad), util::AssertionError);
+  }
 }
 
 }  // namespace

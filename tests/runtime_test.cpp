@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <future>
 #include <numeric>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
-#include "util/arena.hpp"
 
 namespace mbrc::runtime {
 namespace {
@@ -109,30 +107,6 @@ TEST(FutureDrain, SkipsFuturesAlreadyConsumed) {
   drain.watch(future);
   EXPECT_EQ(help_get(pool, std::move(future)), 5);
   // Destructor sees an invalid future and must not wait on it.
-}
-
-TEST(ArenaPoison, ResetOverwritesOldAllocations) {
-  util::Arena arena(64);
-  arena.set_poison(true);
-  auto* slot = static_cast<unsigned char*>(arena.allocate(16, 8));
-  std::memset(slot, 0xAB, 16);
-  arena.reset();
-  // The dangling view now reads the 0xCD fill pattern, not stale data.
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(slot[i], 0xCD);
-}
-
-TEST(ArenaPoison, DisabledResetLeavesBytesInPlace) {
-  util::Arena arena(64);
-  arena.set_poison(false);
-  auto* slot = static_cast<unsigned char*>(arena.allocate(16, 8));
-  std::memset(slot, 0xAB, 16);
-  arena.reset();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(slot[i], 0xAB);
-}
-
-TEST(ArenaPoison, DefaultTracksBuildTypeMacro) {
-  util::Arena arena;
-  EXPECT_EQ(arena.poison(), MBRC_ARENA_POISON != 0);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -9,6 +9,10 @@
 // incremental query stats, error reporting, the serve loop -- is pinned
 // here too.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -17,9 +21,11 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
+#include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "obs/json_reader.hpp"
 #include "service/daemon.hpp"
@@ -658,6 +664,128 @@ TEST(ServiceTest, ServeLoopSpeaksNdjson) {
     ids.push_back(parsed.value.int_or("id", -1));
   }
   EXPECT_EQ(ids, (std::vector<std::int64_t>{1, 2, 3}));
+}
+
+std::int64_t bad_requests() {
+  return obs::counter("service.requests.bad").value();
+}
+
+void expect_line_too_long(const std::string& response) {
+  const obs::JsonParseResult parsed = obs::parse_json(response);
+  ASSERT_TRUE(parsed.ok) << response.substr(0, 200);
+  EXPECT_EQ(parsed.value.int_or("id", 0), -1);
+  EXPECT_FALSE(parsed.value.bool_or("ok", true));
+  EXPECT_NE(parsed.value.string_or("error", "").find("exceeds"),
+            std::string::npos)
+      << parsed.value.string_or("error", "");
+}
+
+// A request line over kMaxRequestLineBytes is answered with an error, not
+// buffered; the stdio loop skips to the next newline and keeps serving. A
+// line of exactly the cap is still a request.
+TEST(ServiceTest, ServeLoopRejectsOversizedLine) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 1});
+  const std::string ping = R"({"id":2,"cmd":"ping"})";
+  const std::string at_cap =
+      std::string(service::kMaxRequestLineBytes - ping.size(), ' ') + ping;
+  std::istringstream in(std::string(service::kMaxRequestLineBytes + 1, 'x') +
+                        "\n" + at_cap + "\n");
+  std::ostringstream out;
+  const std::int64_t bad_before = bad_requests();
+  EXPECT_EQ(daemon.serve(in, out), 2u);
+  EXPECT_EQ(bad_requests() - bad_before, 1);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  expect_line_too_long(line);
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(parse_ok(line).int_or("id", -1), 2);
+  EXPECT_FALSE(std::getline(lines, line));
+}
+
+/// A blocking test client on the daemon's unix socket; reads time out so
+/// a server that never answers fails the test instead of hanging it.
+class SocketClient {
+public:
+  explicit SocketClient(const std::string& path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+  }
+  ~SocketClient() { ::close(fd_); }
+  SocketClient(const SocketClient&) = delete;
+  SocketClient& operator=(const SocketClient&) = delete;
+
+  bool connected() const { return connected_; }
+
+  void send_all(const std::string& data) {
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const ssize_t n =
+          ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return;  // the server closed the connection
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Next line without its '\n'; empty on EOF, error or timeout.
+  std::string recv_line() {
+    for (;;) {
+      const std::size_t nl = inbuf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = inbuf_.substr(0, nl);
+        inbuf_.erase(0, nl + 1);
+        return line;
+      }
+      char buffer[4096];
+      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+      if (n <= 0) return {};
+      inbuf_.append(buffer, static_cast<std::size_t>(n));
+    }
+  }
+
+private:
+  int fd_ = -1;
+  bool connected_ = false;
+  std::string inbuf_;
+};
+
+// The socket transport answers a client that sends an oversized line with
+// no newline, then closes that connection; other clients keep being served.
+TEST(ServiceTest, SocketServerRejectsOversizedLine) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 2});
+  service::SocketServerOptions server_options;
+  server_options.path = testing::TempDir() + "service_line_cap.sock";
+  server_options.poll_interval_ms = 5;
+  service::SocketServer server(daemon, server_options);
+  ASSERT_TRUE(server.start()) << server.error();
+  std::thread serving([&server] { server.run(); });
+
+  const std::int64_t bad_before = bad_requests();
+  {
+    SocketClient hostile(server_options.path);
+    ASSERT_TRUE(hostile.connected());
+    hostile.send_all(std::string(service::kMaxRequestLineBytes + 1, 'x'));
+    expect_line_too_long(hostile.recv_line());
+    EXPECT_EQ(hostile.recv_line(), "");  // closed by the server
+  }
+  EXPECT_EQ(bad_requests() - bad_before, 1);
+
+  SocketClient polite(server_options.path);
+  ASSERT_TRUE(polite.connected());
+  polite.send_all(R"({"id":1,"cmd":"ping"})" "\n");
+  EXPECT_EQ(parse_ok(polite.recv_line()).int_or("id", -1), 1);
+  polite.send_all(R"({"id":2,"cmd":"shutdown"})" "\n");
+  EXPECT_EQ(parse_ok(polite.recv_line()).int_or("id", -1), 2);
+  serving.join();
 }
 
 // recompose_region consumes the touched set: edits -> plan over the edited

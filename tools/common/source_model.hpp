@@ -70,7 +70,7 @@ std::size_t skip_angles(const std::vector<Token>& t, std::size_t open);
 // ---------------------------------------------------------------------------
 
 struct Finding {
-  std::string rule;       // "R1".."R6" / "A1".."A4"
+  std::string rule;       // "R1".."R6" / "A2".."A4"
   std::string path;
   int line = 0;           // 1-based
   int col = 0;            // 1-based; 0 when the emitting rule has no token

@@ -182,18 +182,6 @@ bool is_wait_call(const std::vector<Token>& t, std::size_t i) {
   return false;
 }
 
-/// Types whose appearance in an initializer means the data was copied out of
-/// the arena into owning storage (not a view).
-bool mentions_owning_container(const std::vector<Token>& t, std::size_t b,
-                               std::size_t e) {
-  static const std::set<std::string> k = {
-      "vector", "string", "set",   "map",   "unordered_map",
-      "unordered_set", "deque", "array", "basic_string"};
-  for (std::size_t i = b; i < e && i < t.size(); ++i)
-    if (t[i].kind == TokKind::kIdent && k.count(t[i].text) != 0) return true;
-  return false;
-}
-
 bool path_matches(const std::string& path,
                   const std::vector<std::string>& subs) {
   for (const auto& s : subs)
@@ -907,153 +895,6 @@ struct Engine {
     }
   }
 
-  // ---- A1: arena escape --------------------------------------------------
-
-  struct View {
-    const Decl* d = nullptr;
-    std::string base;
-  };
-
-  void check_arena_escape(const FunctionInfo& fn) {
-    if (!rule_enabled("A1")) return;
-    if (path_matches(fm.scan.file->path, options.arena_exempt_paths)) return;
-    const auto& t = fm.scan.tokens;
-    std::map<std::string, std::size_t> bases;
-    for (const auto& d : fn.params)
-      if (d.type_contains("Arena")) bases[d.name] = d.name_tok;
-    for (const auto& d : fn.locals)
-      if (d.type_contains("Arena")) bases[d.name] = d.name_tok;
-    if (bases.empty()) return;
-    auto init_mentions = [&](const Decl& d, const std::string& name) {
-      for (std::size_t i = d.init_begin; i < d.init_end; ++i)
-        if (is_ident(t, i) && t[i].text == name) return true;
-      return false;
-    };
-    std::vector<View> views;
-    for (const auto& d : fn.locals) {
-      if (d.init_begin >= d.init_end) continue;
-      if (d.type_contains("Arena")) continue;
-      std::string base;
-      for (const auto& kv : bases)
-        if (init_mentions(d, kv.first)) base = kv.first;
-      if (base.empty()) {
-        for (const auto& v : views)
-          if (init_mentions(d, v.d->name)) base = v.base;
-      }
-      if (base.empty()) continue;
-      if (d.is_ref || d.is_ptr) {
-        views.push_back({&d, base});
-      } else if (d.is_auto || d.type_contains("iterator")) {
-        bool iterish = false;
-        for (std::size_t i = d.init_begin; i + 2 < d.init_end; ++i)
-          if ((is(t, i, ".") || is(t, i, "->")) && is_ident(t, i + 1) &&
-              (t[i + 1].text == "begin" || t[i + 1].text == "end" ||
-               t[i + 1].text == "data" || t[i + 1].text == "find") &&
-              is(t, i + 2, "("))
-            iterish = true;
-        if (iterish &&
-            !mentions_owning_container(t, d.init_begin, d.init_end))
-          views.push_back({&d, base});
-      }
-    }
-    auto view_named = [&](const std::string& n) -> const View* {
-      for (const auto& v : views)
-        if (v.d->name == n) return &v;
-      return nullptr;
-    };
-    auto derivation = [&](const View& v) {
-      return "view '" + v.d->name + "' derived from arena '" + v.base +
-             "' at " + loc_of(t[v.d->name_tok]);
-    };
-    auto escaping_target = [&](const std::string& name) {
-      if (name.size() > 1 && name.back() == '_') return true;  // member
-      for (const auto& p : fn.params)
-        if (p.name == name && (p.is_ref || p.is_ptr)) return true;
-      return false;
-    };
-    for (std::size_t i = fn.body_open + 1; i + 1 < fn.body_close; ++i) {
-      if (is(t, i, "return")) {
-        std::size_t end = scan_to_statement_end(t, i + 1, fn.body_close);
-        if (mentions_owning_container(t, i + 1, end)) {
-          i = end;
-          continue;
-        }
-        const View* hit = nullptr;
-        std::string direct;
-        for (std::size_t j = i + 1; j < end; ++j) {
-          if (!is_ident(t, j)) continue;
-          if (const View* v = view_named(t[j].text)) {
-            hit = v;
-            break;
-          }
-          if (bases.count(t[j].text) != 0 &&
-              (is(t, j + 1, ".") || is(t, j + 1, "->")) &&
-              is_ident(t, j + 2) &&
-              (t[j + 2].text == "data" || t[j + 2].text == "begin" ||
-               t[j + 2].text == "end")) {
-            direct = t[j].text;
-            break;
-          }
-        }
-        if (hit != nullptr)
-          emit("A1", t[i],
-               "returns view '" + hit->d->name +
-                   "' into arena storage; the per-worker arena is reset "
-                   "before the caller is done with it",
-               {derivation(*hit)});
-        else if (!direct.empty())
-          emit("A1", t[i],
-               "returns a raw view into arena '" + direct + "' storage");
-        i = end;
-        continue;
-      }
-      if (is_ident(t, i) && is(t, i + 1, "=")) {
-        std::size_t end = scan_to_statement_end(t, i + 2, fn.body_close);
-        const View* rhs = nullptr;
-        for (std::size_t j = i + 2; j < end; ++j)
-          if (is_ident(t, j))
-            if (const View* v = view_named(t[j].text)) {
-              rhs = v;
-              break;
-            }
-        if (rhs != nullptr && escaping_target(t[i].text))
-          emit("A1", t[i],
-               "stores view '" + rhs->d->name + "' into '" + t[i].text +
-                   "', which outlives the arena reset scope",
-               {derivation(*rhs)});
-        continue;
-      }
-      if (is_ident(t, i) && is_container_push(t, i) && is(t, i + 1, "(")) {
-        std::size_t close = match(t, i + 1, "(", ")");
-        const View* arg = nullptr;
-        for (std::size_t j = i + 2; j + 1 < close; ++j)
-          if (is_ident(t, j))
-            if (const View* v = view_named(t[j].text)) {
-              arg = v;
-              break;
-            }
-        if (arg != nullptr && i >= 2 && is_ident(t, i - 2) &&
-            escaping_target(t[i - 2].text))
-          emit("A1", t[i],
-               "inserts view '" + arg->d->name +
-                   "' into escaping container '" + t[i - 2].text + "'",
-               {derivation(*arg)});
-        continue;
-      }
-    }
-    for (const SpawnSite& site : spawn_sites(fn))
-      for (int li : site.task_lambdas)
-        for (const Capture& c :
-             fm.lambdas[static_cast<std::size_t>(li)].captures) {
-          if (c.name.empty()) continue;
-          if (const View* v = view_named(c.name))
-            emit("A1", t[c.tok],
-                 "deferred task captures view '" + c.name +
-                     "' into arena storage",
-                 {derivation(*v)});
-        }
-  }
-
   // ---- A3: strand discipline ---------------------------------------------
 
   void check_strand_discipline(const FunctionInfo& fn) {
@@ -1202,7 +1043,6 @@ AnalyzeResult run_analyze(const std::vector<SourceFile>& files,
   for (const auto& fm : proj.files) {
     Engine eng{options, proj, fm, result};
     for (const auto& fn : fm.functions) {
-      eng.check_arena_escape(fn);
       eng.check_task_captures(fn);
       eng.check_strand_discipline(fn);
       eng.check_journal_bypass(fn);

@@ -4,15 +4,10 @@
 // Where mbrc-lint pattern-matches single statements, this tool parses each
 // translation unit into a lightweight model -- functions with nested scopes,
 // per-scope declarations, lambda capture lists, and a cross-file call
-// summary -- and enforces four whole-project contracts the token scanner
-// cannot see:
+// summary -- and enforces three whole-project contracts the token scanner
+// cannot see (A1, arena escape, was retired with the solver arenas; the
+// other rules keep their names so existing suppressions stay valid):
 //
-//   A1  arena-escape: pointers, references and iterators derived from
-//       Arena/ArenaVector storage (src/util/arena.hpp) that escape the
-//       function that derived them -- returned, assigned to an out-param or
-//       member, inserted into an escaping container, or captured by a task
-//       lambda. The per-worker arenas are reset per subgraph, so any raw
-//       view that outlives the deriving scope reads poisoned memory.
 //   A2  task-capture lifetime: lambdas handed to deferred execution
 //       (ThreadPool::submit/async, and any function the call summary proves
 //       forwards its callable into one -- Daemon::post, Daemon::handle)
@@ -34,7 +29,7 @@
 //       variant writes outside the Design API. These silently stale the
 //       incremental TimingEngine against the run_sta oracle.
 //
-// Suppression: `// mbrc-analyze: allow(A1, reason)` on the line or the line
+// Suppression: `// mbrc-analyze: allow(A2, reason)` on the line or the line
 // above; the reason is mandatory. Baseline, suppression grammar and the
 // tokenizer are shared with mbrc-lint (tools/common/).
 #pragma once
@@ -53,13 +48,11 @@ using analysis::SourceFile;
 using AnalyzeResult = analysis::Report;
 
 struct AnalyzeOptions {
-  /// Rules to run; empty means all of A1..A4.
+  /// Rules to run; empty means all of A2..A4.
   std::vector<std::string> rules;
   /// Path substrings where A4 does not apply: the journaled-edit API's own
   /// implementation legitimately writes cells and appends to the journal.
   std::vector<std::string> journal_exempt_paths = {"netlist/design."};
-  /// Path suffixes where A1 does not apply: the arena implementation itself.
-  std::vector<std::string> arena_exempt_paths = {"util/arena.hpp"};
   /// Path substring gating A3 (strand discipline is a service-layer
   /// contract).
   std::vector<std::string> strand_paths = {"service/"};

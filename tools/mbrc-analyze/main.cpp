@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   mbrc::analysis::ToolSpec spec;
   spec.name = "mbrc-analyze";
-  spec.rules_example = "A1,A2,...";
+  spec.rules_example = "A2,A3,...";
   spec.run = [](const std::vector<mbrc::analysis::SourceFile>& files,
                 const std::vector<std::string>& rules,
                 const std::vector<mbrc::analysis::BaselineEntry>& baseline) {
