@@ -1,12 +1,11 @@
-// Microbenchmarks of the algorithmic kernels (google-benchmark): simplex
-// LP, the exact set-partitioning branch & bound, Bron-Kerbosch, candidate
-// enumeration on the worked example, and the two MBR placement solvers
-// (the paper's LP vs the weighted-median fast path).
+// Microbenchmarks of the algorithmic kernels (google-benchmark): the
+// weighted-median MBR placement (exact optimum of the paper's Sec. 4.2 LP),
+// the exact set-partitioning branch & bound, Bron-Kerbosch, candidate
+// enumeration on the worked example, and the convex hull.
 #include <benchmark/benchmark.h>
 
 #include "geom/convex_hull.hpp"
 #include "ilp/set_partition.hpp"
-#include "lp/simplex.hpp"
 #include "mbr/candidates.hpp"
 #include "mbr/cliques.hpp"
 #include "mbr/placement.hpp"
@@ -16,22 +15,6 @@
 using namespace mbrc;
 
 namespace {
-
-void BM_SimplexPlacementShapedLp(benchmark::State& state) {
-  const int pins = static_cast<int>(state.range(0));
-  util::Rng rng(11);
-  std::vector<mbr::PinBox> boxes;
-  for (int i = 0; i < pins; ++i) {
-    const double x = rng.uniform_real(0, 200), y = rng.uniform_real(0, 200);
-    boxes.push_back({{x, y, x + rng.uniform_real(0, 40),
-                      y + rng.uniform_real(0, 40)},
-                     {rng.uniform_real(0, 10), rng.uniform_real(0, 2)}});
-  }
-  const geom::Rect region{0, 0, 200, 200};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(mbr::optimal_position_lp(boxes, region));
-}
-BENCHMARK(BM_SimplexPlacementShapedLp)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_WeightedMedianPlacement(benchmark::State& state) {
   const int pins = static_cast<int>(state.range(0));

@@ -7,12 +7,14 @@
 //
 // Elements are the composable registers of one compatibility subgraph
 // (<= 30 by construction, Sec. 3); candidates are the valid MBR cliques.
-// The solver is a best-first branch & bound on the element with the fewest
-// available candidates, with an additive lower bound: each uncovered element
-// must pay at least min over covering candidates of (w / cover-size).
+// The solver is a depth-first branch & bound. Each node branches on the
+// uncovered element with the fewest still-placeable candidates and tries
+// those candidates in ascending weight. A node is pruned when its cost plus
+// an additive lower bound reaches the incumbent: each uncovered element must
+// pay at least min over its covering candidates of (w / cover-size).
 //
-// A generic simplex-based branch & bound (ilp/branch_and_bound.hpp) solves
-// the same models in tests to cross-validate optimality.
+// Tests check it against plain exhaustive enumeration
+// (tests/solver_oracles.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +41,9 @@ struct SetPartitionResult {
 
 struct SetPartitionOptions {
   /// Node budget; the search is exact well below this for <= 30-element
-  /// instances. When exceeded, the best incumbent found so far is returned
-  /// (feasible=true) but optimality is no longer guaranteed.
+  /// instances. When exceeded, the search stops: if an incumbent exists it
+  /// is returned (feasible=true) without an optimality guarantee, otherwise
+  /// the result is feasible=false.
   std::int64_t max_nodes = 5'000'000;
 };
 
@@ -48,14 +51,5 @@ struct SetPartitionOptions {
 /// budget). Candidates with empty element lists are ignored.
 SetPartitionResult solve_set_partition(const SetPartitionProblem& problem,
                                        const SetPartitionOptions& options = {});
-
-/// Solves many independent instances, fanning the branch & bound searches
-/// out across up to `jobs` threads. Every instance runs the same serial
-/// search with its own state (no shared incumbents), and results come back
-/// in input order, so the output -- including per-instance nodes_explored --
-/// is identical to calling solve_set_partition in a loop at any job count.
-std::vector<SetPartitionResult> solve_set_partitions(
-    const std::vector<SetPartitionProblem>& problems,
-    const SetPartitionOptions& options = {}, int jobs = 1);
 
 }  // namespace mbrc::ilp

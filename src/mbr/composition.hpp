@@ -100,8 +100,8 @@ CompositionPlan plan_composition_region(
     const CompositionOptions& options = {});
 
 /// Solves one subgraph's ILP given its enumerated candidates; exposed for
-/// tests (cross-validation against the generic simplex-based B&B) and for
-/// the worked-example bench.
+/// tests (cross-validation against exhaustive enumeration) and for the
+/// worked-example bench.
 ilp::SetPartitionResult solve_subgraph(
     const std::vector<int>& subgraph, const std::vector<Candidate>& candidates,
     const ilp::SetPartitionOptions& options = {});

@@ -2,8 +2,9 @@
 //
 //   placed design -> STA -> compatibility graph -> partition -> candidate
 //   enumeration -> per-subgraph ILP (or greedy heuristic) -> mapping ->
-//   placement LP -> rewiring -> incremental legalization -> scan re-stitch
-//   -> useful skew on the new MBRs -> MBR sizing -> evaluation.
+//   placement (the Sec. 4.2 LP, solved by weighted median) -> rewiring ->
+//   incremental legalization -> scan re-stitch -> useful skew on the new
+//   MBRs -> MBR sizing -> evaluation.
 //
 // Also exposes the evaluation harness that produces the Table 1 metrics
 // for a design state (before/after).
@@ -153,9 +154,9 @@ struct FlowResult {
   /// deterministic-output contract.
   obs::StageTable stages;
   /// Work counts accumulated during this run (delta over the obs counter
-  /// registry: solver nodes, simplex iterations, repair-cone sizes, cliques
-  /// enumerated, ...). Deterministic output: bit-identical at any `jobs`
-  /// value (tests/parallel_flow_test.cpp).
+  /// registry: solver nodes, repair-cone sizes, cliques enumerated, ...).
+  /// Deterministic output: bit-identical at any `jobs` value
+  /// (tests/parallel_flow_test.cpp).
   obs::CountersSnapshot counters;
   /// Collected spans when FlowOptions::trace was on; empty otherwise.
   /// Wall-clock measurement only, like `stages`.

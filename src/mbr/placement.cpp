@@ -1,9 +1,7 @@
 #include "mbr/placement.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "lp/simplex.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::mbr {
@@ -118,46 +116,10 @@ geom::Point optimal_position_median(const std::vector<PinBox>& boxes,
   return {x, y};
 }
 
-geom::Point optimal_position_lp(const std::vector<PinBox>& boxes,
-                                const geom::Rect& corner_region) {
-  if (boxes.empty()) return corner_region.center();
-
-  lp::Model model;
-  const int x = model.add_continuous("x", 0.0, corner_region.xlo,
-                                     std::max(corner_region.xlo,
-                                              corner_region.xhi));
-  const int y = model.add_continuous("y", 0.0, corner_region.ylo,
-                                     std::max(corner_region.ylo,
-                                              corner_region.yhi));
-  for (std::size_t i = 0; i < boxes.size(); ++i) {
-    const PinBox& b = boxes[i];
-    const std::string tag = std::to_string(i);
-    // wl_i = (zx - mx) + (zy - my); z >= both maxima operands, m <= minima.
-    const int zx = model.add_continuous("zx" + tag, 1.0, b.box.xhi);
-    const int mx =
-        model.add_continuous("mx" + tag, -1.0, -lp::kInfinity, b.box.xlo);
-    const int zy = model.add_continuous("zy" + tag, 1.0, b.box.yhi);
-    const int my =
-        model.add_continuous("my" + tag, -1.0, -lp::kInfinity, b.box.ylo);
-    model.add_constraint({{zx, 1.0}, {x, -1.0}}, lp::Relation::kGreaterEqual,
-                         b.offset.x);
-    model.add_constraint({{mx, 1.0}, {x, -1.0}}, lp::Relation::kLessEqual,
-                         b.offset.x);
-    model.add_constraint({{zy, 1.0}, {y, -1.0}}, lp::Relation::kGreaterEqual,
-                         b.offset.y);
-    model.add_constraint({{my, 1.0}, {y, -1.0}}, lp::Relation::kLessEqual,
-                         b.offset.y);
-  }
-  const lp::Solution solution = lp::solve_lp(model);
-  MBRC_ASSERT_MSG(solution.status == lp::SolveStatus::kOptimal,
-                  "placement LP failed");
-  return {solution.values[x], solution.values[y]};
-}
-
 geom::Point place_mbr(const netlist::Design& design,
                       const CompatibilityGraph& graph,
                       const Candidate& candidate, const Mapping& mapping,
-                      const PlacementOptions& options) {
+                      const PlacementOptions& /*options*/) {
   const geom::Rect region = candidate.common_region;
   MBRC_ASSERT(!region.is_empty());
   // Region of legal lower-left corners: the cell must fit inside `region`
@@ -167,8 +129,7 @@ geom::Point place_mbr(const netlist::Design& design,
                     std::max(region.ylo, region.yhi - mapping.cell->height)};
 
   const auto boxes = collect_pin_boxes(design, graph, candidate, mapping);
-  return options.use_lp ? optimal_position_lp(boxes, corner)
-                        : optimal_position_median(boxes, corner);
+  return optimal_position_median(boxes, corner);
 }
 
 }  // namespace mbrc::mbr

@@ -4,13 +4,12 @@
 //
 // Every pin contributes wl_i = (max(xh, x+dx) - min(xl, x+dx)) +
 // (max(yh, y+dy) - min(yl, y+dy)), with (x, y) the MBR's lower-left corner
-// and (dx, dy) the pin offset inside the cell. Two solvers are provided:
-//   - the paper's linear program, with the min/max linearized through helper
-//     variables (src/lp simplex), and
-//   - an O(n log n) weighted-median solution exploiting that the objective
-//     is separable and convex piecewise-linear in x and in y.
-// Both return the same optimum (property-tested); the median solver is the
-// default in the flow.
+// and (dx, dy) the pin offset inside the cell. The paper solves this as a
+// linear program with helper variables for the min/max terms. The objective
+// is separable in x and y, and each axis is a sum of flat-valley terms, so
+// it is convex piecewise linear and an O(n log n) per-axis weighted median
+// finds the LP's exact optimum (DESIGN.md §5). Tests check it against
+// enumeration of every breakpoint (tests/solver_oracles.hpp).
 #pragma once
 
 #include <vector>
@@ -43,14 +42,9 @@ double placement_objective(const std::vector<PinBox>& boxes,
 geom::Point optimal_position_median(const std::vector<PinBox>& boxes,
                                     const geom::Rect& corner_region);
 
-/// Same optimum through the paper's LP formulation (helper variables for
-/// min/max). Used for cross-validation and by callers who want the LP path.
-geom::Point optimal_position_lp(const std::vector<PinBox>& boxes,
-                                const geom::Rect& corner_region);
-
-struct PlacementOptions {
-  bool use_lp = false;  // default: weighted median (identical optimum)
-};
+// Empty: the weighted median is the only solver. Kept because
+// mbrcbench/cpp/batch.cpp still passes FlowOptions::placement to place_mbr.
+struct PlacementOptions {};
 
 /// End-to-end placement of a mapped candidate: derives the corner region
 /// from the candidate's common feasible region and the cell dimensions,

@@ -95,9 +95,6 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   w.key("mapping").begin_object();
   w.kv("incomplete_area_overhead", options.mapping.incomplete_area_overhead);
   w.end_object();
-  w.key("placement").begin_object();
-  w.kv("use_lp", options.placement.use_lp);
-  w.end_object();
   w.key("cts").begin_object();
   w.kv("wire_cap_per_um", options.cts.wire_cap_per_um)
       .kv("load_utilization", options.cts.load_utilization)

@@ -1,7 +1,7 @@
 // Process-wide work-counter and histogram registry.
 //
 // Counters and histograms record *work counts* — solver nodes explored,
-// simplex iterations, dirty-cone sizes, cliques enumerated — never wall
+// bound prunes, dirty-cone sizes, cliques enumerated — never wall
 // time. That split carries the determinism contract (DESIGN.md §11): work
 // counts are integer sums of per-call quantities that do not depend on
 // scheduling, so a flow's counter delta is bit-identical at any `jobs`

@@ -840,15 +840,22 @@ std::string Daemon::execute(Strand& strand, const obs::JsonValue& request) {
     if (!parse_ids(request, "region", region, error)) return fail(id, error);
     // Optional per-request cost knobs (mbr/cost.hpp): any of alpha / beta /
     // gamma present overrides the session's model for this plan only;
-    // absent knobs keep the session defaults.
+    // absent knobs keep the session defaults. A present knob must be a
+    // number in [0, kMaxCostWeight]; anything else fails the request.
     std::optional<mbr::CostModel> cost;
-    if (request.find("alpha") != nullptr || request.find("beta") != nullptr ||
-        request.find("gamma") != nullptr) {
-      mbr::CostModel model =
-          session.options().composition.enumeration.cost;
-      model.alpha = request.number_or("alpha", model.alpha);
-      model.beta = request.number_or("beta", model.beta);
-      model.gamma = request.number_or("gamma", model.gamma);
+    mbr::CostModel model = session.options().composition.enumeration.cost;
+    for (const auto& [key, weight] :
+         {std::pair{"alpha", &model.alpha}, std::pair{"beta", &model.beta},
+          std::pair{"gamma", &model.gamma}}) {
+      const obs::JsonValue* value = request.find(key);
+      if (value == nullptr) continue;
+      if (!value->is_number() || !(value->as_number() >= 0.0) ||
+          value->as_number() > kMaxCostWeight)
+        return fail(id, std::string(key) + " must be a number in [0, " +
+                            std::to_string(static_cast<std::int64_t>(
+                                kMaxCostWeight)) +
+                            "]");
+      *weight = value->as_number();
       cost = model;
     }
     const RecomposeAnswer answer = session.recompose(region, cost);

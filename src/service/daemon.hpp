@@ -73,6 +73,9 @@ namespace mbrc::service {
 inline constexpr std::int64_t kMaxOpenRegisters = 2'000'000;
 /// Each snapshot is a full design copy; the default is 64.
 inline constexpr std::int64_t kMaxSessionSnapshots = 256;
+/// Ceiling on recompose_region's alpha / beta / gamma. It keeps
+/// alpha * paper_weight + beta * power + gamma * area finite.
+inline constexpr double kMaxCostWeight = 1e6;
 /// Longest request line a transport buffers (bytes, without the '\n'). A
 /// longer line gets an error response instead of growing memory without
 /// bound; the stdio loop then skips to the next newline and the socket

@@ -4,10 +4,10 @@
 #include <set>
 
 #include "benchgen/generator.hpp"
-#include "ilp/branch_and_bound.hpp"
 #include "mbr/composition.hpp"
 #include "mbr/heuristic.hpp"
 #include "mbr/worked_example.hpp"
+#include "solver_oracles.hpp"
 
 namespace mbrc::mbr {
 namespace {
@@ -56,28 +56,21 @@ TEST_F(WorkedExampleIlp, SixRegistersBecomeThree) {
   EXPECT_TRUE(e_alone);
 }
 
-TEST_F(WorkedExampleIlp, MatchesGenericBranchAndBound) {
+TEST_F(WorkedExampleIlp, MatchesExhaustiveEnumeration) {
   const EnumerationResult enumeration = enumerate_candidates(
       example.graph, *example.library, blockers, subgraph);
   const ilp::SetPartitionResult fast =
       solve_subgraph(subgraph, enumeration.candidates);
 
-  lp::Model model;
-  for (std::size_t c = 0; c < enumeration.candidates.size(); ++c)
-    model.add_binary("c" + std::to_string(c),
-                     enumeration.candidates[c].weight);
-  for (int node : subgraph) {
-    std::vector<lp::Term> terms;
-    for (std::size_t c = 0; c < enumeration.candidates.size(); ++c) {
-      const auto& nodes = enumeration.candidates[c].nodes;
-      if (std::find(nodes.begin(), nodes.end(), node) != nodes.end())
-        terms.push_back({static_cast<int>(c), 1.0});
-    }
-    model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-  }
-  const lp::Solution generic = ilp::solve_ilp(model);
-  ASSERT_EQ(generic.status, lp::SolveStatus::kOptimal);
-  EXPECT_NEAR(fast.objective, generic.objective, 1e-6);
+  // The subgraph is every node 0..n-1, so node ids are the element ids.
+  ilp::SetPartitionProblem problem;
+  problem.element_count = static_cast<int>(subgraph.size());
+  for (const Candidate& c : enumeration.candidates)
+    problem.candidates.push_back({c.nodes, c.weight});
+  const oracle::PartitionOptimum exact =
+      oracle::exhaustive_min_partition(problem);
+  ASSERT_TRUE(exact.feasible);
+  EXPECT_NEAR(fast.objective, exact.objective, 1e-9);
 }
 
 TEST_F(WorkedExampleIlp, BlockedCandidatesNeverBeatSingletons) {

@@ -537,7 +537,6 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.composition.solver.max_nodes += 1234;
   o.composition.jobs += 1;
   o.mapping.incomplete_area_overhead += 0.075;
-  o.placement.use_lp = !o.placement.use_lp;
   o.cts.wire_cap_per_um += 0.05;
   o.cts.load_utilization -= 0.15;
   o.cts.max_fanout -= 8;
@@ -615,7 +614,6 @@ TEST(FlowReport, OptionsEchoIsComplete) {
       "debank_loop",
       "jobs",
       "mapping.incomplete_area_overhead",
-      "placement.use_lp",
       "report_path",
       "route.gcell_size",
       "route.h_capacity",

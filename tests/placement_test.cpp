@@ -4,6 +4,7 @@
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/worked_example.hpp"
+#include "solver_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::mbr {
@@ -45,13 +46,12 @@ TEST(PlacementObjective, RespectsCornerRegion) {
 TEST(PlacementObjective, EmptyBoxesFallBackToRegionCenter) {
   const geom::Rect region{10, 10, 30, 30};
   EXPECT_EQ(optimal_position_median({}, region), region.center());
-  EXPECT_EQ(optimal_position_lp({}, region), region.center());
 }
 
-// Property: the weighted-median solution and the paper's LP formulation
-// return the same optimal objective (the argmin may differ on flat
-// plateaus), and no random probe beats either.
-TEST(PlacementSolvers, MedianMatchesLpProperty) {
+// Property: the weighted-median solution reaches the minimum over every
+// breakpoint of the paper's objective (the argmin may differ on flat
+// plateaus), and no random probe beats it.
+TEST(PlacementSolvers, MedianMatchesBreakpointMinimum) {
   util::Rng rng(404);
   for (int trial = 0; trial < 40; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(1, 12));
@@ -59,10 +59,10 @@ TEST(PlacementSolvers, MedianMatchesLpProperty) {
     const geom::Rect region{0, 0, 320, 320};
 
     const geom::Point median = optimal_position_median(boxes, region);
-    const geom::Point lp = optimal_position_lp(boxes, region);
     const double f_median = placement_objective(boxes, median);
-    const double f_lp = placement_objective(boxes, lp);
-    EXPECT_NEAR(f_median, f_lp, 1e-6) << "trial " << trial;
+    EXPECT_NEAR(f_median, oracle::breakpoint_min_placement(boxes, region),
+                1e-6)
+        << "trial " << trial;
 
     for (int probe = 0; probe < 50; ++probe) {
       const geom::Point p{rng.uniform_real(0, 320), rng.uniform_real(0, 320)};
@@ -72,8 +72,8 @@ TEST(PlacementSolvers, MedianMatchesLpProperty) {
   }
 }
 
-// Property: with a constrained region, both solvers stay inside and still
-// agree.
+// Property: with a constrained region, the median stays inside and still
+// reaches the breakpoint minimum.
 TEST(PlacementSolvers, ConstrainedRegionAgreement) {
   util::Rng rng(405);
   for (int trial = 0; trial < 25; ++trial) {
@@ -82,11 +82,9 @@ TEST(PlacementSolvers, ConstrainedRegionAgreement) {
     const geom::Rect region{lo, lo, lo + rng.uniform_real(5, 100),
                             lo + rng.uniform_real(5, 100)};
     const geom::Point median = optimal_position_median(boxes, region);
-    const geom::Point lp = optimal_position_lp(boxes, region);
     EXPECT_TRUE(region.contains(median));
-    EXPECT_TRUE(region.contains(lp));
     EXPECT_NEAR(placement_objective(boxes, median),
-                placement_objective(boxes, lp), 1e-6)
+                oracle::breakpoint_min_placement(boxes, region), 1e-6)
         << "trial " << trial;
   }
 }

@@ -3,18 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/generator.hpp"
-#include "ilp/branch_and_bound.hpp"
 #include "ilp/set_partition.hpp"
 #include "mbr/flow.hpp"
 #include "mbr/placement.hpp"
+#include "solver_oracles.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc {
 namespace {
 
 // ---------------------------------------------------------------------
-// Set partitioning: the specialized solver matches the generic MILP
-// branch & bound on random instances of growing size.
+// Set partitioning: the specialized solver matches exhaustive enumeration
+// on random instances of growing size.
 struct SpParams {
   std::uint64_t seed;
   int elements;
@@ -23,7 +23,7 @@ struct SpParams {
 
 class SetPartitionSweep : public ::testing::TestWithParam<SpParams> {};
 
-TEST_P(SetPartitionSweep, MatchesGenericMilp) {
+TEST_P(SetPartitionSweep, MatchesExhaustiveEnumeration) {
   const SpParams params = GetParam();
   util::Rng rng(params.seed);
 
@@ -50,21 +50,10 @@ TEST_P(SetPartitionSweep, MatchesGenericMilp) {
   const ilp::SetPartitionResult fast = ilp::solve_set_partition(problem);
   ASSERT_TRUE(fast.feasible);
 
-  lp::Model model;
-  for (std::size_t c = 0; c < problem.candidates.size(); ++c)
-    model.add_binary("c" + std::to_string(c), problem.candidates[c].weight);
-  for (int e = 0; e < problem.element_count; ++e) {
-    std::vector<lp::Term> terms;
-    for (std::size_t c = 0; c < problem.candidates.size(); ++c) {
-      const auto& elems = problem.candidates[c].elements;
-      if (std::find(elems.begin(), elems.end(), e) != elems.end())
-        terms.push_back({static_cast<int>(c), 1.0});
-    }
-    model.add_constraint(std::move(terms), lp::Relation::kEqual, 1.0);
-  }
-  const lp::Solution generic = ilp::solve_ilp(model);
-  ASSERT_EQ(generic.status, lp::SolveStatus::kOptimal);
-  EXPECT_NEAR(fast.objective, generic.objective, 1e-6);
+  const oracle::PartitionOptimum exact =
+      oracle::exhaustive_min_partition(problem);
+  ASSERT_TRUE(exact.feasible);
+  EXPECT_NEAR(fast.objective, exact.objective, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,11 +68,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Placement: the weighted-median solver matches the paper's LP across
-// pin counts, and both beat random probes.
+// Placement: the weighted-median solver reaches the breakpoint minimum of
+// the paper's objective across pin counts, and beats random probes.
 class PlacementSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(PlacementSweep, MedianEqualsLp) {
+TEST_P(PlacementSweep, MedianEqualsBreakpointMinimum) {
   const int pins = GetParam();
   util::Rng rng(1000 + pins);
   for (int trial = 0; trial < 10; ++trial) {
@@ -98,9 +87,9 @@ TEST_P(PlacementSweep, MedianEqualsLp) {
     const geom::Rect region{0, 0, 300, 300};
     const double f_median = mbr::placement_objective(
         boxes, mbr::optimal_position_median(boxes, region));
-    const double f_lp = mbr::placement_objective(
-        boxes, mbr::optimal_position_lp(boxes, region));
-    ASSERT_NEAR(f_median, f_lp, 1e-6) << "pins=" << pins;
+    ASSERT_NEAR(f_median, oracle::breakpoint_min_placement(boxes, region),
+                1e-6)
+        << "pins=" << pins;
     for (int probe = 0; probe < 20; ++probe) {
       const geom::Point p{rng.uniform_real(0, 300), rng.uniform_real(0, 300)};
       ASSERT_GE(mbr::placement_objective(boxes, p) + 1e-9, f_median);

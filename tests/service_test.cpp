@@ -859,6 +859,40 @@ TEST(ServiceTest, RecomposeCostKnobsEchoEffectiveModel) {
   const obs::JsonValue again = parse_ok(
       daemon.handle_sync(simple_request(4, "recompose_region", "s")));
   EXPECT_EQ(again.find("cost")->number_or("beta", -1.0), 0.0);
+
+  // A present knob must be a number in [0, kMaxCostWeight]: a string or a
+  // bool is not silently replaced by the default, and a negative or huge
+  // weight is refused before it reaches the solver. Every request plans
+  // the whole design, so a knob that got through would reach the solver.
+  std::string region = "[";
+  const obs::JsonValue regs =
+      parse_ok(daemon.handle_sync(simple_request(5, "list_registers", "s")));
+  for (const obs::JsonValue& entry : regs.find("registers")->array()) {
+    if (region.size() > 1) region += ",";
+    region += std::to_string(entry.int_or("cell", -1));
+  }
+  region += "]";
+  const auto full_plan = [&](const std::string& knobs) {
+    return daemon.handle_sync(
+        R"({"id":6,"cmd":"recompose_region","session":"s","region":)" +
+        region + knobs + "}");
+  };
+  const std::string before = full_plan("");
+  EXPECT_GT(parse_ok(before).int_or("region_registers", -1), 0);
+  for (const char* knobs :
+       {R"(,"alpha":"2")", R"(,"gamma":true)", R"(,"alpha":-1)",
+        R"(,"beta":-5)", R"(,"beta":1000001)",
+        R"(,"alpha":1e308,"beta":1e308)"}) {
+    const obs::JsonParseResult parsed = obs::parse_json(full_plan(knobs));
+    ASSERT_TRUE(parsed.ok);
+    EXPECT_FALSE(parsed.value.bool_or("ok", true)) << knobs;
+    EXPECT_NE(parsed.value.string_or("error", "").find(
+                  "must be a number in [0, 1000000]"),
+              std::string::npos)
+        << parsed.value.string_or("error", "");
+  }
+  // The refused requests left the session as it was.
+  EXPECT_EQ(full_plan(""), before);
 }
 
 // --- live telemetry (DESIGN.md §11) ----------------------------------------
