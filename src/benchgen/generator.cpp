@@ -96,34 +96,17 @@ const lib::RegisterCell* sample_register_cell(util::Rng& rng,
 }
 
 // For every cluster, the `pool` nearest clusters by manhattan center
-// distance (the cluster itself included, at distance zero). Small counts
-// keep the exact full sort the source-cluster wiring has always used; past
-// the threshold -- scaled profiles reach tens of thousands of clusters,
-// where C^2 log C comparisons dominate generation -- an expanding-ring
-// search over a uniform bucket grid finds the same nearest set in roughly
-// linear total time. Ties on distance are broken by cluster index; with
-// centers drawn from a continuous distribution, exact ties do not occur, so
-// both strategies select identical pools.
+// distance (the cluster itself included, at distance zero). An
+// expanding-ring search over a uniform bucket grid finds them in roughly
+// linear total time -- scaled profiles reach tens of thousands of clusters,
+// where a full sort per cluster (C^2 log C comparisons) would dominate
+// generation. Ties on distance are broken by cluster index.
 std::vector<std::vector<int>> nearest_cluster_pools(
     const std::vector<ClusterSpec>& clusters, double core_w, double core_h,
     int pool) {
   const int cluster_count = static_cast<int>(clusters.size());
   std::vector<std::vector<int>> pools(clusters.size());
   MBRC_ASSERT(pool >= 1 && pool <= cluster_count);
-
-  if (cluster_count <= 2048) {
-    std::vector<int> by_distance(clusters.size());
-    for (std::size_t ci = 0; ci < clusters.size(); ++ci) {
-      const geom::Point center = clusters[ci].center;
-      for (int k = 0; k < cluster_count; ++k) by_distance[k] = k;
-      std::sort(by_distance.begin(), by_distance.end(), [&](int a, int b) {
-        return geom::manhattan(clusters[a].center, center) <
-               geom::manhattan(clusters[b].center, center);
-      });
-      pools[ci].assign(by_distance.begin(), by_distance.begin() + pool);
-    }
-    return pools;
-  }
 
   // Bucket grid with ~one cluster per bucket.
   const int grid = std::max(

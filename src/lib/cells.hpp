@@ -67,12 +67,6 @@ struct RegisterCell {
   geom::Point clock_pin_offset;
 
   double area_per_bit() const { return area / bits; }
-  /// Static power share of one bit (nW). MBR sharing lowers it: the merged
-  /// control/clock circuitry leaks once instead of per bit.
-  double leakage_per_bit() const { return leakage / bits; }
-  /// Clock-pin switched capacitance per bit (fF) -- the dynamic-power lever
-  /// MBR composition pulls (one shared clock pin toggles every cycle).
-  double clock_cap_per_bit() const { return clock_pin_cap / bits; }
   /// Power proxy of the whole cell for the multi-objective cost model:
   /// clock-pin cap (fF, dominates at-speed) plus leakage (nW). Both are
   /// order-1 in this library, so the sum is a commensurate scalar; the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "mbr/heuristic.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/assert.hpp"
@@ -66,6 +67,31 @@ std::vector<std::vector<int>> region_components(
   return components;
 }
 
+// The ILP step: enumerate the subgraph's candidates and solve its
+// set-partitioning ILP. Only the chosen candidates leave the task.
+SubgraphPlan allocate_ilp(const CompatibilityGraph& graph,
+                          const lib::Library& library,
+                          const BlockerIndex& blockers,
+                          const std::vector<int>& subgraph,
+                          const CompositionOptions& options) {
+  EnumerationResult enumeration = enumerate_candidates(
+      graph, library, blockers, subgraph, options.enumeration);
+  const ilp::SetPartitionResult solved =
+      solve_subgraph(subgraph, enumeration.candidates, options.solver);
+  MBRC_ASSERT_MSG(solved.feasible,
+                  "subgraph ILP infeasible despite singleton candidates");
+
+  SubgraphPlan out;
+  out.candidate_count =
+      static_cast<std::int64_t>(enumeration.candidates.size());
+  out.ilp_nodes = solved.nodes_explored;
+  out.objective = solved.objective;
+  out.truncated = enumeration.truncated;
+  for (int index : solved.chosen)
+    out.chosen.push_back(std::move(enumeration.candidates[index]));
+  return out;
+}
+
 }  // namespace
 
 CompatibilityOptions compatibility_with_jobs(const CompositionOptions& options) {
@@ -114,44 +140,30 @@ CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
   CompositionPlan plan;
   plan.subgraph_count = static_cast<int>(subgraphs.size());
 
-  // Per-subgraph fan-out: enumeration and the branch & bound solve are
-  // fused into one task per subgraph (better load balance than two barrier
-  // stages), each writing its own pre-sized slot. The reduction below runs
-  // on this thread in subgraph order, so the plan is identical to the
-  // serial loop at any job count.
-  struct SubgraphOutcome {
-    EnumerationResult enumeration;
-    ilp::SetPartitionResult solved;
-  };
-  const std::vector<SubgraphOutcome> outcomes = runtime::parallel_transform(
+  // Per-subgraph fan-out: one allocation step per subgraph, each writing its
+  // own pre-sized slot. The reduction below runs on this thread in subgraph
+  // order, so the plan is identical to the serial loop at any job count.
+  std::vector<SubgraphPlan> outcomes = runtime::parallel_transform(
       &runtime::ThreadPool::global(), options.jobs, subgraphs,
       [&](const std::vector<int>& subgraph) {
         obs::Span span("plan.subgraph");
-        SubgraphOutcome outcome;
-        outcome.enumeration = enumerate_candidates(
-            graph, design.library(), blockers, subgraph, options.enumeration);
-        outcome.solved = solve_subgraph(
-            subgraph, outcome.enumeration.candidates, options.solver);
-        return outcome;
+        return options.allocator == Allocator::kIlp
+                   ? allocate_ilp(graph, design.library(), blockers, subgraph,
+                                  options)
+                   : allocate_greedy(graph, design.library(), subgraph,
+                                     options.enumeration.cost);
       });
 
-  for (const SubgraphOutcome& outcome : outcomes) {
-    const EnumerationResult& enumeration = outcome.enumeration;
-    plan.candidate_count +=
-        static_cast<std::int64_t>(enumeration.candidates.size());
-    if (enumeration.truncated) ++plan.truncated_subgraphs;
-
-    const ilp::SetPartitionResult& solved = outcome.solved;
-    MBRC_ASSERT_MSG(solved.feasible,
-                    "subgraph ILP infeasible despite singleton candidates");
-    plan.ilp_nodes += solved.nodes_explored;
-    plan.objective += solved.objective;
-
-    for (int index : solved.chosen) {
+  for (SubgraphPlan& outcome : outcomes) {
+    plan.candidate_count += outcome.candidate_count;
+    plan.ilp_nodes += outcome.ilp_nodes;
+    plan.objective += outcome.objective;
+    if (outcome.truncated) ++plan.truncated_subgraphs;
+    for (Candidate& candidate : outcome.chosen) {
       Selection selection;
-      selection.candidate = enumeration.candidates[index];
-      for (int node : selection.candidate.nodes)
+      for (int node : candidate.nodes)
         selection.members.push_back(graph.node(node).cell);
+      selection.candidate = std::move(candidate);
       plan.selections.push_back(std::move(selection));
     }
   }

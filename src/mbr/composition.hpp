@@ -4,6 +4,8 @@
 // exactly one selected candidate (possibly its own singleton), and the
 // selection minimizes the sum of the placement-aware weights. Subgraphs are
 // independent, so the global optimum is the union of per-subgraph optima.
+// The Fig. 6 greedy baseline (mbr/heuristic.hpp) is the other allocator;
+// one planner serves both, so they always see the same subgraphs.
 #pragma once
 
 #include <optional>
@@ -16,16 +18,24 @@
 
 namespace mbrc::mbr {
 
+/// The per-subgraph allocation step of plan_on_graph.
+enum class Allocator {
+  kIlp,        // enumerate_candidates + solve_subgraph (Sec. 3.1)
+  kHeuristic,  // maximal cliques + trim + greedy commit (Fig. 6 baseline)
+};
+
 struct CompositionOptions {
+  /// Every plan under these options (main pass, debank, service) uses it.
+  Allocator allocator = Allocator::kIlp;
   CompatibilityOptions compatibility;
   PartitionOptions partition;
   EnumerationOptions enumeration;
   ilp::SetPartitionOptions solver;
-  /// Thread lanes for the per-subgraph fan-out (candidate enumeration +
-  /// branch & bound solve per subgraph). Subgraphs are independent and the
-  /// reduction into the plan happens in subgraph order on the calling
-  /// thread, so the plan -- selections, objective, node counts -- is
-  /// identical at any job count; 1 runs the serial loop.
+  /// Thread lanes for the per-subgraph fan-out (one allocation step per
+  /// subgraph). Subgraphs are independent and the reduction into the plan
+  /// happens in subgraph order on the calling thread, so the plan --
+  /// selections, objective, node counts -- is identical at any job count;
+  /// 1 runs the serial loop.
   int jobs = 1;
 };
 
@@ -33,16 +43,27 @@ struct CompositionOptions {
 /// the compatibility-graph fan-out.
 CompatibilityOptions compatibility_with_jobs(const CompositionOptions& options);
 
-/// One selected MBR (or kept singleton) after solving the ILP.
+/// One selected MBR (or kept singleton) after allocation.
 struct Selection {
   Candidate candidate;
   std::vector<netlist::CellId> members;  // resolved from candidate.nodes
 };
 
+/// One subgraph's allocation, as a per-subgraph step hands it to the
+/// planner's reduction. The heuristic counts maximal cliques as candidates
+/// and reports no objective, nodes or truncation.
+struct SubgraphPlan {
+  std::vector<Candidate> chosen;
+  std::int64_t candidate_count = 0;
+  std::int64_t ilp_nodes = 0;
+  double objective = 0.0;
+  bool truncated = false;
+};
+
 struct CompositionPlan {
   CompatibilityGraph graph;
   std::vector<Selection> selections;   // all, including kept singletons
-  double objective = 0.0;              // sum of selected weights
+  double objective = 0.0;              // sum of selected weights (ILP only)
   int subgraph_count = 0;
   std::int64_t candidate_count = 0;
   std::int64_t ilp_nodes = 0;          // branch & bound nodes over all subgraphs
@@ -58,13 +79,13 @@ struct CompositionPlan {
 
 /// The one planner. Partitions the connected components of `graph` (the
 /// components holding a node of `region`, or every component when `region`
-/// is absent), enumerates candidates and solves the per-subgraph ILPs. With
+/// is absent) and runs options.allocator's step on each subgraph. With
 /// a region, only the subgraphs holding a region node are planned: the
 /// others are independent and their plan would be the same as before.
 /// Components are visited in ascending order of their smallest node, as
 /// CompatibilityGraph::connected_components lists them, so the objective's
-/// floating-point sum has the same order as a whole-graph plan's. Blockers
-/// are counted against every node of `graph` through `blockers`. The
+/// floating-point sum has the same order as a whole-graph plan's. The ILP
+/// step counts blockers against every node of `graph` through `blockers`. The
 /// returned plan's `graph` stays empty: selections name their cells
 /// through Selection::members, and callers that apply the plan attach the
 /// graph themselves. `region` holds node ids, sorted and unique.

@@ -134,7 +134,8 @@ void size_new_mbrs(netlist::Design& design,
       const netlist::PinId q = design.register_q_pin(cell_id, b);
       const netlist::Pin& p = design.pin(q);
       if (!p.net.valid()) continue;
-      load = std::max(load, design.net_hpwl(p.net) * 0.2);
+      load = std::max(load, design.net_hpwl(p.net) *
+                                engine.options().wire_cap_per_um);
       for (netlist::PinId s : design.net(p.net).sinks)
         load += design.pin(s).cap;
     }
@@ -395,10 +396,7 @@ FlowResult run_flow_stages(netlist::Design& design,
 
   {
     obs::StageTimer timer(flow.stages, "plan");
-    result.plan = options.allocator == Allocator::kIlp
-                      ? plan_composition(design, timing, composition_options)
-                      : plan_composition_heuristic(design, timing,
-                                                   composition_options);
+    result.plan = plan_composition(design, timing, composition_options);
     timer.add_items(result.plan.subgraph_count);
   }
   flow.guard("plan", no_skew);

@@ -1,7 +1,8 @@
 // End-to-end incremental MBR composition flow (the paper's Fig. 4):
 //
 //   placed design -> STA -> compatibility graph -> partition -> candidate
-//   enumeration -> per-subgraph ILP (or greedy heuristic) -> mapping ->
+//   enumeration -> per-subgraph ILP (or the greedy heuristic, under
+//   CompositionOptions::allocator) -> mapping ->
 //   placement (the Sec. 4.2 LP, solved by weighted median) -> rewiring ->
 //   incremental legalization -> scan re-stitch -> useful skew on the new
 //   MBRs -> MBR sizing -> evaluation.
@@ -18,7 +19,6 @@
 #include "mbr/composition.hpp"
 #include "mbr/cost.hpp"
 #include "mbr/debank.hpp"
-#include "mbr/heuristic.hpp"
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/rewire.hpp"
@@ -36,8 +36,6 @@ class TimingEngine;
 
 namespace mbrc::mbr {
 
-enum class Allocator { kIlp, kHeuristic };
-
 struct FlowOptions {
   sta::TimingOptions timing;
   CompositionOptions composition;
@@ -45,7 +43,6 @@ struct FlowOptions {
   PlacementOptions placement;
   cts::CtsOptions cts;
   route::RouteOptions route;
-  Allocator allocator = Allocator::kIlp;
   /// Multi-objective cost model (mbr/cost.hpp): alpha scales the paper's
   /// placement-aware timing weight, beta prices the created cell's power
   /// proxy, gamma its area. The defaults (1, 0, 0) reproduce the paper's

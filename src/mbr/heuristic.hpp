@@ -10,17 +10,22 @@
 // cover: a big clique taken early strands its overlap-neighbors as
 // singletons, which is precisely the fragmentation the set-partitioning
 // ILP avoids (the paper reports ~12% fewer registers from the ILP).
+//
+// plan_on_graph runs this step per subgraph under Allocator::kHeuristic,
+// on the same subgraphs the ILP step would see.
 #pragma once
 
 #include "mbr/composition.hpp"
 
 namespace mbrc::mbr {
 
-/// Produces a CompositionPlan using the greedy maximal-clique heuristic
-/// instead of the ILP; the plan is interchangeable with
-/// plan_composition()'s downstream.
-CompositionPlan plan_composition_heuristic(
-    const netlist::Design& design, const sta::TimingReport& timing,
-    const CompositionOptions& options = {});
+/// The greedy step on one subgraph (graph node ids, sorted ascending, at
+/// most 64): every node ends up in exactly one chosen candidate. `cost`
+/// gates merges whose created cell prices worse than the cells they
+/// replace, and prices each chosen weight.
+SubgraphPlan allocate_greedy(const CompatibilityGraph& graph,
+                             const lib::Library& library,
+                             const std::vector<int>& subgraph,
+                             const CostModel& cost);
 
 }  // namespace mbrc::mbr

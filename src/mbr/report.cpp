@@ -54,7 +54,6 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
   // key-path set and asserts each leaf tracks its field -- extend both when
   // adding an option.
   w.key("options").begin_object();
-  w.kv("allocator", allocator_name(options.allocator));
   w.key("timing").begin_object();
   w.kv("clock_period", options.timing.clock_period)
       .kv("wire_cap_per_um", options.timing.wire_cap_per_um)
@@ -64,6 +63,7 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
       .kv("jobs", options.timing.jobs);
   w.end_object();
   w.key("composition").begin_object();
+  w.kv("allocator", allocator_name(options.composition.allocator));
   w.key("compatibility").begin_object();
   w.kv("slack_similarity", options.composition.compatibility.slack_similarity)
       .kv("slack_clamp", options.composition.compatibility.slack_clamp)

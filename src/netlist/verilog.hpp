@@ -21,8 +21,4 @@ namespace mbrc::netlist {
 void write_verilog(const Design& design, std::ostream& os,
                    const std::string& module_name = "mbrc_design");
 
-/// Convenience: write to a file. Returns false when it cannot be opened.
-bool write_verilog_file(const Design& design, const std::string& path,
-                        const std::string& module_name = "mbrc_design");
-
 }  // namespace mbrc::netlist

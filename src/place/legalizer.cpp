@@ -73,13 +73,6 @@ std::vector<RowGrid::Occupant> RowGrid::occupants(int row, double x,
   return result;
 }
 
-double RowGrid::occupied_length(int row) const {
-  double total = 0.0;
-  for (const auto& [x, interval] : rows_[row].intervals)
-    total += interval.width;
-  return total;
-}
-
 std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
                                              double width) const {
   const auto& intervals = rows_[row].intervals;

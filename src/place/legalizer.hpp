@@ -70,8 +70,6 @@ public:
   /// Snaps x to the site grid (toward -inf).
   double snap_x(double x) const;
 
-  double occupied_length(int row) const;
-
 private:
   struct Interval {
     double width = 0.0;

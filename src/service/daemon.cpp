@@ -1,6 +1,7 @@
 #include "service/daemon.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <future>
 #include <istream>
@@ -69,6 +70,16 @@ bool parse_ids(const obs::JsonValue& request, const char* key,
   return true;
 }
 
+/// Reads an optional boolean member: absent gives `fallback`, and a value
+/// that is not a JSON boolean gives nullopt (the caller refuses it).
+std::optional<bool> optional_bool(const obs::JsonValue& object,
+                                  const char* key, bool fallback) {
+  const obs::JsonValue* value = object.find(key);
+  if (value == nullptr) return fallback;
+  if (!value->is_bool()) return std::nullopt;
+  return value->as_bool();
+}
+
 bool parse_check_level(const std::string& text, check::CheckLevel& out) {
   if (text == "off") out = check::CheckLevel::kOff;
   else if (text == "stage") out = check::CheckLevel::kStageBoundaries;
@@ -103,7 +114,9 @@ std::string parse_edit(const obs::JsonValue& entry, Edit& out) {
     if (out.variant.empty()) return "swap needs a variant cell name";
   } else if (op == "skew") {
     out.op = Edit::Op::kSkew;
-    out.clear_skew = entry.bool_or("clear", false);
+    const std::optional<bool> clear = optional_bool(entry, "clear", false);
+    if (!clear) return "skew clear must be a boolean";
+    out.clear_skew = *clear;
     const obs::JsonValue* skew = entry.find("skew");
     if (!out.clear_skew && (skew == nullptr || !skew->is_number()))
       return "skew needs a numeric skew (or clear: true)";
@@ -640,28 +653,41 @@ std::string Daemon::do_open(Strand& strand, const obs::JsonValue& request) {
       !parse_check_level(level_text, session_options.check_level))
     return open_fail("check_level must be off, stage or paranoid");
   // Numeric parameters are checked before anything is built: a value that
-  // is not an integer, or above its ceiling, fails the open instead of
-  // being truncated or falling back to a default.
+  // is not an integer, or outside its range, fails the open instead of
+  // being truncated or falling back to a default. An absent one keeps the
+  // default (`fallback`).
   const auto bounded = [&](const char* key, std::int64_t fallback,
-                           std::int64_t ceiling) -> std::optional<std::int64_t> {
+                           std::int64_t floor, std::int64_t ceiling)
+      -> std::optional<std::int64_t> {
     const obs::JsonValue* value = request.find(key);
     if (value == nullptr) return fallback;
     const std::optional<std::int64_t> n = value->as_int();
-    if (!n || *n > ceiling) return std::nullopt;
+    if (!n || *n < floor || *n > ceiling) return std::nullopt;
     return n;
   };
+  const auto range = [](std::int64_t floor, std::int64_t ceiling) {
+    return " must be an integer in [" + std::to_string(floor) + ", " +
+           std::to_string(ceiling) + "]";
+  };
   const std::optional<std::int64_t> max_snapshots =
-      bounded("max_snapshots", -1, kMaxSessionSnapshots);
+      bounded("max_snapshots", -1, 0, kMaxSessionSnapshots);
   if (!max_snapshots)
-    return open_fail("max_snapshots must be an integer of at most " +
-                     std::to_string(kMaxSessionSnapshots));
+    return open_fail("max_snapshots" + range(0, kMaxSessionSnapshots));
   if (*max_snapshots >= 0)
     session_options.max_snapshots = static_cast<std::size_t>(*max_snapshots);
   const std::optional<std::int64_t> registers =
-      bounded("registers", 0, kMaxOpenRegisters);
+      bounded("registers", 0, kMinOpenRegisters, kMaxOpenRegisters);
   if (!registers)
-    return open_fail("registers must be an integer of at most " +
-                     std::to_string(kMaxOpenRegisters));
+    return open_fail("registers" +
+                     range(kMinOpenRegisters, kMaxOpenRegisters));
+  const std::optional<std::int64_t> seed =
+      bounded("seed", 0, 1, std::numeric_limits<std::int64_t>::max());
+  if (!seed) return open_fail("seed must be a positive integer");
+  const obs::JsonValue* period = request.find("clock_period");
+  if (period != nullptr &&
+      !(period->is_number() && std::isfinite(period->as_number()) &&
+        period->as_number() > 0.0))
+    return open_fail("clock_period must be a finite number > 0");
 
   const std::string path = request.string_or("path", "");
   const std::string profile_name = request.string_or("profile", "");
@@ -685,8 +711,7 @@ std::string Daemon::do_open(Strand& strand, const obs::JsonValue& request) {
       profile.register_cells = 200;
     }
     if (*registers > 0) profile.register_cells = static_cast<int>(*registers);
-    const std::int64_t seed = request.int_or("seed", 0);
-    if (seed > 0) profile.seed = static_cast<std::uint64_t>(seed);
+    if (*seed > 0) profile.seed = static_cast<std::uint64_t>(*seed);
     benchgen::GeneratedDesign generated =
         benchgen::generate_design(library_, profile);
     design = std::move(generated.design);
@@ -695,9 +720,7 @@ std::string Daemon::do_open(Strand& strand, const obs::JsonValue& request) {
     return open_fail("open_design needs a profile or a path");
   }
 
-  const obs::JsonValue* period = request.find("clock_period");
-  if (period != nullptr && period->is_number())
-    clock_period = period->as_number();
+  if (period != nullptr) clock_period = period->as_number();
   session_options.timing.clock_period = clock_period;
 
   strand.session = std::make_unique<Session>(library_, std::move(design),
@@ -903,14 +926,19 @@ std::string Daemon::execute(Strand& strand, const obs::JsonValue& request) {
   if (cmd == "list_registers") {
     // Ids in id order (deterministic); movable/swappable status so clients
     // can build edit streams without guessing at dont_touch cells.
-    const std::int64_t limit = request.int_or("limit", -1);
+    const obs::JsonValue* limit_value = request.find("limit");
+    const std::optional<std::int64_t> limit =
+        limit_value != nullptr ? limit_value->as_int()
+                               : std::numeric_limits<std::int64_t>::max();
+    if (!limit || *limit < 0)
+      return fail(id, "limit must be a non-negative integer");
     std::ostringstream os;
     obs::JsonWriter w(os, 0);
     w.begin_object().kv("id", id).kv("ok", true);
     w.key("registers").begin_array();
     std::int64_t emitted = 0;
     for (netlist::CellId reg : session.design().registers()) {
-      if (limit >= 0 && emitted >= limit) break;
+      if (emitted >= *limit) break;
       const netlist::Cell& cell = session.design().cell(reg);
       w.begin_object().kv("cell", reg.index).kv("bits", cell.reg->bits);
       w.kv("variant", cell.reg->name).kv("fixed", cell.fixed);
@@ -923,8 +951,10 @@ std::string Daemon::execute(Strand& strand, const obs::JsonValue& request) {
   }
 
   if (cmd == "check") {
-    const bool placement = request.bool_or("placement", false);
-    const check::CheckReport report = session.check(placement);
+    const std::optional<bool> placement =
+        optional_bool(request, "placement", false);
+    if (!placement) return fail(id, "placement must be a boolean");
+    const check::CheckReport report = session.check(*placement);
     if (!report.ok()) {
       obs::flight::record(obs::flight::EventKind::kCheckFailure,
                           session_name + " check", id,

@@ -67,9 +67,12 @@
 
 namespace mbrc::service {
 
-/// Ceilings on open_design's numeric parameters; a request above one gets
+/// Bounds on open_design's numeric parameters; a request outside one gets
 /// an error response and opens no session. 2M registers is about twice the
-/// largest scaled profile (D1 x 340, ~1M registers).
+/// largest scaled profile (D1 x 340, ~1M registers). Below 32 registers the
+/// generated core can be too small to place a wide register at all; every
+/// standard profile builds at 32.
+inline constexpr std::int64_t kMinOpenRegisters = 32;
 inline constexpr std::int64_t kMaxOpenRegisters = 2'000'000;
 /// Each snapshot is a full design copy; the default is 64.
 inline constexpr std::int64_t kMaxSessionSnapshots = 256;

@@ -244,7 +244,7 @@ TEST(CheckerFlow, ParanoidCoversDebankAndHeuristic) {
   mbr::FlowOptions options;
   options.timing.clock_period = generated.calibrated_clock_period;
   options.check_level = CheckLevel::kParanoid;
-  options.allocator = mbr::Allocator::kHeuristic;
+  options.composition.allocator = mbr::Allocator::kHeuristic;
   options.debank_loop = true;
   const mbr::FlowResult r = run_composition_flow(generated.design, options);
   EXPECT_GE(r.mbrs_created, 0);

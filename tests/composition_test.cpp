@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -140,9 +141,11 @@ TEST(PlanCompositionHeuristic, ValidPartitionAndIlpNoWorse) {
   timing.clock_period = generated.calibrated_clock_period;
   const sta::TimingReport report = sta::run_sta(generated.design, timing);
 
+  CompositionOptions greedy;
+  greedy.allocator = Allocator::kHeuristic;
   const CompositionPlan ilp = plan_composition(generated.design, report, {});
   const CompositionPlan heur =
-      plan_composition_heuristic(generated.design, report, {});
+      plan_composition(generated.design, report, greedy);
 
   // Both are exact covers of the same node set.
   EXPECT_EQ(ilp.graph.node_count(), heur.graph.node_count());
@@ -155,6 +158,78 @@ TEST(PlanCompositionHeuristic, ValidPartitionAndIlpNoWorse) {
   // The exact ILP never plans more registers than the greedy baseline
   // (Fig. 6's direction).
   EXPECT_LE(ilp.planned_register_count(), heur.planned_register_count());
+}
+
+// A heuristic region plan is the whole-graph heuristic plan restricted to
+// the subgraphs that hold a region node: both allocators share the
+// planner's partition and reduction, so region planning is exact for either.
+TEST(PlanCompositionHeuristic, RegionPlanEqualsWholePlanOnItsSubgraphs) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::DesignProfile profile;
+  profile.register_cells = 400;
+  profile.comb_per_register = 4.0;
+  profile.seed = 33;
+  benchgen::GeneratedDesign generated =
+      benchgen::generate_design(library, profile);
+  const netlist::Design& design = generated.design;
+
+  sta::TimingOptions timing;
+  timing.clock_period = generated.calibrated_clock_period;
+  const sta::TimingReport report = sta::run_sta(design, timing);
+
+  CompositionOptions options;
+  options.allocator = Allocator::kHeuristic;
+  const CompatibilityGraph graph =
+      build_compatibility_graph(design, report, options.compatibility);
+  const BlockerIndex blockers(graph);
+  const CompositionPlan whole =
+      plan_on_graph(graph, blockers, design, std::nullopt, options);
+
+  std::vector<netlist::CellId> cells;
+  for (int node = 0; node < graph.node_count(); node += 23)
+    cells.push_back(graph.node(node).cell);
+  const std::vector<int> region = region_nodes(graph, cells);
+  const CompositionPlan got =
+      plan_on_graph(graph, blockers, design, region, options);
+
+  // The expected plan: the whole plan's selections inside the kept
+  // subgraphs, and the greedy step's clique count summed over them.
+  std::set<int> kept_nodes;
+  int kept = 0;
+  std::int64_t cliques = 0;
+  for (const std::vector<int>& part :
+       partition_graph(graph, design, options.partition)) {
+    if (std::none_of(part.begin(), part.end(), [&](int node) {
+          return std::binary_search(region.begin(), region.end(), node);
+        }))
+      continue;
+    ++kept;
+    kept_nodes.insert(part.begin(), part.end());
+    cliques += allocate_greedy(graph, library, part,
+                               options.enumeration.cost).candidate_count;
+  }
+  std::vector<const Selection*> expected;
+  for (const Selection& s : whole.selections)
+    if (kept_nodes.contains(s.candidate.nodes.front())) expected.push_back(&s);
+
+  ASSERT_GT(kept, 0);
+  ASSERT_LT(kept, whole.subgraph_count);
+  EXPECT_EQ(got.subgraph_count, kept);
+  EXPECT_EQ(got.candidate_count, cliques);
+  EXPECT_EQ(got.objective, 0.0);
+  EXPECT_EQ(got.ilp_nodes, 0);
+  ASSERT_EQ(got.selections.size(), expected.size());
+  int merges = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Selection& a = got.selections[i];
+    const Selection& b = *expected[i];
+    EXPECT_EQ(a.members, b.members);
+    EXPECT_EQ(a.candidate.nodes, b.candidate.nodes);
+    EXPECT_EQ(a.candidate.bits, b.candidate.bits);
+    EXPECT_EQ(a.candidate.weight, b.candidate.weight);
+    if (a.members.size() >= 2) ++merges;
+  }
+  EXPECT_GT(merges, 0);
 }
 
 }  // namespace

@@ -97,8 +97,8 @@ TEST_P(FlowFuzz, ParanoidFlowKeepsEveryGuarantee) {
 
   FlowOptions options;
   options.check_level = check::CheckLevel::kParanoid;
-  options.allocator = rng.chance(0.5) ? Allocator::kIlp
-                                      : Allocator::kHeuristic;
+  options.composition.allocator =
+      rng.chance(0.5) ? Allocator::kIlp : Allocator::kHeuristic;
   // This draw once chose the removed decompose pre-pass; it is still taken
   // so that every seed keeps the knob values it always had.
   (void)rng.chance(0.5);
@@ -115,7 +115,8 @@ TEST_P(FlowFuzz, ParanoidFlowKeepsEveryGuarantee) {
   std::ostringstream config;
   config << "seed=" << seed << " regs=" << profile.register_cells
          << " allocator="
-         << (options.allocator == Allocator::kIlp ? "ilp" : "heuristic")
+         << (options.composition.allocator == Allocator::kIlp ? "ilp"
+                                                              : "heuristic")
          << " skew=" << options.apply_useful_skew
          << " cost=" << options.cost.alpha << "/" << options.cost.beta
          << "/" << options.cost.gamma

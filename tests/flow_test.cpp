@@ -109,11 +109,28 @@ TEST_F(FlowFixture, WeightsAblationTradesCongestionForCount) {
 
 TEST_F(FlowFixture, HeuristicAllocatorRunsEndToEnd) {
   FlowOptions options;
-  options.allocator = Allocator::kHeuristic;
+  options.composition.allocator = Allocator::kHeuristic;
   const FlowResult r = run(options);
   EXPECT_GT(r.mbrs_created, 0);
   EXPECT_LT(r.after.design.total_registers,
             r.before.design.total_registers);
+}
+
+// The allocator is a composition option, so the debank loop's region
+// replans run the heuristic too: a heuristic run never solves an ILP.
+TEST_F(FlowFixture, HeuristicDebankLoopSolvesNoIlp) {
+  FlowOptions options;
+  options.composition.allocator = Allocator::kHeuristic;
+  options.debank_loop = true;
+  const FlowResult r = run(options);
+  ASSERT_FALSE(r.debank_iterations.empty());
+  EXPECT_TRUE(r.stages.contains("debank.apply"));
+  const auto count = [&](const char* name) {
+    const auto it = r.counters.counters.find(name);
+    return it == r.counters.counters.end() ? std::int64_t{0} : it->second;
+  };
+  EXPECT_GT(count("mbr.cliques.calls"), 0);
+  EXPECT_EQ(count("ilp.set_partition.solves"), 0);
 }
 
 TEST_F(FlowFixture, SkewOnlyAppliesToNewMbrs) {
@@ -412,6 +429,50 @@ TEST(SizeNewMbrs, CoupledMbrsSizedAgainstFreshReport) {
   EXPECT_GE(after.register_q_slack(design, b), 0.0);
   EXPECT_GT(after.register_q_slack(design, a), qa);  // a's deficit shrank
   EXPECT_EQ(after.failing_hold_endpoints(), 0);
+}
+
+// The sizer prices a Q net's wire with the engine's wire_cap_per_um, the
+// value STA times it with. Here a strong 2-bit register drives a 2000 um
+// net at three times the default wire cap. Priced at the default cap, X2's
+// extra delay would fit the 25% margin; at the real cap it costs more than
+// the whole slack, so the register must keep its X4 drive.
+TEST(SizeNewMbrs, WireCapFromEngineOptions) {
+  using netlist::CellId;
+  const lib::Library library = lib::make_default_library();
+  netlist::Design design(&library, {0, 0, 3000, 9});
+  const auto* dff2_x4 = library.register_by_name("DFFP_B2_X4");
+  const auto* dff1 = library.register_by_name("DFFP_B1_X1");
+  ASSERT_NE(dff2_x4, nullptr);
+  ASSERT_NE(dff1, nullptr);
+  const CellId m = design.add_register("m", dff2_x4, {0, 0});
+  const CellId c = design.add_register("c", dff1, {2000, 0});
+  const netlist::NetId clock = design.create_net(true);
+  for (CellId reg : {m, c})
+    design.connect(design.register_clock_pin(reg), clock);
+  const netlist::NetId mq = design.create_net();
+  design.connect(design.register_q_pin(m, 0), mq);
+  design.connect(design.register_d_pin(c, 0), mq);
+
+  sta::TimingOptions timing;
+  timing.wire_cap_per_um = 0.6;
+  timing.clock_period = 1.0;
+  const double q_at_one =
+      run_sta(design, timing).register_q_slack(design, m);
+  ASSERT_NE(q_at_one, sta::kNoRequired);
+  const double slack = 0.5;
+  timing.clock_period = 1.0 - q_at_one + slack;
+
+  // X4 -> X2 adds 0.6 kOhm of drive. At the default cap the estimate stays
+  // inside 75% of the slack; at the configured cap it exceeds the slack.
+  const double hpwl = design.net_hpwl(mq);
+  const double sink_cap = design.pin(design.register_d_pin(c, 0)).cap;
+  ASSERT_LE(0.6 * (hpwl * 0.2 + sink_cap) * 1e-3, 0.75 * slack);
+  ASSERT_GT(0.6 * (hpwl * 0.6 + sink_cap) * 1e-3, slack);
+
+  sta::TimingEngine engine(design, timing);
+  size_new_mbrs(design, {m}, {}, engine);
+  EXPECT_EQ(design.cell(m).reg, dff2_x4);
+  EXPECT_GE(run_sta(design, timing).register_q_slack(design, m), 0.0);
 }
 
 TEST(EvaluateDesign, StandaloneMetrics) {

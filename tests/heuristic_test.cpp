@@ -11,30 +11,44 @@
 namespace mbrc::mbr {
 namespace {
 
-// plan_composition_heuristic needs a Design; these unit checks exercise its
-// building blocks on the worked example instead, where the heuristic's
+// The greedy step runs on one subgraph and needs only a graph and a library,
+// so these unit checks use the worked example, where the heuristic's
 // behaviour is fully predictable.
-TEST(HeuristicWorkedExample, GreedyPicksAbcdAndStrandsEandF) {
+TEST(HeuristicWorkedExample, GreedyCommitsBcfAndStrandsAdE) {
   const WorkedExample example = make_worked_example();
   std::vector<int> subgraph;
   for (int i = 0; i < example.graph.node_count(); ++i) subgraph.push_back(i);
 
   // Maximal cliques of Fig. 1: {A,B,C,D} (4 bits), {A,C,E} (6 bits -> trims),
-  // {B,C,F} (4 bits). Greedy takes {A,B,C,D} first; the other two then
-  // collide with committed members, stranding E and F.
+  // {B,C,F} (4 bits).
+  using WE = WorkedExample;
   const auto cliques = maximal_cliques(example.graph, subgraph);
   ASSERT_EQ(cliques.size(), 3u);
-
-  // The committed-first clique is the full 4-bit one.
-  using WE = WorkedExample;
   std::set<std::vector<int>> clique_set(cliques.begin(), cliques.end());
   EXPECT_TRUE(clique_set.contains(
       std::vector<int>{WE::kA, WE::kB, WE::kC, WE::kD}));
+  EXPECT_TRUE(clique_set.contains(std::vector<int>{WE::kB, WE::kC, WE::kF}));
 
-  // Compare against the exact ILP: both reach 3 final registers on this
-  // example, but the ILP's weighted objective is strictly better, because
-  // the greedy {A,B,C,D}+E+F costs 1/4 + 1/4 + 1/2 = 1.0 while the ILP's
-  // {A,C,D}+{B,F}+E costs 1/3 + 1/3 + 1/4 = 11/12.
+  // The two 4-bit cliques tie on bits and {B,C,F} has the smaller bounding
+  // box, so the greedy step commits it first. Both other cliques share C
+  // with it, which strands A, D and E as singletons: 4 registers.
+  const SubgraphPlan plan =
+      allocate_greedy(example.graph, *example.library, subgraph, CostModel{});
+  EXPECT_EQ(plan.candidate_count, 3);  // the maximal cliques
+  EXPECT_EQ(plan.objective, 0.0);
+  EXPECT_EQ(plan.ilp_nodes, 0);
+  EXPECT_FALSE(plan.truncated);
+  std::vector<std::vector<int>> chosen;
+  for (const Candidate& c : plan.chosen) {
+    chosen.push_back(c.nodes);
+    EXPECT_EQ(c.mapped_width, c.bits);
+  }
+  const std::vector<std::vector<int>> expected = {
+      {WE::kB, WE::kC, WE::kF}, {WE::kA}, {WE::kD}, {WE::kE}};
+  EXPECT_EQ(chosen, expected);
+
+  // The exact ILP covers the same subgraph with 3 registers:
+  // {A,C,D}+{B,F}+E at 1/3 + 1/3 + 1/4 = 11/12.
   const BlockerIndex blockers(example.graph);
   const EnumerationResult enumeration = enumerate_candidates(
       example.graph, *example.library, blockers, subgraph);
@@ -42,8 +56,7 @@ TEST(HeuristicWorkedExample, GreedyPicksAbcdAndStrandsEandF) {
       solve_subgraph(subgraph, enumeration.candidates);
   ASSERT_TRUE(ilp_result.feasible);
   EXPECT_EQ(ilp_result.chosen.size(), 3u);
-  const double greedy_cost = 0.25 + 0.25 + 0.5;
-  EXPECT_LT(ilp_result.objective, greedy_cost);
+  EXPECT_NEAR(ilp_result.objective, 11.0 / 12.0, 1e-9);
 }
 
 TEST(HeuristicWorkedExample, TrimmedCliqueAlwaysFitsALibraryWidth) {

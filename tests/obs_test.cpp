@@ -519,6 +519,10 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.timing.input_delay += 0.01;
   o.timing.output_margin += 0.02;
   o.timing.jobs += 2;
+  o.composition.allocator =
+      o.composition.allocator == mbr::Allocator::kIlp
+          ? mbr::Allocator::kHeuristic
+          : mbr::Allocator::kIlp;
   o.composition.compatibility.slack_similarity += 0.05;
   o.composition.compatibility.slack_clamp += 0.1;
   o.composition.compatibility.sign_epsilon += 0.01;
@@ -544,9 +548,6 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.route.h_capacity -= 30.0;
   o.route.v_capacity -= 25.0;
   o.route.pin_demand += 0.05;
-  o.allocator = o.allocator == mbr::Allocator::kIlp
-                    ? mbr::Allocator::kHeuristic
-                    : mbr::Allocator::kIlp;
   o.cost.alpha += 0.5;
   o.cost.beta += 0.25;
   o.cost.gamma += 0.1;
@@ -582,9 +583,9 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
 // echoing it -- or echoing without pinning -- fails this test.
 TEST(FlowReport, OptionsEchoIsComplete) {
   const std::vector<std::string> kExpectedPaths = {
-      "allocator",
       "apply_useful_skew",
       "check_level",
+      "composition.allocator",
       "composition.compatibility.max_distance",
       "composition.compatibility.region.delay_per_um",
       "composition.compatibility.region.max_radius",

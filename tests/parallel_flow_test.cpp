@@ -29,7 +29,7 @@ mbr::FlowResult run_with_jobs(const lib::Library& library, int jobs,
 
   mbr::FlowOptions options;
   options.timing.clock_period = generated.calibrated_clock_period;
-  options.allocator = allocator;
+  options.composition.allocator = allocator;
   options.jobs = jobs;
   mbr::FlowResult result =
       mbr::run_composition_flow(generated.design, options);

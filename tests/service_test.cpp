@@ -605,6 +605,98 @@ TEST(ServiceTest, OpenDesignRejectsOutOfRangeNumbers) {
   EXPECT_EQ(daemon.session_count(), 1u);
 }
 
+// Every open_design parameter outside its range gets an error that names
+// the key, and so do list_registers' limit, check's placement and a skew
+// edit's clear: none is silently replaced by a default. A refused request
+// leaves the open session as it was.
+TEST(ServiceTest, RefusedParametersNameTheirKeyAndChangeNothing) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 1});
+  parse_ok(daemon.handle_sync(open_request(1, "s")));
+  std::vector<netlist::CellId> probes;
+  const obs::JsonValue listed = parse_ok(daemon.handle_sync(
+      R"({"id":1,"cmd":"list_registers","session":"s","limit":3})"));
+  for (const obs::JsonValue& entry : listed.find("registers")->array())
+    probes.emplace_back(static_cast<std::int32_t>(entry.int_or("cell", -1)));
+  ASSERT_EQ(probes.size(), 3u);
+  // The timing payload of a query_timing answer; the trailing "engine"
+  // member counts the queries themselves.
+  const auto timing_answer = [&] {
+    const std::string response =
+        daemon.handle_sync(query_request(2, "s", {}, probes));
+    const obs::JsonValue parsed = parse_ok(response);
+    EXPECT_EQ(parsed.find("engine")->int_or("repaired_pins", -1), 0);
+    return response.substr(0, response.find(",\"engine\":"));
+  };
+  const std::string before = timing_answer();
+
+  const auto open_line = [](const std::string& params) {
+    return R"({"id":3,"cmd":"open_design","session":"t","profile":"svc")" +
+           params + "}";
+  };
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {open_line(R"(,"seed":0)"), "seed must be"},
+      {open_line(R"(,"seed":-3)"), "seed must be"},
+      {open_line(R"(,"seed":"7")"), "seed must be"},
+      {open_line(R"(,"seed":2.5)"), "seed must be"},
+      {open_line(R"(,"clock_period":"0.5")"), "clock_period must be"},
+      {open_line(R"(,"clock_period":0)"), "clock_period must be"},
+      {open_line(R"(,"clock_period":-0.4)"), "clock_period must be"},
+      {open_line(R"(,"clock_period":true)"), "clock_period must be"},
+      {open_line(R"(,"registers":1)"), "registers must be"},
+      {open_line(R"(,"registers":3)"), "registers must be"},
+      {open_line(R"(,"registers":31)"), "registers must be"},
+      {open_line(R"(,"registers":0)"), "registers must be"},
+      {open_line(R"(,"max_snapshots":-2)"), "max_snapshots must be"},
+      {R"({"id":4,"cmd":"list_registers","session":"s","limit":-1})",
+       "limit must be"},
+      {R"({"id":4,"cmd":"list_registers","session":"s","limit":"10"})",
+       "limit must be"},
+      {R"({"id":4,"cmd":"list_registers","session":"s","limit":2.5})",
+       "limit must be"},
+      {R"({"id":5,"cmd":"check","session":"s","placement":"yes"})",
+       "placement must be"},
+      {R"({"id":5,"cmd":"check","session":"s","placement":1})",
+       "placement must be"},
+      {R"({"id":6,"cmd":"apply_edits","session":"s","edits":[{"op":"skew","cell":0,"skew":0.05,"clear":"true"}]})",
+       "clear must be"},
+      {R"({"id":6,"cmd":"apply_edits","session":"s","edits":[{"op":"skew","cell":0,"clear":1}]})",
+       "clear must be"},
+  };
+  for (const auto& [line, fragment] : refused) {
+    const obs::JsonParseResult parsed =
+        obs::parse_json(daemon.handle_sync(line));
+    ASSERT_TRUE(parsed.ok) << line;
+    EXPECT_FALSE(parsed.value.bool_or("ok", true)) << line;
+    EXPECT_NE(parsed.value.string_or("error", "").find(fragment),
+              std::string::npos)
+        << line << " -> " << parsed.value.string_or("error", "");
+    EXPECT_EQ(daemon.session_count(), 1u) << line;
+    EXPECT_EQ(timing_answer(), before) << line;
+  }
+}
+
+// The register floor is buildable: every standard profile, and a custom
+// one, opens at exactly kMinOpenRegisters.
+TEST(ServiceTest, OpenDesignBuildsEveryProfileAtTheRegisterFloor) {
+  const lib::Library library = lib::make_default_library();
+  service::Daemon daemon(library, {.jobs = 1});
+  std::vector<std::string> names = {kProfile};
+  for (const benchgen::DesignProfile& p : benchgen::standard_profiles())
+    names.push_back(p.name);
+  std::int64_t id = 1;
+  for (const std::string& name : names) {
+    std::ostringstream os;
+    obs::JsonWriter w(os, 0);
+    w.begin_object().kv("id", id++).kv("cmd", "open_design");
+    w.kv("session", name).kv("profile", name);
+    w.kv("registers", service::kMinOpenRegisters).end_object();
+    const obs::JsonValue opened = parse_ok(daemon.handle_sync(os.str()));
+    EXPECT_GT(opened.int_or("registers", 0), 0) << name;
+    parse_ok(daemon.handle_sync(simple_request(id++, "close", name)));
+  }
+}
+
 // A batch stopping at its first invalid edit reports the prefix applied
 // and the failing index; earlier edits stay applied.
 TEST(ServiceTest, EditBatchStopsAtFirstInvalidEdit) {
@@ -824,6 +916,43 @@ TEST(ServiceTest, RecomposePlansTouchedSubgraphsOnly) {
   const obs::JsonValue drained = parse_ok(
       daemon.handle_sync(simple_request(6, "recompose_region", "s")));
   EXPECT_EQ(drained.int_or("region_registers", -1), 0);
+}
+
+// recompose_region plans under the session's allocator: a heuristic
+// session solves no ILP, on the same subgraphs an ILP session plans.
+TEST(ServiceTest, RecomposeRunsTheSessionAllocator) {
+  const lib::Library library = lib::make_default_library();
+  const auto full_plan = [&](mbr::Allocator allocator) {
+    service::DaemonOptions options;
+    options.session_defaults.composition.allocator = allocator;
+    service::Daemon daemon(library, options);
+    parse_ok(daemon.handle_sync(open_request(1, "s")));
+    const obs::JsonValue regs =
+        parse_ok(daemon.handle_sync(simple_request(2, "list_registers", "s")));
+    std::ostringstream os;
+    obs::JsonWriter w(os, 0);
+    w.begin_object().kv("id", 3).kv("cmd", "recompose_region");
+    w.kv("session", "s").key("region").begin_array();
+    for (const obs::JsonValue& entry : regs.find("registers")->array())
+      w.value(entry.int_or("cell", -1));
+    w.end_array().end_object();
+    return parse_ok(daemon.handle_sync(os.str()));
+  };
+  const obs::JsonValue ilp = full_plan(mbr::Allocator::kIlp);
+  const obs::CountersSnapshot before = obs::counters_snapshot();
+  const obs::JsonValue greedy = full_plan(mbr::Allocator::kHeuristic);
+  // The delta drops zero entries.
+  EXPECT_EQ(obs::counters_delta(before, obs::counters_snapshot())
+                .counters.count("ilp.set_partition.solves"),
+            0u);
+
+  EXPECT_GT(ilp.int_or("ilp_nodes", -1), 0);
+  EXPECT_EQ(greedy.int_or("ilp_nodes", -1), 0);
+  EXPECT_EQ(greedy.number_or("objective", -1.0), 0.0);
+  EXPECT_GT(greedy.int_or("planned_mbrs", -1), 0);
+  EXPECT_EQ(greedy.int_or("subgraphs", -1), ilp.int_or("subgraphs", -2));
+  EXPECT_EQ(greedy.int_or("region_registers", -1),
+            ilp.int_or("region_registers", -2));
 }
 
 // Per-request cost knobs: absent knobs echo the session's model (the

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "benchgen/generator.hpp"
-#include "mbr/heuristic.hpp"
+#include "mbr/composition.hpp"
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/rewire.hpp"
@@ -186,8 +186,10 @@ TEST(StaIncremental, StructuralMergeRebuildsThenStaysIncremental) {
 
   // Apply a few real merges (map -> place -> rewire): structural edits that
   // must force exactly one rebuild on the next update.
+  mbr::CompositionOptions greedy;
+  greedy.allocator = mbr::Allocator::kHeuristic;
   const mbr::CompositionPlan plan =
-      mbr::plan_composition_heuristic(design, planning);
+      mbr::plan_composition(design, planning, greedy);
   int applied = 0;
   for (const mbr::Selection* selection : plan.merges()) {
     const auto mapping =
