@@ -9,6 +9,9 @@
 // deterministic output (DESIGN.md §11): every run is checked bit-identical
 // against the first jobs value at its size and the verdict lands in the
 // JSON, so a scaling row can never silently come from a divergent result.
+// Each run also records the legalizer's work counters (row probes and gap
+// steps of the nearest-free-spot search), the deterministic measure of how
+// the legalize stage grows with the design.
 //
 // Wall times are measurement, not contract: on a single-core host
 // (hardware_threads 1 in the JSON) every jobs value runs the same work on
@@ -60,7 +63,12 @@ struct Run {
   int mbrs_created = 0;
   bool counters_match = false;
   std::map<std::string, double> stage_seconds;
+  std::map<std::string, std::int64_t> counters;
 };
+
+// Work counters copied from FlowResult::counters into every run.
+const char* const kRecordedCounters[] = {"place.legalize.row_probes",
+                                         "place.legalize.gap_steps"};
 
 }  // namespace
 
@@ -122,6 +130,11 @@ int main() {
                         : 0.0;
       for (const auto& [stage, stats] : result.stages)
         run.stage_seconds[stage] = stats.seconds;
+      for (const char* name : kRecordedCounters) {
+        const auto it = result.counters.counters.find(name);
+        run.counters[name] =
+            it == result.counters.counters.end() ? 0 : it->second;
+      }
 
       std::cout << "  jobs " << jobs << ": " << run.flow_seconds
                 << " s, speedup " << run.speedup
@@ -153,6 +166,9 @@ int main() {
         .kv("counters_match", run.counters_match);
     w.key("stage_seconds").begin_object();
     for (const auto& [stage, seconds] : run.stage_seconds) w.kv(stage, seconds);
+    w.end_object();
+    w.key("counters").begin_object();
+    for (const auto& [name, value] : run.counters) w.kv(name, value);
     w.end_object();
     w.end_object();
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "obs/counters.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::place {
@@ -30,31 +32,71 @@ double RowGrid::snap_x(double x) const {
   return core_.xlo + std::floor(rel / options_.site_width) * options_.site_width;
 }
 
+double RowGrid::gap_after(const Row& row, std::size_t i) const {
+  const auto& intervals = row.intervals;
+  const double gap_hi = i + 1 < intervals.size()
+                            ? std::min(intervals[i + 1].x, core_.xhi)
+                            : core_.xhi;
+  return gap_hi - (intervals[i].x + intervals[i].width);
+}
+
+void RowGrid::rebuild_summary(Row& row, std::size_t first) const {
+  const std::size_t n = row.intervals.size();
+  row.block_max_gap.resize((n + kBlock - 1) / kBlock);
+  for (std::size_t b = first / kBlock; b < row.block_max_gap.size(); ++b) {
+    double widest = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = b * kBlock; i < std::min(n, (b + 1) * kBlock); ++i)
+      widest = std::max(widest, gap_after(row, i));
+    row.block_max_gap[b] = widest;
+  }
+}
+
+namespace {
+
+// First interval starting at or after x.
+template <typename Intervals>
+auto first_at_or_after(Intervals& intervals, double x) {
+  return std::partition_point(intervals.begin(), intervals.end(),
+                              [x](const auto& iv) { return iv.x < x; });
+}
+
+}  // namespace
+
 bool RowGrid::is_free(int row, double x, double width) const {
   if (row < 0 || row >= row_count()) return false;
   if (x < core_.xlo - 1e-9 || x + width > core_.xhi + 1e-9) return false;
   const auto& intervals = rows_[row].intervals;
-  auto it = intervals.lower_bound(x);
-  if (it != intervals.end() && it->first < x + width - 1e-9) return false;
+  auto it = first_at_or_after(intervals, x);
+  if (it != intervals.end() && it->x < x + width - 1e-9) return false;
   if (it != intervals.begin()) {
     --it;
-    if (it->first + it->second.width > x + 1e-9) return false;
+    if (it->x + it->width > x + 1e-9) return false;
   }
   return true;
 }
 
 bool RowGrid::occupy(int row, double x, double width, netlist::CellId cell) {
   if (!is_free(row, x, width)) return false;
-  rows_[row].intervals.emplace(x, Interval{width, cell});
+  Row& r = rows_[row];
+  const auto it = first_at_or_after(r.intervals, x);
+  // An interval already starting at x keeps its slot (a degenerate
+  // zero-width occupant can pass is_free there).
+  if (it != r.intervals.end() && it->x == x) return true;
+  const std::size_t at = static_cast<std::size_t>(it - r.intervals.begin());
+  r.intervals.insert(it, Interval{x, width, cell});
+  rebuild_summary(r, at == 0 ? 0 : at - 1);
   return true;
 }
 
 void RowGrid::release(int row, double x) {
   MBRC_ASSERT(row >= 0 && row < row_count());
-  auto& intervals = rows_[row].intervals;
-  const auto it = intervals.find(x);
-  MBRC_ASSERT_MSG(it != intervals.end(), "release of unoccupied interval");
-  intervals.erase(it);
+  Row& r = rows_[row];
+  const auto it = first_at_or_after(r.intervals, x);
+  MBRC_ASSERT_MSG(it != r.intervals.end() && it->x == x,
+                  "release of unoccupied interval");
+  const std::size_t at = static_cast<std::size_t>(it - r.intervals.begin());
+  r.intervals.erase(it);
+  rebuild_summary(r, at == 0 ? 0 : at - 1);
 }
 
 std::vector<RowGrid::Occupant> RowGrid::occupants(int row, double x,
@@ -62,20 +104,23 @@ std::vector<RowGrid::Occupant> RowGrid::occupants(int row, double x,
   std::vector<Occupant> result;
   if (row < 0 || row >= row_count()) return result;
   const auto& intervals = rows_[row].intervals;
-  auto it = intervals.lower_bound(x);
+  auto it = first_at_or_after(intervals, x);
   if (it != intervals.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.width > x + 1e-9)
-      result.push_back({prev->first, prev->second.width, prev->second.cell});
+    const auto prev = std::prev(it);
+    if (prev->x + prev->width > x + 1e-9)
+      result.push_back({prev->x, prev->width, prev->cell});
   }
-  for (; it != intervals.end() && it->first < x + width - 1e-9; ++it)
-    result.push_back({it->first, it->second.width, it->second.cell});
+  for (; it != intervals.end() && it->x < x + width - 1e-9; ++it)
+    result.push_back({it->x, it->width, it->cell});
   return result;
 }
 
 std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
-                                             double width) const {
-  const auto& intervals = rows_[row].intervals;
+                                             double width, double budget,
+                                             Work& work) const {
+  const Row& r = rows_[row];
+  const auto& intervals = r.intervals;
+  const std::size_t n = intervals.size();
   const double lo = core_.xlo;
   const double hi = core_.xhi - width;
   if (hi < lo) return std::nullopt;
@@ -83,6 +128,7 @@ std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
   double best = std::numeric_limits<double>::quiet_NaN();
   double best_cost = std::numeric_limits<double>::infinity();
   auto consider = [&](double gap_lo, double gap_hi) -> bool {
+    ++work.gap_steps;
     if (gap_hi - gap_lo < width - 1e-9) return false;
     // The tolerance admits a gap up to 1e-9 narrower than the cell; keep
     // the clamp's upper bound at or above its lower one.
@@ -100,44 +146,62 @@ std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
     }
     return true;
   };
+  // A gap whose nearest point is this far out can neither beat the row's
+  // best so far nor the caller's budget; neither can any gap beyond it.
+  auto too_far = [&](double distance) {
+    return distance > best_cost || distance > budget;
+  };
+  auto end_of = [&](std::size_t i) {
+    return intervals[i].x + intervals[i].width;
+  };
+  auto start_of = [&](std::size_t i) {  // core edge past the last interval
+    return i < n ? std::min(intervals[i].x, core_.xhi) : core_.xhi;
+  };
+  // Every gap of a block whose widest gap is this narrow fails `consider`.
+  auto block_too_narrow = [&](std::size_t i) {
+    return r.block_max_gap[i / kBlock] < width - 1e-9;
+  };
 
   // Outward walk from the gap straddling target_x instead of scanning the
   // whole row: away from that gap the nearest feasible position per gap
   // moves strictly away from the target, so on each side the first gap
   // wide enough for `width` is that side's best and the walk stops there.
-  // With packed rows this is O(1)-ish per probe where the full scan was
-  // O(intervals in the row) — the dominant cost of large-design
-  // legalization and benchmark generation.
-  const auto right_begin = intervals.lower_bound(target_x);
-  const double straddle_lo =
-      right_begin == intervals.begin()
-          ? lo
-          : std::prev(right_begin)->first + std::prev(right_begin)->second.width;
-  const double straddle_hi =
-      right_begin == intervals.end() ? core_.xhi
-                                     : std::min(right_begin->first, core_.xhi);
-  consider(straddle_lo, straddle_hi);
+  const std::size_t right_begin = static_cast<std::size_t>(
+      first_at_or_after(intervals, target_x) - intervals.begin());
+  consider(right_begin == 0 ? lo : end_of(right_begin - 1),
+           start_of(right_begin));
 
-  // Gaps entirely right of the target (cost = gap start - target, rising).
-  for (auto it = right_begin; it != intervals.end();) {
-    const double gap_lo = it->first + it->second.width;
-    ++it;
-    const double gap_hi =
-        it == intervals.end() ? core_.xhi : std::min(it->first, core_.xhi);
-    if (consider(gap_lo, gap_hi)) break;
-    if (gap_lo - target_x > best_cost) break;  // even wider gaps sit further
+  // Gaps entirely right of the target: gap i follows interval i (cost =
+  // gap start - target, rising).
+  for (std::size_t i = right_begin; i < n;) {
+    if (block_too_narrow(i)) {
+      // Interval ends rise along the row, so the block's last gap is the
+      // farthest one skipped.
+      ++work.gap_steps;
+      const std::size_t block_end = std::min(n, (i / kBlock + 1) * kBlock);
+      if (too_far(end_of(block_end - 1) - target_x)) break;
+      i = block_end;
+      continue;
+    }
+    if (consider(end_of(i), start_of(i + 1))) break;
+    if (too_far(end_of(i) - target_x)) break;
+    ++i;
   }
 
-  // Gaps entirely left of the target (cost rising as the walk descends).
-  for (auto it = right_begin; it != intervals.begin();) {
-    --it;
-    const double gap_hi = std::min(it->first, core_.xhi);
-    const double gap_lo =
-        it == intervals.begin()
-            ? lo
-            : std::prev(it)->first + std::prev(it)->second.width;
-    if (consider(gap_lo, gap_hi)) break;
-    if (target_x - gap_hi > best_cost) break;
+  // Gaps entirely left of the target: the gap ending at interval j (cost
+  // rising as the walk descends). Gap j follows interval j - 1, so it sits
+  // in that interval's block; the gap before interval 0 is in none.
+  for (std::size_t j = right_begin; j > 0;) {
+    --j;
+    if (j > 0 && block_too_narrow(j - 1)) {
+      ++work.gap_steps;
+      const std::size_t block_begin = (j - 1) / kBlock * kBlock;
+      if (too_far(target_x - start_of(block_begin + 1))) break;
+      j = block_begin + 1;
+      continue;
+    }
+    if (consider(j == 0 ? lo : end_of(j - 1), start_of(j))) break;
+    if (too_far(target_x - start_of(j))) break;
   }
 
   if (std::isnan(best)) return std::nullopt;
@@ -146,13 +210,18 @@ std::optional<double> RowGrid::best_x_in_row(int row, double target_x,
 
 std::optional<geom::Point> RowGrid::find_nearest_free(geom::Point t,
                                                       double width) const {
+  static obs::Counter& c_probes = obs::counter("place.legalize.row_probes");
+  static obs::Counter& c_steps = obs::counter("place.legalize.gap_steps");
+  Work work;
   const int center = row_of(t.y);
   double best_cost = std::numeric_limits<double>::infinity();
   std::optional<geom::Point> best;
   for (int d = 0; d < row_count(); ++d) {
     if (center - d < 0 && center + d >= row_count()) break;
     // Once even the vertical distance alone exceeds the best found cost,
-    // no further row can win.
+    // no further row can win. (A target between rows sits only (d - 1/2)
+    // row heights from row d, so this can stop one row early: a known
+    // defect, pinned by RowGridOracle.KnownDefectOffRowTargetStopsOneRowEarly.)
     if (best && d * options_.row_height > best_cost) break;
     // d == 0 visits the center row twice; the second pass is a no-op since
     // it cannot beat the identical first pass.
@@ -160,7 +229,12 @@ std::optional<geom::Point> RowGrid::find_nearest_free(geom::Point t,
       if (row < 0 || row >= row_count()) continue;
       const double dy = std::abs(row_y(row) - t.y);
       if (dy >= best_cost) continue;
-      const auto x = best_x_in_row(row, t.x, width);
+      // The row only matters if it beats best_cost, so its search may stop
+      // past best_cost - dy. The slack keeps that cut conservative under
+      // rounding; the strict test below still makes every decision.
+      ++work.row_probes;
+      const auto x = best_x_in_row(row, t.x, width, best_cost - dy + 1e-6,
+                                   work);
       if (!x) continue;
       const double cost = dy + std::abs(*x - t.x);
       if (cost < best_cost) {
@@ -169,6 +243,8 @@ std::optional<geom::Point> RowGrid::find_nearest_free(geom::Point t,
       }
     }
   }
+  c_probes.add(work.row_probes);
+  c_steps.add(work.gap_steps);
   return best;
 }
 
@@ -179,14 +255,50 @@ RowGrid build_occupancy(const netlist::Design& design,
   std::vector<bool> skip(design.cell_count(), false);
   for (netlist::CellId id : ignore) skip[id.index] = true;
 
+  // Bulk load: collect each row's in-core cells in design order, then sort
+  // them into place at once instead of inserting one by one.
+  std::vector<std::vector<RowGrid::Interval>> pending(grid.rows_.size());
+  const geom::Rect& core = grid.core();
   for (netlist::CellId id : design.live_cells()) {
     if (skip[id.index]) continue;
     const netlist::Cell& cell = design.cell(id);
     if (cell.kind == netlist::CellKind::kPort) continue;
-    const int row = grid.row_of(cell.position.y);
-    // Best effort: overlapping cells in the incoming placement are simply
-    // ignored for occupancy purposes (the generator produces legal input).
-    grid.occupy(row, cell.position.x, cell.width(), id);
+    const double x = cell.position.x;
+    const double width = cell.width();
+    if (x < core.xlo - 1e-9 || x + width > core.xhi + 1e-9) continue;
+    pending[static_cast<std::size_t>(grid.row_of(cell.position.y))]
+        .push_back({x, width, id});
+  }
+  for (std::size_t row = 0; row < pending.size(); ++row) {
+    std::vector<RowGrid::Interval>& cells = pending[row];
+    std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
+      if (a.x != b.x) return a.x < b.x;
+      return a.cell.index < b.cell.index;
+    });
+    // When no two sorted neighbours would conflict in either insertion
+    // order (is_free's two tests), occupying one by one in any order keeps
+    // every cell, so the sorted array is the result. Otherwise replay the
+    // row in design order so the first occupant wins, as one-by-one
+    // occupancy always did: overlapping cells in the incoming placement
+    // are simply ignored (the generator produces legal input).
+    bool disjoint = true;
+    for (std::size_t i = 1; i < cells.size() && disjoint; ++i) {
+      const auto& a = cells[i - 1];
+      const auto& b = cells[i];
+      disjoint = a.x < b.x && !(a.x + a.width > b.x + 1e-9) &&
+                 !(b.x < a.x + a.width - 1e-9);
+    }
+    RowGrid::Row& r = grid.rows_[row];
+    if (disjoint) {
+      r.intervals = std::move(cells);
+      grid.rebuild_summary(r, 0);
+      continue;
+    }
+    std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
+      return a.cell.index < b.cell.index;
+    });
+    for (const auto& c : cells)
+      grid.occupy(static_cast<int>(row), c.x, c.width, c.cell);
   }
   return grid;
 }

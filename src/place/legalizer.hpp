@@ -2,7 +2,9 @@
 //
 // The core area is divided into standard-cell rows of fixed height and
 // sites of fixed width. RowGrid tracks occupied intervals per row (with the
-// occupying cell) so cells can be packed abutted. The legalizer supports the
+// occupying cell) so cells can be packed abutted. Each row is a sorted flat
+// array with a per-block summary of its widest gap, so the nearest-spot
+// search skips packed stretches block by block. The legalizer supports the
 // two uses MBR composition needs:
 //   - building an initially legal placement (benchmark generator),
 //   - incremental legalization of freshly placed MBR cells after the
@@ -14,7 +16,8 @@
 //     of fewer registers helps minimize the placement disturbance").
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,8 +32,8 @@ struct RowGridOptions {
   double site_width = 0.2;  // um
 };
 
-/// Occupancy bookkeeping for legal placement: per row, a map of occupied
-/// intervals keyed by start x, each remembering the occupying cell.
+/// Occupancy bookkeeping for legal placement: per row, the occupied
+/// intervals sorted by start x, each remembering the occupying cell.
 class RowGrid {
 public:
   RowGrid(geom::Rect core, RowGridOptions options = {});
@@ -64,6 +67,8 @@ public:
   /// Nearest free position for a cell of `width` around target `t`,
   /// scanning rows outward from the target row. Returns the snapped
   /// lower-left position, or nullopt when the grid is hopelessly full.
+  /// Adds its work to the counters place.legalize.row_probes and
+  /// place.legalize.gap_steps.
   std::optional<geom::Point> find_nearest_free(geom::Point t,
                                                double width) const;
 
@@ -71,17 +76,43 @@ public:
   double snap_x(double x) const;
 
 private:
+  friend RowGrid build_occupancy(const netlist::Design&,
+                                 const std::vector<netlist::CellId>&,
+                                 RowGridOptions);
+
+  /// Intervals per summary block: a block whose widest gap is too narrow
+  /// costs the gap search one step instead of kBlock.
+  static constexpr std::size_t kBlock = 16;
+
   struct Interval {
+    double x = 0.0;
     double width = 0.0;
     netlist::CellId cell;
   };
   struct Row {
-    std::map<double, Interval> intervals;  // start x -> interval
+    // Sorted by x; neighbours overlap by at most the 1e-9 fit tolerance.
+    std::vector<Interval> intervals;
+    // block_max_gap[b]: the widest gap that follows an interval of block b
+    // (intervals [b*kBlock, (b+1)*kBlock)), measured exactly as the search
+    // measures it.
+    std::vector<double> block_max_gap;
+  };
+  struct Work {
+    std::int64_t row_probes = 0;
+    std::int64_t gap_steps = 0;
   };
 
+  /// Width of the gap after interval i (up to the next start or the core).
+  double gap_after(const Row& row, std::size_t i) const;
+  /// Recomputes the block summaries from the block holding interval
+  /// `first` to the end of the row.
+  void rebuild_summary(Row& row, std::size_t first) const;
+
   /// Free x closest to target_x in `row` for `width`; nullopt when full.
-  std::optional<double> best_x_in_row(int row, double target_x,
-                                      double width) const;
+  /// Gaps farther than `budget` from the target may be skipped: the caller
+  /// rejects any spot that far out.
+  std::optional<double> best_x_in_row(int row, double target_x, double width,
+                                      double budget, Work& work) const;
 
   geom::Rect core_;
   RowGridOptions options_;
