@@ -10,8 +10,10 @@
 // against the first jobs value at its size and the verdict lands in the
 // JSON, so a scaling row can never silently come from a divergent result.
 // Each run also records the legalizer's work counters (row probes and gap
-// steps of the nearest-free-spot search), the deterministic measure of how
-// the legalize stage grows with the design.
+// steps of the nearest-free-spot search) and the candidate enumeration's
+// (candidates kept, cliques dropped as w = infinity, subtrees pruned, hulls
+// built), the deterministic measures of how those stages grow with the
+// design.
 //
 // Wall times are measurement, not contract: on a single-core host
 // (hardware_threads 1 in the JSON) every jobs value runs the same work on
@@ -67,8 +69,10 @@ struct Run {
 };
 
 // Work counters copied from FlowResult::counters into every run.
-const char* const kRecordedCounters[] = {"place.legalize.row_probes",
-                                         "place.legalize.gap_steps"};
+const char* const kRecordedCounters[] = {
+    "place.legalize.row_probes",       "place.legalize.gap_steps",
+    "mbr.candidates.enumerated",       "flow.candidates.dropped_infinite_weight",
+    "mbr.candidates.pruned_subtrees",  "mbr.candidates.hulls"};
 
 }  // namespace
 

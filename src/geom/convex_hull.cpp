@@ -7,7 +7,7 @@ namespace mbrc::geom {
 
 namespace {
 
-constexpr double kEps = 1e-9;
+constexpr double kEps = kHullEps;
 
 // True when p lies on the closed segment [a, b].
 bool on_segment(const Point& a, const Point& b, const Point& p) {
@@ -24,10 +24,19 @@ std::vector<Point> convex_hull(std::vector<Point> points) {
     return a.x < b.x || (a.x == b.x && a.y < b.y);
   });
   points.erase(std::unique(points.begin(), points.end()), points.end());
-  const std::size_t n = points.size();
-  if (n <= 2) return points;
+  std::vector<Point> hull;
+  convex_hull_of_sorted(points, hull);
+  return hull;
+}
 
-  std::vector<Point> hull(2 * n);
+void convex_hull_of_sorted(std::span<const Point> points,
+                           std::vector<Point>& hull) {
+  const std::size_t n = points.size();
+  if (n <= 2) {
+    hull.assign(points.begin(), points.end());
+    return;
+  }
+  hull.resize(2 * n);
   std::size_t k = 0;
   // Lower chain.
   for (std::size_t i = 0; i < n; ++i) {
@@ -42,7 +51,6 @@ std::vector<Point> convex_hull(std::vector<Point> points) {
     hull[k++] = points[i];
   }
   hull.resize(k - 1);  // last point equals the first
-  return hull;
 }
 
 bool convex_contains(const std::vector<Point>& hull, const Point& p) {

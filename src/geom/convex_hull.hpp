@@ -5,6 +5,7 @@
 // candidate MBR's registers; these are the primitives behind that test.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "geom/point.hpp"
@@ -12,10 +13,20 @@
 
 namespace mbrc::geom {
 
+/// Cross-product tolerance of the hull and containment tests: a turn or a
+/// side within it counts as collinear.
+inline constexpr double kHullEps = 1e-9;
+
 /// Convex hull of `points` in counter-clockwise order, first point not
 /// repeated. Collinear boundary points are dropped. Degenerate inputs
 /// (0/1/2 points or all collinear) return the reduced chain (<= 2 points).
 std::vector<Point> convex_hull(std::vector<Point> points);
+
+/// The monotone chain behind convex_hull(), for callers that keep their
+/// points sorted by (x, y) with duplicates removed: writes the same hull
+/// into `hull`, reusing its storage.
+void convex_hull_of_sorted(std::span<const Point> sorted,
+                           std::vector<Point>& hull);
 
 /// True when `p` is inside or on the boundary of the convex polygon `hull`
 /// (counter-clockwise order, as produced by convex_hull()). A degenerate hull

@@ -79,20 +79,25 @@ struct Search {
                       "set-partition weights must be finite and non-negative");
       const double ratio =
           cand.weight / static_cast<double>(cand.elements.size());
-      for (int e : cand.elements) {
-        covering[e].push_back(static_cast<int>(c));
-        min_ratio[e] = std::min(min_ratio[e], ratio);
-      }
+      for (int e : cand.elements) min_ratio[e] = std::min(min_ratio[e], ratio);
     }
-    for (int e = 0; e < n; ++e) {
-      std::sort(covering[e].begin(), covering[e].end(), [&](int a, int b) {
-        const double wa = p.candidates[a].weight;
-        const double wb = p.candidates[b].weight;
-        if (wa != wb) return wa < wb;
-        return a < b;  // branching explores equal-weight candidates in id order
-      });
+    // Branching explores each element's candidates by (weight, id). One
+    // sort of the ids and a push in that order leaves every list sorted.
+    std::vector<int> by_weight;
+    by_weight.reserve(p.candidates.size());
+    for (std::size_t c = 0; c < p.candidates.size(); ++c)
+      if (!p.candidates[c].elements.empty())
+        by_weight.push_back(static_cast<int>(c));
+    std::sort(by_weight.begin(), by_weight.end(), [&](int a, int b) {
+      const double wa = p.candidates[a].weight;
+      const double wb = p.candidates[b].weight;
+      if (wa != wb) return wa < wb;
+      return a < b;
+    });
+    for (int c : by_weight)
+      for (int e : p.candidates[c].elements) covering[e].push_back(c);
+    for (int e = 0; e < n; ++e)
       if (!covering[e].empty()) bound_remaining += min_ratio[e];
-    }
   }
 
   // The uncovered element with the fewest candidates that are still placeable

@@ -16,9 +16,18 @@ int Library::add_register(RegisterCell cell) {
                   "duplicate register cell name: " + cell.name);
   const int index = static_cast<int>(registers_.size());
   register_index_.emplace(cell.name, index);
-  std::vector<int>& widths = widths_[cell.function.encode()];
-  const auto at = std::lower_bound(widths.begin(), widths.end(), cell.bits);
-  if (at == widths.end() || *at != cell.bits) widths.insert(at, cell.bits);
+  FunctionCells& fc = by_function_[cell.function.encode()];
+  const auto at = std::lower_bound(fc.widths.begin(), fc.widths.end(),
+                                   cell.bits);
+  const auto slot = at - fc.widths.begin();
+  if (at == fc.widths.end() || *at != cell.bits) {
+    fc.widths.insert(at, cell.bits);
+    fc.cells.insert(fc.cells.begin() + slot, std::vector<int>{});
+    fc.cheapest.insert(fc.cheapest.begin() + slot, index);
+  } else if (cell.area < registers_[fc.cheapest[slot]].area) {
+    fc.cheapest[slot] = index;  // strict: ties keep the first inserted
+  }
+  fc.cells[slot].push_back(index);
   registers_.push_back(std::move(cell));
   return index;
 }
@@ -50,15 +59,29 @@ const CombCell* Library::comb_by_name(const std::string& name) const {
 const std::vector<int>& Library::available_widths(
     const RegisterFunction& function) const {
   static const std::vector<int> kNone;
-  const auto it = widths_.find(function.encode());
-  return it == widths_.end() ? kNone : it->second;
+  const auto it = by_function_.find(function.encode());
+  return it == by_function_.end() ? kNone : it->second.widths;
+}
+
+std::pair<const Library::FunctionCells*, int> Library::find_width(
+    const RegisterFunction& function, int bits) const {
+  const auto it = by_function_.find(function.encode());
+  if (it == by_function_.end()) return {nullptr, -1};
+  const std::vector<int>& widths = it->second.widths;
+  const auto at = std::lower_bound(widths.begin(), widths.end(), bits);
+  if (at == widths.end() || *at != bits) return {nullptr, -1};
+  return {&it->second, static_cast<int>(at - widths.begin())};
 }
 
 std::vector<const RegisterCell*> Library::cells_for(
     const RegisterFunction& function, int bits) const {
   std::vector<const RegisterCell*> out;
-  for (const RegisterCell& cell : registers_)
-    if (cell.function == function && cell.bits == bits) out.push_back(&cell);
+  const auto [fc, slot] = find_width(function, bits);
+  if (fc == nullptr) return out;
+  const std::vector<int>& cells = fc->cells[static_cast<std::size_t>(slot)];
+  out.reserve(cells.size());
+  for (int index : cells)
+    out.push_back(&registers_[static_cast<std::size_t>(index)]);
   return out;
 }
 
@@ -109,17 +132,16 @@ const RegisterCell* Library::map_register(const MappingRequest& request) const {
 }
 
 bool Library::has_multibit(const RegisterFunction& function) const {
-  for (const RegisterCell& cell : registers_)
-    if (cell.function == function && cell.bits > 1) return true;
-  return false;
+  const std::vector<int>& widths = available_widths(function);
+  return !widths.empty() && widths.back() > 1;
 }
 
 const RegisterCell* Library::cheapest_cell(const RegisterFunction& function,
                                            int bits) const {
-  const RegisterCell* best = nullptr;
-  for (const RegisterCell* cell : cells_for(function, bits))
-    if (best == nullptr || cell->area < best->area) best = cell;
-  return best;
+  const auto [fc, slot] = find_width(function, bits);
+  if (fc == nullptr) return nullptr;
+  return &registers_[static_cast<std::size_t>(
+      fc->cheapest[static_cast<std::size_t>(slot)])];
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lib/cells.hpp"
@@ -44,7 +45,7 @@ public:
   const std::vector<int>& available_widths(
       const RegisterFunction& function) const;
 
-  /// Cells of `function` with exactly `bits` bits.
+  /// Cells of `function` with exactly `bits` bits, in insertion order.
   std::vector<const RegisterCell*> cells_for(const RegisterFunction& function,
                                              int bits) const;
 
@@ -67,7 +68,8 @@ public:
   /// insertion order), or nullptr when the class has no such width. This is
   /// the enumeration-time stand-in for the cell the mapper will pick: the
   /// incomplete-MBR area rule and the multi-objective cost model both price
-  /// a candidate with it before mapping runs.
+  /// a candidate with it before mapping runs. A lookup in the per-width
+  /// index add_register maintains; no scan of the library.
   const RegisterCell* cheapest_cell(const RegisterFunction& function,
                                     int bits) const;
 
@@ -77,8 +79,18 @@ private:
   std::vector<ClockBufferCell> buffers_;
   std::unordered_map<std::string, int> register_index_;
   std::unordered_map<std::string, int> comb_index_;
-  /// Sorted distinct widths per RegisterFunction::encode().
-  std::unordered_map<unsigned, std::vector<int>> widths_;
+  /// Per-function register index, keyed by RegisterFunction::encode().
+  /// Indices into registers_ (a growing vector, so no pointers).
+  struct FunctionCells {
+    std::vector<int> widths;               // distinct, ascending
+    std::vector<std::vector<int>> cells;   // per width: insertion order
+    std::vector<int> cheapest;             // per width: first minimum area
+  };
+  std::unordered_map<unsigned, FunctionCells> by_function_;
+
+  /// Position of `bits` in the class's widths, or nullptr/-1 when absent.
+  std::pair<const FunctionCells*, int> find_width(
+      const RegisterFunction& function, int bits) const;
 };
 
 /// Parameters for the built-in parametric library (a 28 nm-flavored model).

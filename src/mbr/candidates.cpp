@@ -1,7 +1,9 @@
 #include "mbr/candidates.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "geom/convex_hull.hpp"
@@ -48,45 +50,43 @@ std::int64_t BlockerIndex::key(double x, double y) const {
   return (bx << 32) ^ (by & 0xffffffff);
 }
 
-int BlockerIndex::count_blockers(const CompatibilityGraph& graph,
-                                 const std::vector<int>& members) const {
-  if (members.size() < 2) return 0;
-  std::vector<geom::Rect> rects;
-  rects.reserve(members.size());
-  geom::Rect bbox = geom::Rect::empty();
-  for (int m : members) {
-    rects.push_back(graph.node(m).footprint);
-    bbox = bbox.unite(rects.back());
+void BlockerIndex::query(const geom::Rect& box, std::vector<Entry>& out) const {
+  if (box.is_empty()) return;
+  const auto take = [&](const std::vector<Entry>& bin) {
+    for (const Entry& e : bin)
+      if (box.contains(e.center)) out.push_back(e);
+  };
+  const auto lo_x = static_cast<std::int64_t>(std::floor(box.xlo / bin_size_));
+  const auto hi_x = static_cast<std::int64_t>(std::floor(box.xhi / bin_size_));
+  const auto lo_y = static_cast<std::int64_t>(std::floor(box.ylo / bin_size_));
+  const auto hi_y = static_cast<std::int64_t>(std::floor(box.yhi / bin_size_));
+  // A box wider than the occupied bins walks the bins, not the box.
+  if (static_cast<double>(hi_x - lo_x + 1) * static_cast<double>(hi_y - lo_y + 1) >
+      static_cast<double>(bins_.size())) {
+    for (const auto& [bin_key, bin] : bins_) take(bin);
+    return;
   }
-  const auto hull = geom::convex_hull_of_rects(rects);
-
-  int count = 0;
-  const auto lo_x = static_cast<std::int64_t>(std::floor(bbox.xlo / bin_size_));
-  const auto hi_x = static_cast<std::int64_t>(std::floor(bbox.xhi / bin_size_));
-  const auto lo_y = static_cast<std::int64_t>(std::floor(bbox.ylo / bin_size_));
-  const auto hi_y = static_cast<std::int64_t>(std::floor(bbox.yhi / bin_size_));
   for (auto bx = lo_x; bx <= hi_x; ++bx) {
     for (auto by = lo_y; by <= hi_y; ++by) {
       const auto it = bins_.find((bx << 32) ^ (by & 0xffffffff));
-      if (it == bins_.end()) continue;
-      for (const Entry& e : it->second) {
-        if (std::binary_search(members.begin(), members.end(), e.node))
-          continue;
-        if (geom::convex_contains_strict(hull, e.center)) ++count;
-      }
+      if (it != bins_.end()) take(it->second);
     }
   }
-  return count;
 }
 
-bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
-                                  const std::vector<int>& members) {
+namespace {
+
+// Ordered-section rules of Sec. 2 over `count` members whose ScanInfo
+// `scan_of(i)` returns; `orders` is scratch space.
+template <typename ScanOf>
+bool needs_per_bit_scan(std::size_t count, ScanOf scan_of,
+                        std::vector<int>& orders) {
   // Collect the ordered-section memberships.
   int section = -2;  // -2: none seen yet
-  std::vector<int> orders;
+  orders.clear();
   bool mixed_sections = false;
-  for (int m : members) {
-    const netlist::ScanInfo& scan = graph.node(m).scan;
+  for (std::size_t i = 0; i < count; ++i) {
+    const netlist::ScanInfo& scan = scan_of(i);
     if (scan.section < 0) continue;
     if (section == -2) {
       section = scan.section;
@@ -97,7 +97,7 @@ bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
   }
   if (orders.empty()) return false;  // no ordering constraints at all
   if (mixed_sections) return true;   // two ordered chains cross the MBR
-  if (orders.size() != members.size())
+  if (orders.size() != count)
     return true;  // ordered and free registers mixed: chain exits and re-enters
   // Single section: an internal chain preserves the order only when the
   // member orders form one contiguous run of the section.
@@ -107,7 +107,29 @@ bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
   return false;
 }
 
+}  // namespace
+
+bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
+                                  const std::vector<int>& members) {
+  std::vector<int> orders;
+  return needs_per_bit_scan(
+      members.size(),
+      [&](std::size_t i) -> const netlist::ScanInfo& {
+        return graph.node(members[i]).scan;
+      },
+      orders);
+}
+
 namespace {
+
+// The order convex_hull sorts its points in.
+bool corner_less(const geom::Point& a, const geom::Point& b) {
+  return a.x < b.x || (a.x == b.x && a.y < b.y);
+}
+
+// Blockers count toward a subtree bound only when they clear every hull
+// edge line by this distance (um); see DESIGN.md §5.
+constexpr double kPruneMargin = 1e-4;
 
 struct Enumerator {
   const CompatibilityGraph& graph;
@@ -116,30 +138,59 @@ struct Enumerator {
   const EnumerationOptions& options;
 
   std::vector<int> nodes;              // subgraph, ascending graph indices
-  std::vector<std::uint64_t> adjacency{};  // local masks
   const std::vector<int>* widths = nullptr;  // ascending library widths
+  int max_width = 0;
+  std::vector<const lib::RegisterCell*> cheapest{};  // per entry of widths
   lib::RegisterFunction function{};
   bool has_per_bit_scan_cells = false;
 
   EnumerationResult result{};
 
-  // DFS state. The inner loop reads only these flat SoA arrays (bit count
-  // and feasible region per local node), not the ~150-byte RegisterInfo
-  // records scattered through the graph's node table.
-  std::vector<int> members_local{};
+  // Per local node, flat: the inner loop reads these, not the ~150-byte
+  // RegisterInfo records scattered through the graph's node table.
+  std::vector<std::uint64_t> adjacency{};  // local masks
   std::vector<int> node_bits{};
   std::vector<geom::Rect> node_region{};
+  std::vector<geom::Rect> node_footprint{};
+  std::vector<const netlist::ScanInfo*> node_scan{};
 
-  // The physical outcome the cost model prices: a keep-as-is singleton
-  // keeps its own cell, a merge creates (at least) the cheapest cell of
-  // the mapped width (the mapper's stand-in, matching the incomplete-MBR
-  // area rule's convention). Null for hand-built graphs whose nodes carry
-  // no library cell -- pricing then skips the beta/gamma terms.
-  const lib::RegisterCell* priced_cell(const std::vector<int>& members,
-                                       int mapped_width) const {
-    if (members.size() == 1) return graph.node(members.front()).lib_cell;
-    return library.cheapest_cell(function, mapped_width);
-  }
+  // Every BlockerIndex entry inside the subgraph's footprint box, by x;
+  // `local` is the entry's subgraph index or -1.
+  struct Blocker {
+    geom::Point center;
+    int local;
+  };
+  std::vector<Blocker> blocker_list{};
+
+  // One frame per DFS depth: frames[d] describes the clique of d members.
+  struct Frame {
+    std::uint64_t members = 0;
+    std::uint64_t common = 0;  // local nodes adjacent to every member
+    int bits = 0;
+    geom::Rect region;   // intersection of the member regions
+    geom::Rect box;      // bounding box of the member footprints
+    std::vector<geom::Point> corners;  // footprint corners, sorted, distinct
+    // A lower bound on the blockers of this clique and every superset the
+    // DFS can reach from it: `floor` blockers of this clique or of an
+    // ancestor that stay strictly inside every larger hull, minus those
+    // that joined. `floor_mask` holds the ones that are subgraph nodes and
+    // so may still join. Unset until some hull on the path was built.
+    bool has_floor = false;
+    int floor = 0;
+    std::uint64_t floor_mask = 0;
+  };
+  std::vector<Frame> frames{};
+
+  // Scratch reused by every emit.
+  std::vector<int> members_local{};
+  std::vector<int> member_nodes{};
+  std::vector<int> scan_orders{};
+  std::vector<geom::Point> hull{};
+  std::vector<double> edge_margin{};
+  std::vector<int> width_count{};
+
+  std::int64_t hulls = 0;
+  std::int64_t pruned_subtrees = 0;
 
   // Keep-as-is candidate for one node, priced exactly like the singletons
   // the main enumeration path emits: the paper weight with zero blockers
@@ -162,48 +213,133 @@ struct Enumerator {
     return singleton;
   }
 
-  void emit(int bits, const geom::Rect& region) {
+  // Sets `out` to `from` merged with the corners of `r`: the sorted,
+  // de-duplicated sequence convex_hull would build from all of them.
+  static void merge_corners(const std::vector<geom::Point>& from,
+                            const geom::Rect& r,
+                            std::vector<geom::Point>& out) {
+    geom::Point add[4] = {
+        {r.xlo, r.ylo}, {r.xlo, r.yhi}, {r.xhi, r.ylo}, {r.xhi, r.yhi}};
+    for (int i = 1; i < 4; ++i)  // insertion sort: a no-op unless xlo == xhi
+      for (int j = i; j > 0 && corner_less(add[j], add[j - 1]); --j)
+        std::swap(add[j], add[j - 1]);
+    out.clear();
+    std::size_t a = 0;
+    int b = 0;
+    const auto push = [&](const geom::Point& p) {
+      if (out.empty() || !(out.back() == p)) out.push_back(p);
+    };
+    while (a < from.size() || b < 4) {
+      if (b == 4 || (a < from.size() && !corner_less(add[b], from[a]))) {
+        push(from[a++]);
+      } else {
+        push(add[b++]);
+      }
+    }
+  }
+
+  // Counts the blockers strictly inside the hull of frame `f` (what
+  // convex_contains_strict decides), and stores in `f` the robust ones that
+  // bound every superset (DESIGN.md §5) when they beat the inherited floor.
+  // Stops at 2W - bits robust blockers: the clique is dropped by then, and
+  // no prune in its subtree asks for a higher floor (subtree_dropped needs
+  // at most bits + 2 * (W - bits)).
+  int count_blockers(Frame& f) {
+    ++hulls;
+    geom::convex_hull_of_sorted(f.corners, hull);
+    const std::size_t h = hull.size();
+    if (h < 3) return 0;  // a segment or a point contains nothing strictly
+    hull.push_back(hull.front());  // edge i runs hull[i] -> hull[i + 1]
+    edge_margin.resize(h);
+    for (std::size_t i = 0; i < h; ++i)
+      edge_margin[i] = kPruneMargin * (std::abs(hull[i + 1].x - hull[i].x) +
+                                       std::abs(hull[i + 1].y - hull[i].y));
+    const int enough = 2 * max_width - f.bits;
+    int count = 0;
+    int robust = 0;
+    std::uint64_t robust_mask = 0;
+    const auto first = std::lower_bound(
+        blocker_list.begin(), blocker_list.end(), f.box.xlo,
+        [](const Blocker& e, double x) { return e.center.x < x; });
+    for (auto it = first; it != blocker_list.end() &&
+                          it->center.x <= f.box.xhi && robust < enough;
+         ++it) {
+      const geom::Point& p = it->center;
+      if (p.y < f.box.ylo || p.y > f.box.yhi) continue;
+      if (it->local >= 0 && (f.members >> it->local & 1)) continue;
+      // convex_contains_strict's test, edge by edge, and the margin test.
+      bool inside = true;
+      bool clears = true;
+      for (std::size_t i = 0; i < h && inside; ++i) {
+        const double c = geom::cross(hull[i], hull[i + 1], p);
+        inside = c >= geom::kHullEps;
+        clears = clears && c >= edge_margin[i];
+      }
+      if (!inside) continue;
+      ++count;
+      if (!clears) continue;
+      ++robust;
+      if (it->local >= 0) robust_mask |= std::uint64_t{1} << it->local;
+    }
+    if (!f.has_floor || robust >= f.floor) {
+      f.has_floor = true;
+      f.floor = robust;
+      f.floor_mask = robust_mask;
+    }
+    return count;
+  }
+
+  void emit(int depth) {
     if (result.candidates.size() >= options.max_candidates_per_subgraph) {
       result.truncated = true;
       return;
     }
-    std::vector<int> members;
-    members.reserve(members_local.size());
-    for (int l : members_local) members.push_back(nodes[l]);
-    std::sort(members.begin(), members.end());
+    Frame& f = frames[static_cast<std::size_t>(depth)];
+    const int bits = f.bits;
+    member_nodes.clear();  // ascending: local order is graph order
+    for (int l : members_local) member_nodes.push_back(nodes[l]);
+    const std::size_t size = member_nodes.size();
 
-    const bool complete =
-        std::binary_search(widths->begin(), widths->end(), bits);
-    int mapped_width = bits;
-    if (!complete) {
-      if (!options.allow_incomplete || members.size() < 2) return;
-      const auto up = std::upper_bound(widths->begin(), widths->end(), bits);
-      if (up == widths->end()) return;  // no wider cell
-      mapped_width = *up;
-      const lib::RegisterCell* cell =
-          library.cheapest_cell(function, mapped_width);
-      if (cell == nullptr) return;
+    // The narrowest library width holding `bits`: equal for a complete
+    // MBR, wider for an incomplete one.
+    const auto at = std::lower_bound(widths->begin(), widths->end(), bits);
+    if (at == widths->end()) return;  // no cell that wide
+    const int mapped_width = *at;
+    const lib::RegisterCell* merged_cell =
+        cheapest[static_cast<std::size_t>(at - widths->begin())];
+    if (mapped_width != bits) {
+      if (!options.allow_incomplete || size < 2) return;
       // Sec. 3: the incomplete MBR's area per (physical) bit must be below
       // the average area per bit of the registers it replaces.
       double replaced_area = 0.0;
-      for (int m : members) replaced_area += graph.node(m).lib_cell->area;
+      for (int m : member_nodes) replaced_area += graph.node(m).lib_cell->area;
       const double avg_per_bit = replaced_area / bits;
-      if (cell->area / cell->bits >= avg_per_bit) return;
+      if (merged_cell->area / merged_cell->bits >= avg_per_bit) return;
       // Flow-level 5% rule, applied eagerly with the cheapest cell so the
       // ILP never selects a candidate doomed at mapping time.
-      if (cell->area >
+      if (merged_cell->area >
           replaced_area * (1.0 + options.incomplete_area_overhead))
         return;
     }
 
-    const bool per_bit_scan = candidate_needs_per_bit_scan(graph, members);
-    if (per_bit_scan && members.size() > 1 && !has_per_bit_scan_cells)
+    const bool per_bit_scan = needs_per_bit_scan(
+        size,
+        [&](std::size_t i) -> const netlist::ScanInfo& {
+          return *node_scan[static_cast<std::size_t>(members_local[i])];
+        },
+        scan_orders);
+    if (per_bit_scan && size > 1 && !has_per_bit_scan_cells)
       return;  // required scan style not in the library
 
     int n_blockers = 0;
     double weight = 1.0;
     if (options.use_weights) {
-      n_blockers = blockers.count_blockers(graph, members);
+      // A floor at or above b already makes the weight infinite: the hull
+      // is not needed to know the clique is dropped.
+      if (size >= 2 && !(f.has_floor && f.floor >= bits))
+        n_blockers = count_blockers(f);
+      else if (size >= 2)
+        n_blockers = f.floor;
       weight = candidate_weight(bits, n_blockers);
       if (!std::isfinite(weight)) {
         // n >= b: dropped (w = infinity). Tallied locally and flushed to
@@ -213,62 +349,149 @@ struct Enumerator {
         return;
       }
     }
-    weight = options.cost.candidate_cost(weight,
-                                         priced_cell(members, mapped_width));
+    // The physical outcome the cost model prices: a keep-as-is singleton
+    // keeps its own cell, a merge creates (at least) the cheapest cell of
+    // the mapped width (the mapper's stand-in, matching the incomplete-MBR
+    // area rule's convention). Null for hand-built graphs whose nodes carry
+    // no library cell -- pricing then skips the beta/gamma terms.
+    weight = options.cost.candidate_cost(
+        weight, size == 1 ? graph.node(member_nodes.front()).lib_cell
+                          : merged_cell);
 
     Candidate candidate;
-    candidate.nodes = std::move(members);
+    candidate.nodes = member_nodes;
     candidate.bits = bits;
     candidate.mapped_width = mapped_width;
     candidate.blockers = n_blockers;
     candidate.weight = weight;
     candidate.needs_per_bit_scan = per_bit_scan;
-    candidate.common_region = region;
+    candidate.common_region = f.region;
     result.candidates.push_back(std::move(candidate));
   }
 
-  void dfs(int last_local, int bits, const geom::Rect& region) {
+  // Fills frames[depth + 1] with frames[depth] plus local node v.
+  void extend(int depth, int v, int bits, const geom::Rect& region) {
+    if (frames.size() <= static_cast<std::size_t>(depth + 1))
+      frames.resize(static_cast<std::size_t>(depth + 2));
+    const Frame& f = frames[static_cast<std::size_t>(depth)];
+    Frame& child = frames[static_cast<std::size_t>(depth + 1)];
+    const std::uint64_t bit = std::uint64_t{1} << v;
+    const auto lv = static_cast<std::size_t>(v);
+    child.members = f.members | bit;
+    child.common = f.common & adjacency[lv];
+    child.bits = bits;
+    child.region = region;
+    child.box = f.box.unite(node_footprint[lv]);
+    if (options.use_weights)
+      merge_corners(f.corners, node_footprint[lv], child.corners);
+    child.has_floor = f.has_floor;
+    child.floor = f.floor - ((f.floor_mask & bit) ? 1 : 0);
+    child.floor_mask = f.floor_mask & ~bit;
+  }
+
+  // True when every extension S u T of frame f's clique S, T drawn from
+  // `reach`, has n >= b. T adds at most room = min(W - bits(S), reach_bits)
+  // bits, and at most k floor blockers can join it: the most nodes of
+  // floor_mask & reach that fit in W - bits(S), narrowest first. So
+  // n(S u T) >= floor - k and b(S u T) <= bits(S) + room.
+  bool subtree_dropped(const Frame& f, std::uint64_t reach, int reach_bits) {
+    const int room = max_width - f.bits;
+    const int need = f.bits + std::min(room, reach_bits);
+    if (f.floor < need) return false;
+    const std::uint64_t joinable = f.floor_mask & reach;
+    if (f.floor - std::popcount(joinable) >= need) return true;
+    width_count.assign(static_cast<std::size_t>(room) + 1, 0);
+    for (std::uint64_t m = joinable; m != 0; m &= m - 1)
+      ++width_count[static_cast<std::size_t>(
+          node_bits[static_cast<std::size_t>(std::countr_zero(m))])];
+    int k = width_count[0];
+    int left = room;
+    for (int b = 1; b <= left; ++b) {
+      const int take = std::min(width_count[static_cast<std::size_t>(b)], left / b);
+      k += take;
+      left -= take * b;
+    }
+    return f.floor - k >= need;
+  }
+
+  void dfs(int depth, int last_local) {
     if (result.candidates.size() >= options.max_candidates_per_subgraph) {
       result.truncated = true;
       return;
     }
-    const int n = static_cast<int>(nodes.size());
-    const int max_width = widths->back();
-    for (int v = last_local + 1; v < n; ++v) {
-      // v must be adjacent to every current member (clique property).
-      bool adjacent_to_all = true;
-      for (int m : members_local) {
-        if (!(adjacency[m] >> v & 1)) {
-          adjacent_to_all = false;
-          break;
-        }
-      }
-      if (!adjacent_to_all) continue;
+    const Frame& f = frames[static_cast<std::size_t>(depth)];
+    // The nodes any extension can draw from: later, adjacent to every
+    // member (clique property), narrow enough, and sharing the region.
+    const std::uint64_t later =
+        last_local >= 63 ? 0 : ~std::uint64_t{0} << (last_local + 1);
+    std::uint64_t reach = 0;
+    int reach_bits = 0;
+    for (std::uint64_t m = f.common & later; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      const auto lv = static_cast<std::size_t>(v);
+      if (f.bits + node_bits[lv] > max_width) continue;
+      if (f.region.intersect(node_region[lv]).is_empty()) continue;
+      reach |= std::uint64_t{1} << v;
+      reach_bits += node_bits[lv];
+    }
+    if (reach == 0) return;
+    if (f.has_floor && subtree_dropped(f, reach, reach_bits)) {
+      ++pruned_subtrees;
+      return;
+    }
 
-      const int new_bits = bits + node_bits[static_cast<std::size_t>(v)];
-      if (new_bits > max_width) continue;  // other (narrower) nodes may fit
-      const geom::Rect new_region =
-          region.intersect(node_region[static_cast<std::size_t>(v)]);
-      if (new_region.is_empty()) continue;  // no shared spot for the MBR
-
+    for (std::uint64_t m = reach; m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
+      const auto lv = static_cast<std::size_t>(v);
+      const Frame& parent = frames[static_cast<std::size_t>(depth)];
+      extend(depth, v, parent.bits + node_bits[lv],
+             parent.region.intersect(node_region[lv]));
       members_local.push_back(v);
-      emit(new_bits, new_region);
-      dfs(v, new_bits, new_region);
+      emit(depth + 1);
+      dfs(depth + 1, v);
       members_local.pop_back();
       if (result.truncated) return;
     }
   }
 
+  void collect_blockers() {
+    geom::Rect box = geom::Rect::empty();
+    for (const geom::Rect& r : node_footprint) box = box.unite(r);
+    std::vector<BlockerIndex::Entry> entries;
+    blockers.query(box, entries);
+    blocker_list.clear();
+    blocker_list.reserve(entries.size());
+    for (const BlockerIndex::Entry& e : entries) {
+      const auto it = std::lower_bound(nodes.begin(), nodes.end(), e.node);
+      const bool local = it != nodes.end() && *it == e.node;
+      blocker_list.push_back(
+          {e.center, local ? static_cast<int>(it - nodes.begin()) : -1});
+    }
+    // By x for the per-hull range scan; the count does not depend on the
+    // order among equal x.
+    std::sort(blocker_list.begin(), blocker_list.end(),
+              [](const Blocker& a, const Blocker& b) {
+                if (a.center.x != b.center.x) return a.center.x < b.center.x;
+                if (a.center.y != b.center.y) return a.center.y < b.center.y;
+                return a.local < b.local;
+              });
+  }
+
   void run() {
     const int n = static_cast<int>(nodes.size());
-    MBRC_ASSERT_MSG(n <= 64, "subgraph larger than 64 nodes");
+    MBRC_ASSERT_MSG(n <= kMaxSubgraphNodes, "subgraph larger than 64 nodes");
+    MBRC_ASSERT_MSG(std::adjacent_find(nodes.begin(), nodes.end(),
+                                       std::greater_equal<>()) == nodes.end(),
+                    "subgraph nodes must be strictly ascending");
     if (n == 0) return;
 
     function = graph.node(nodes.front()).lib_cell->function;
     widths = &library.available_widths(function);
     MBRC_ASSERT_MSG(!widths->empty(), "composable register with no widths");
+    max_width = widths->back();
 
     for (int width : *widths) {
+      cheapest.push_back(library.cheapest_cell(function, width));
       for (const lib::RegisterCell* cell :
            library.cells_for(function, width)) {
         if (cell->scan_style == lib::ScanStyle::kPerBitPins)
@@ -279,9 +502,12 @@ struct Enumerator {
     // Local adjacency masks by merging each node's sorted neighbor list
     // against the sorted subgraph (O(degree + n) per node) instead of the
     // n^2/2 has_edge binary searches this replaces.
-    adjacency.assign(static_cast<std::size_t>(n), 0);
-    node_bits.resize(static_cast<std::size_t>(n));
-    node_region.resize(static_cast<std::size_t>(n));
+    const auto un = static_cast<std::size_t>(n);
+    adjacency.assign(un, 0);
+    node_bits.resize(un);
+    node_region.resize(un);
+    node_footprint.resize(un);
+    node_scan.resize(un);
     for (int i = 0; i < n; ++i) {
       const std::vector<int>& neighbors = graph.neighbors(nodes[i]);
       std::size_t a = 0;
@@ -298,20 +524,33 @@ struct Enumerator {
           ++b;
         }
       }
-      adjacency[static_cast<std::size_t>(i)] = mask;
+      const auto li = static_cast<std::size_t>(i);
+      adjacency[li] = mask;
       const RegisterInfo& info = graph.node(nodes[i]);
-      node_bits[static_cast<std::size_t>(i)] = info.bits;
-      node_region[static_cast<std::size_t>(i)] = info.region;
+      node_bits[li] = info.bits;
+      node_region[li] = info.region;
+      node_footprint[li] = info.footprint;
+      node_scan[li] = &info.scan;
     }
+    if (options.use_weights) collect_blockers();
 
     // Singletons first (always feasible cover), then the DFS over cliques
     // of size >= 2 starting at each node.
+    frames.resize(2);
     for (int v = 0; v < n; ++v) {
+      const auto lv = static_cast<std::size_t>(v);
+      Frame& f = frames[1];
+      f.members = std::uint64_t{1} << v;
+      f.common = adjacency[lv];
+      f.bits = node_bits[lv];
+      f.region = node_region[lv];
+      f.box = node_footprint[lv];
+      if (options.use_weights)
+        merge_corners({}, node_footprint[lv], f.corners);
+      f.has_floor = false;
       members_local.assign(1, v);
-      emit(node_bits[static_cast<std::size_t>(v)],
-           node_region[static_cast<std::size_t>(v)]);
-      dfs(v, node_bits[static_cast<std::size_t>(v)],
-          node_region[static_cast<std::size_t>(v)]);
+      emit(1);
+      dfs(1, v);
       members_local.clear();
     }
 
@@ -319,7 +558,7 @@ struct Enumerator {
     // to stay feasible. If the candidate cap cut enumeration short, append
     // any singletons that were lost (no effect on non-truncated runs).
     if (result.truncated) {
-      std::vector<bool> has_singleton(n, false);
+      std::vector<bool> has_singleton(un, false);
       for (const Candidate& c : result.candidates)
         if (c.nodes.size() == 1)
           for (int v = 0; v < n; ++v)
@@ -329,6 +568,8 @@ struct Enumerator {
         result.candidates.push_back(singleton_candidate(nodes[v]));
       }
     }
+    result.hulls = hulls;
+    result.pruned_subtrees = pruned_subtrees;
   }
 };
 
@@ -346,12 +587,18 @@ EnumerationResult enumerate_candidates(const CompatibilityGraph& graph,
   static obs::Counter& c_found = obs::counter("mbr.candidates.enumerated");
   static obs::Counter& c_dropped =
       obs::counter("flow.candidates.dropped_infinite_weight");
+  static obs::Counter& c_pruned =
+      obs::counter("mbr.candidates.pruned_subtrees");
+  static obs::Counter& c_hulls = obs::counter("mbr.candidates.hulls");
   static obs::Histogram& h_per =
       obs::histogram("mbr.candidates.per_subgraph");
+  const EnumerationResult& result = enumerator.result;
   c_calls.add(1);
-  c_found.add(static_cast<std::int64_t>(enumerator.result.candidates.size()));
-  c_dropped.add(enumerator.result.dropped_infinite_weight);
-  h_per.record(static_cast<std::int64_t>(enumerator.result.candidates.size()));
+  c_found.add(static_cast<std::int64_t>(result.candidates.size()));
+  c_dropped.add(result.dropped_infinite_weight);
+  c_pruned.add(result.pruned_subtrees);
+  c_hulls.add(result.hulls);
+  h_per.record(static_cast<std::int64_t>(result.candidates.size()));
   return std::move(enumerator.result);
 }
 

@@ -21,6 +21,14 @@
 // the (<= 30-node) subgraph; the resulting candidate *set* is identical and
 // no deduplication across overlapping maximal cliques is needed (a property
 // test in tests/candidates_test.cpp checks the equivalence).
+//
+// The DFS (DESIGN.md §5 "Candidate enumeration kernel") carries each
+// clique's sorted footprint corners down the recursion, so a hull is one
+// monotone chain with no sort; takes blockers from one per-subgraph list
+// instead of per-clique bin lookups; and skips whole any subtree in which
+// every clique would have n >= b. The candidate vector is the one the
+// plain DFS produces, candidate for candidate; only dropped_infinite_weight
+// no longer sees the skipped cliques.
 #pragma once
 
 #include <vector>
@@ -68,35 +76,41 @@ struct EnumerationResult {
   bool truncated = false;
   /// Cliques discarded because their weight was infinite (blockers >= bits,
   /// Sec. 3.2). Flushed to the flow.candidates.dropped_infinite_weight
-  /// counter so the coverage loss is visible in flow_report.json.
+  /// counter so the coverage loss is visible in flow_report.json. Counts
+  /// only cliques that reach the weight test: a pruned subtree's cliques
+  /// are never visited.
   std::int64_t dropped_infinite_weight = 0;
+  /// DFS subtrees skipped because every clique in them would be dropped
+  /// (mbr.candidates.pruned_subtrees).
+  std::int64_t pruned_subtrees = 0;
+  /// Convex hulls built for blocker counts (mbr.candidates.hulls).
+  std::int64_t hulls = 0;
 };
 
 /// Sec. 3.2 weight formula. `blockers >= bits` yields +infinity.
 double candidate_weight(int bits, int blockers);
 
-/// Spatial index over the composable-register centers, used to count the
+/// Spatial index over the composable-register centers, the source of the
 /// blocking registers of a candidate's convex hull.
 class BlockerIndex {
 public:
+  struct Entry {
+    geom::Point center;
+    int node;  // graph node index
+  };
+
   BlockerIndex(const CompatibilityGraph& graph, double bin_size = 25.0);
 
-  /// Registers (graph nodes) whose center lies strictly inside the convex
-  /// hull of the members' footprint corners, excluding the members
-  /// themselves. `members` must be sorted.
-  int count_blockers(const CompatibilityGraph& graph,
-                     const std::vector<int>& members) const;
+  /// Appends to `out` every entry whose center lies in the closed box
+  /// `box`, in no particular order.
+  void query(const geom::Rect& box, std::vector<Entry>& out) const;
 
   /// Moves node `node`'s center from `from` to `to` (the session graph's
-  /// incremental maintenance). Counts do not depend on the order of nodes
+  /// incremental maintenance). Queries do not depend on the order of nodes
   /// within a bin, so the index stays equal to a fresh one.
   void move(int node, geom::Point from, geom::Point to);
 
 private:
-  struct Entry {
-    geom::Point center;
-    int node;
-  };
   double bin_size_;
   std::unordered_map<std::int64_t, std::vector<Entry>> bins_;
 
@@ -110,8 +124,9 @@ bool candidate_needs_per_bit_scan(const CompatibilityGraph& graph,
                                   const std::vector<int>& members);
 
 /// Enumerates all valid candidates of one subgraph (node indices into
-/// `graph`, at most 64). Singleton keep-as-is candidates are always
-/// included, so the downstream set-partitioning ILP is always feasible.
+/// `graph`, strictly ascending, at most kMaxSubgraphNodes). Singleton
+/// keep-as-is candidates are always included, so the downstream
+/// set-partitioning ILP is always feasible.
 /// Only the library is needed (valid widths, incomplete-MBR area rule), so
 /// hand-built graphs (e.g. the paper's worked example) work too.
 EnumerationResult enumerate_candidates(const CompatibilityGraph& graph,

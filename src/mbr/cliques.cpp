@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
@@ -51,8 +52,9 @@ struct BronKerbosch {
 std::vector<std::vector<int>> maximal_cliques(const CompatibilityGraph& graph,
                                               const std::vector<int>& nodes) {
   const int n = static_cast<int>(nodes.size());
-  MBRC_ASSERT_MSG(n <= 64, "maximal_cliques subgraph larger than 64 nodes; "
-                           "partition the component first");
+  MBRC_ASSERT_MSG(n <= kMaxSubgraphNodes,
+                  "maximal_cliques subgraph larger than 64 nodes; "
+                  "partition the component first");
   if (n == 0) return {};
 
   // Local adjacency masks restricted to `nodes`: merge each node's sorted
@@ -146,10 +148,18 @@ void bisect(const CompatibilityGraph& graph, const netlist::Design& design,
 
 }  // namespace
 
+void check_partition_options(const PartitionOptions& options) {
+  MBRC_ASSERT_MSG(
+      options.max_nodes >= 1 && options.max_nodes <= kMaxSubgraphNodes,
+      "partition max_nodes must lie in [1, " +
+          std::to_string(kMaxSubgraphNodes) + "], got " +
+          std::to_string(options.max_nodes));
+}
+
 std::vector<std::vector<int>> partition_component(
     const CompatibilityGraph& graph, const netlist::Design& design,
     std::vector<int> component, const PartitionOptions& options) {
-  MBRC_ASSERT(options.max_nodes >= 1);
+  check_partition_options(options);
   std::vector<std::vector<int>> out;
   bisect(graph, design, std::move(component), options.max_nodes, out);
   for (auto& part : out) std::sort(part.begin(), part.end());

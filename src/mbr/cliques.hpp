@@ -21,11 +21,20 @@ namespace mbrc::mbr {
 std::vector<std::vector<int>> maximal_cliques(const CompatibilityGraph& graph,
                                               const std::vector<int>& nodes);
 
+/// Largest subgraph the clique and candidate steps accept: both work on
+/// 64-bit node masks.
+inline constexpr int kMaxSubgraphNodes = 64;
+
 struct PartitionOptions {
   /// Subgraph bound; the paper found 30 to be the sweet spot (smaller
-  /// loses QoR, larger only costs runtime).
+  /// loses QoR, larger only costs runtime). Must lie in
+  /// [1, kMaxSubgraphNodes].
   int max_nodes = 30;
 };
+
+/// Throws util::AssertionError, naming the limit, unless
+/// 1 <= options.max_nodes <= kMaxSubgraphNodes.
+void check_partition_options(const PartitionOptions& options);
 
 /// Splits one connected component into subgraphs of at most
 /// `options.max_nodes` nodes by recursively bisecting the register clock-pin

@@ -122,6 +122,7 @@ CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
                               const netlist::Design& design,
                               const std::optional<std::vector<int>>& region,
                               const CompositionOptions& options) {
+  check_partition_options(options.partition);  // before any worker task
   std::vector<std::vector<int>> subgraphs;
   for (std::vector<int>& component :
        region ? region_components(graph, *region)

@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
 
+#include "benchgen/generator.hpp"
+#include "geom/convex_hull.hpp"
 #include "mbr/candidates.hpp"
 #include "mbr/cliques.hpp"
 #include "mbr/composition.hpp"
 #include "mbr/worked_example.hpp"
 #include "obs/counters.hpp"
+#include "sta/sta.hpp"
+#include "util/rng.hpp"
 
 namespace mbrc::mbr {
 namespace {
@@ -18,6 +27,305 @@ std::string names(const std::vector<int>& nodes) {
   std::string s;
   for (int n : nodes) s += WorkedExample::node_name(n);
   return s;
+}
+
+// ---------------------------------------------------------------------------
+// Reference enumerator: the plain bounded DFS with a per-clique blocker
+// count over spatial bins, kept as it was as the oracle for the enumeration
+// kernel (no subtree pruning, no carried corners, a sort per hull).
+// ---------------------------------------------------------------------------
+namespace reference {
+
+class BinnedBlockers {
+public:
+  explicit BinnedBlockers(const CompatibilityGraph& graph,
+                          double bin_size = 25.0)
+      : bin_size_(bin_size) {
+    for (int i = 0; i < graph.node_count(); ++i) {
+      const geom::Point c = graph.node(i).center();
+      bins_[key(c.x, c.y)].push_back({c, i});
+    }
+  }
+
+  int count_blockers(const CompatibilityGraph& graph,
+                     const std::vector<int>& members) const {
+    if (members.size() < 2) return 0;
+    std::vector<geom::Rect> rects;
+    rects.reserve(members.size());
+    geom::Rect bbox = geom::Rect::empty();
+    for (int m : members) {
+      rects.push_back(graph.node(m).footprint);
+      bbox = bbox.unite(rects.back());
+    }
+    const auto hull = geom::convex_hull_of_rects(rects);
+
+    int count = 0;
+    const auto lo_x = static_cast<std::int64_t>(std::floor(bbox.xlo / bin_size_));
+    const auto hi_x = static_cast<std::int64_t>(std::floor(bbox.xhi / bin_size_));
+    const auto lo_y = static_cast<std::int64_t>(std::floor(bbox.ylo / bin_size_));
+    const auto hi_y = static_cast<std::int64_t>(std::floor(bbox.yhi / bin_size_));
+    for (auto bx = lo_x; bx <= hi_x; ++bx) {
+      for (auto by = lo_y; by <= hi_y; ++by) {
+        const auto it = bins_.find((bx << 32) ^ (by & 0xffffffff));
+        if (it == bins_.end()) continue;
+        for (const Entry& e : it->second) {
+          if (std::binary_search(members.begin(), members.end(), e.node))
+            continue;
+          if (geom::convex_contains_strict(hull, e.center)) ++count;
+        }
+      }
+    }
+    return count;
+  }
+
+private:
+  struct Entry {
+    geom::Point center;
+    int node;
+  };
+  double bin_size_;
+  std::unordered_map<std::int64_t, std::vector<Entry>> bins_;
+
+  std::int64_t key(double x, double y) const {
+    const auto bx = static_cast<std::int64_t>(std::floor(x / bin_size_));
+    const auto by = static_cast<std::int64_t>(std::floor(y / bin_size_));
+    return (bx << 32) ^ (by & 0xffffffff);
+  }
+};
+
+struct Enumerator {
+  const CompatibilityGraph& graph;
+  const lib::Library& library;
+  const BinnedBlockers& blockers;
+  const EnumerationOptions& options;
+
+  std::vector<int> nodes;
+  std::vector<std::uint64_t> adjacency{};
+  const std::vector<int>* widths = nullptr;
+  lib::RegisterFunction function{};
+  bool has_per_bit_scan_cells = false;
+
+  EnumerationResult result{};
+
+  std::vector<int> members_local{};
+  std::vector<int> node_bits{};
+  std::vector<geom::Rect> node_region{};
+
+  const lib::RegisterCell* priced_cell(const std::vector<int>& members,
+                                       int mapped_width) const {
+    if (members.size() == 1) return graph.node(members.front()).lib_cell;
+    return library.cheapest_cell(function, mapped_width);
+  }
+
+  Candidate singleton_candidate(int graph_node) const {
+    const RegisterInfo& info = graph.node(graph_node);
+    Candidate singleton;
+    singleton.nodes = {graph_node};
+    singleton.bits = info.bits;
+    singleton.mapped_width = info.bits;
+    singleton.weight =
+        options.use_weights ? candidate_weight(info.bits, 0) : 1.0;
+    singleton.weight =
+        options.cost.candidate_cost(singleton.weight, info.lib_cell);
+    singleton.common_region = info.region;
+    return singleton;
+  }
+
+  void emit(int bits, const geom::Rect& region) {
+    if (result.candidates.size() >= options.max_candidates_per_subgraph) {
+      result.truncated = true;
+      return;
+    }
+    std::vector<int> members;
+    members.reserve(members_local.size());
+    for (int l : members_local) members.push_back(nodes[l]);
+    std::sort(members.begin(), members.end());
+
+    const bool complete =
+        std::binary_search(widths->begin(), widths->end(), bits);
+    int mapped_width = bits;
+    if (!complete) {
+      if (!options.allow_incomplete || members.size() < 2) return;
+      const auto up = std::upper_bound(widths->begin(), widths->end(), bits);
+      if (up == widths->end()) return;
+      mapped_width = *up;
+      const lib::RegisterCell* cell =
+          library.cheapest_cell(function, mapped_width);
+      if (cell == nullptr) return;
+      double replaced_area = 0.0;
+      for (int m : members) replaced_area += graph.node(m).lib_cell->area;
+      const double avg_per_bit = replaced_area / bits;
+      if (cell->area / cell->bits >= avg_per_bit) return;
+      if (cell->area >
+          replaced_area * (1.0 + options.incomplete_area_overhead))
+        return;
+    }
+
+    const bool per_bit_scan = candidate_needs_per_bit_scan(graph, members);
+    if (per_bit_scan && members.size() > 1 && !has_per_bit_scan_cells)
+      return;
+
+    int n_blockers = 0;
+    double weight = 1.0;
+    if (options.use_weights) {
+      n_blockers = blockers.count_blockers(graph, members);
+      weight = candidate_weight(bits, n_blockers);
+      if (!std::isfinite(weight)) {
+        ++result.dropped_infinite_weight;
+        return;
+      }
+    }
+    weight = options.cost.candidate_cost(weight,
+                                         priced_cell(members, mapped_width));
+
+    Candidate candidate;
+    candidate.nodes = std::move(members);
+    candidate.bits = bits;
+    candidate.mapped_width = mapped_width;
+    candidate.blockers = n_blockers;
+    candidate.weight = weight;
+    candidate.needs_per_bit_scan = per_bit_scan;
+    candidate.common_region = region;
+    result.candidates.push_back(std::move(candidate));
+  }
+
+  void dfs(int last_local, int bits, const geom::Rect& region) {
+    if (result.candidates.size() >= options.max_candidates_per_subgraph) {
+      result.truncated = true;
+      return;
+    }
+    const int n = static_cast<int>(nodes.size());
+    const int max_width = widths->back();
+    for (int v = last_local + 1; v < n; ++v) {
+      bool adjacent_to_all = true;
+      for (int m : members_local) {
+        if (!(adjacency[m] >> v & 1)) {
+          adjacent_to_all = false;
+          break;
+        }
+      }
+      if (!adjacent_to_all) continue;
+
+      const int new_bits = bits + node_bits[static_cast<std::size_t>(v)];
+      if (new_bits > max_width) continue;
+      const geom::Rect new_region =
+          region.intersect(node_region[static_cast<std::size_t>(v)]);
+      if (new_region.is_empty()) continue;
+
+      members_local.push_back(v);
+      emit(new_bits, new_region);
+      dfs(v, new_bits, new_region);
+      members_local.pop_back();
+      if (result.truncated) return;
+    }
+  }
+
+  void run() {
+    const int n = static_cast<int>(nodes.size());
+    if (n == 0) return;
+
+    function = graph.node(nodes.front()).lib_cell->function;
+    widths = &library.available_widths(function);
+
+    for (int width : *widths) {
+      for (const lib::RegisterCell* cell :
+           library.cells_for(function, width)) {
+        if (cell->scan_style == lib::ScanStyle::kPerBitPins)
+          has_per_bit_scan_cells = true;
+      }
+    }
+
+    adjacency.assign(static_cast<std::size_t>(n), 0);
+    node_bits.resize(static_cast<std::size_t>(n));
+    node_region.resize(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const std::vector<int>& neighbors = graph.neighbors(nodes[i]);
+      std::size_t a = 0;
+      std::size_t b = 0;
+      std::uint64_t mask = 0;
+      while (a < neighbors.size() && b < nodes.size()) {
+        if (neighbors[a] < nodes[b]) {
+          ++a;
+        } else if (neighbors[a] > nodes[b]) {
+          ++b;
+        } else {
+          mask |= std::uint64_t{1} << b;
+          ++a;
+          ++b;
+        }
+      }
+      adjacency[static_cast<std::size_t>(i)] = mask;
+      const RegisterInfo& info = graph.node(nodes[i]);
+      node_bits[static_cast<std::size_t>(i)] = info.bits;
+      node_region[static_cast<std::size_t>(i)] = info.region;
+    }
+
+    for (int v = 0; v < n; ++v) {
+      members_local.assign(1, v);
+      emit(node_bits[static_cast<std::size_t>(v)],
+           node_region[static_cast<std::size_t>(v)]);
+      dfs(v, node_bits[static_cast<std::size_t>(v)],
+          node_region[static_cast<std::size_t>(v)]);
+      members_local.clear();
+    }
+
+    if (result.truncated) {
+      std::vector<bool> has_singleton(n, false);
+      for (const Candidate& c : result.candidates)
+        if (c.nodes.size() == 1)
+          for (int v = 0; v < n; ++v)
+            if (nodes[v] == c.nodes.front()) has_singleton[v] = true;
+      for (int v = 0; v < n; ++v) {
+        if (has_singleton[v]) continue;
+        result.candidates.push_back(singleton_candidate(nodes[v]));
+      }
+    }
+  }
+};
+
+EnumerationResult enumerate(const CompatibilityGraph& graph,
+                            const lib::Library& library,
+                            const std::vector<int>& subgraph,
+                            const EnumerationOptions& options = {}) {
+  const BinnedBlockers blockers(graph);
+  Enumerator enumerator{graph, library, blockers, options, subgraph};
+  enumerator.run();
+  return std::move(enumerator.result);
+}
+
+}  // namespace reference
+
+// Bitwise equality of two enumerations: same candidates in the same order,
+// every field identical down to the bits of each double.
+::testing::AssertionResult same_enumeration(const EnumerationResult& got,
+                                            const EnumerationResult& want) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  const auto same_rect = [&](const geom::Rect& a, const geom::Rect& b) {
+    return bits(a.xlo) == bits(b.xlo) && bits(a.ylo) == bits(b.ylo) &&
+           bits(a.xhi) == bits(b.xhi) && bits(a.yhi) == bits(b.yhi);
+  };
+  if (got.truncated != want.truncated)
+    return ::testing::AssertionFailure()
+           << "truncated " << got.truncated << " vs " << want.truncated;
+  if (got.candidates.size() != want.candidates.size())
+    return ::testing::AssertionFailure()
+           << got.candidates.size() << " candidates vs "
+           << want.candidates.size();
+  for (std::size_t i = 0; i < got.candidates.size(); ++i) {
+    const Candidate& a = got.candidates[i];
+    const Candidate& b = want.candidates[i];
+    if (a.nodes != b.nodes || a.bits != b.bits ||
+        a.mapped_width != b.mapped_width || a.blockers != b.blockers ||
+        bits(a.weight) != bits(b.weight) ||
+        a.needs_per_bit_scan != b.needs_per_bit_scan ||
+        !same_rect(a.common_region, b.common_region))
+      return ::testing::AssertionFailure()
+             << "candidate " << i << " differs (blockers " << a.blockers
+             << " vs " << b.blockers << ", weight " << a.weight << " vs "
+             << b.weight << ", " << a.nodes.size() << " vs "
+             << b.nodes.size() << " nodes)";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(CandidateWeight, Formula) {
@@ -181,7 +489,8 @@ TEST_F(WorkedExampleCandidates, MatchesMaximalCliqueSubsetEnumeration) {
       if (!complete) continue;  // incomplete rules tested separately
       if (region.is_empty()) continue;
       const int blocked =
-          blockers.count_blockers(example.graph, subset);
+          reference::BinnedBlockers(example.graph)
+              .count_blockers(example.graph, subset);
       if (blocked >= bits) continue;  // weight infinity: dropped
       EXPECT_TRUE(produced.contains(subset)) << names(subset);
     }
@@ -217,15 +526,23 @@ TEST_F(WorkedExampleCandidates, TruncatedEnumerationKeepsIlpFeasible) {
 TEST(BlockerIndexTest, CountsOnlyNonMembersStrictlyInside) {
   const WorkedExample example = make_worked_example();
   const BlockerIndex index(example.graph);
+  std::vector<int> subgraph;
+  for (int i = 0; i < example.graph.node_count(); ++i) subgraph.push_back(i);
+  const EnumerationResult result = enumerate_candidates(
+      example.graph, *example.library, index, subgraph, {});
+  const auto blockers_of = [&](const std::vector<int>& nodes) {
+    for (const Candidate& c : result.candidates)
+      if (c.nodes == nodes) return c.blockers;
+    ADD_FAILURE() << "no candidate " << names(nodes);
+    return -1;
+  };
   using WE = WorkedExample;
   // D is inside hull(A, B, C) (Fig. 2).
-  EXPECT_EQ(index.count_blockers(example.graph, {WE::kA, WE::kB, WE::kC}), 1);
+  EXPECT_EQ(blockers_of({WE::kA, WE::kB, WE::kC}), 1);
   // ...but a member never blocks its own candidate.
-  EXPECT_EQ(
-      index.count_blockers(example.graph, {WE::kA, WE::kB, WE::kC, WE::kD}),
-      0);
+  EXPECT_EQ(blockers_of({WE::kA, WE::kB, WE::kC, WE::kD}), 0);
   // Singletons have no hull to block.
-  EXPECT_EQ(index.count_blockers(example.graph, {WE::kA}), 0);
+  EXPECT_EQ(blockers_of({WE::kA}), 0);
 }
 
 TEST(PerBitScan, RuleMatrix) {
@@ -314,34 +631,46 @@ TEST_F(WorkedExampleCandidates, TruncationGuardSingletonsCarryCostTerms) {
 }
 
 TEST(DroppedInfiniteWeight, TalliedAndFlushedToCounter) {
-  // Two compatible 1-bit registers at diagonal corners; two strangers sit
-  // strictly inside the pair's convex hull. The pair candidate has n=2
-  // blockers >= b=2 bits -> infinite weight -> silently dropped by
-  // enumeration. Regression (S2): that drop used to vanish without a
-  // trace; it must be tallied in the result and flushed to the
+  // Two compatible registers at diagonal corners; two strangers sit
+  // strictly inside the pair's convex hull. With 1-bit registers the pair
+  // candidate has n=2 blockers >= b=2 bits -> infinite weight -> silently
+  // dropped by enumeration. Regression (S2): that drop used to vanish
+  // without a trace; it must be tallied in the result and flushed to the
   // flow.candidates.dropped_infinite_weight counter.
   const lib::Library library = lib::make_default_library();
-  const lib::RegisterCell* unit = library.cheapest_cell({}, 1);
-  ASSERT_NE(unit, nullptr);
-
-  CompatibilityGraph graph;
-  const auto add = [&](geom::Rect footprint) {
-    RegisterInfo info;
-    info.lib_cell = unit;
-    info.bits = 1;
-    info.footprint = footprint;
-    info.region = {-100.0, -100.0, 100.0, 100.0};
-    return graph.add_node(info);
+  const auto build = [&](int bits) {
+    const lib::RegisterCell* cell = library.cheapest_cell({}, bits);
+    CompatibilityGraph graph;
+    const auto add = [&](geom::Rect footprint) {
+      RegisterInfo info;
+      info.lib_cell = cell;
+      info.bits = bits;
+      info.footprint = footprint;
+      info.region = {-100.0, -100.0, 100.0, 100.0};
+      return graph.add_node(info);
+    };
+    const int a = add({0.0, 0.0, 1.0, 1.0});
+    const int b = add({10.0, 10.0, 11.0, 11.0});
+    add({4.0, 4.0, 5.0, 5.0});  // blocker, center (4.5, 4.5)
+    add({5.0, 5.0, 6.0, 6.0});  // blocker, center (5.5, 5.5)
+    graph.add_edge(a, b);
+    graph.finalize();
+    return graph;
   };
-  const int a = add({0.0, 0.0, 1.0, 1.0});
-  const int b = add({10.0, 10.0, 11.0, 11.0});
-  add({4.0, 4.0, 5.0, 5.0});  // blocker, center (4.5, 4.5)
-  add({5.0, 5.0, 6.0, 6.0});  // blocker, center (5.5, 5.5)
-  graph.add_edge(a, b);
-  graph.finalize();
-
+  const CompatibilityGraph graph = build(1);
+  const int a = 0;
+  const int b = 1;
   const BlockerIndex blockers(graph);
-  ASSERT_EQ(blockers.count_blockers(graph, {a, b}), 2);
+  {
+    // The same geometry with 2-bit registers keeps the pair (n=2 < b=4),
+    // so its Candidate::blockers shows the count that drops the 1-bit pair.
+    const CompatibilityGraph wide = build(2);
+    const EnumerationResult kept = enumerate_candidates(
+        wide, library, BlockerIndex(wide), {a, b}, {});
+    ASSERT_EQ(kept.candidates.size(), 3u);
+    ASSERT_EQ(kept.candidates[1].nodes, (std::vector<int>{a, b}));
+    ASSERT_EQ(kept.candidates[1].blockers, 2);
+  }
 
   const obs::CountersSnapshot before = obs::counters_snapshot();
   const EnumerationResult result =
@@ -360,6 +689,210 @@ TEST(DroppedInfiniteWeight, TalliedAndFlushedToCounter) {
   EXPECT_EQ(singletons, 2);
   EXPECT_EQ(result.candidates.size(), 2u);
 }
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the enumeration kernel against the reference DFS.
+// ---------------------------------------------------------------------------
+
+// A random hand-built subgraph plus strangers (composable registers outside
+// the subgraph that still block hulls). Footprints sit on 1.8 um rows at
+// 0.19 um sites, with a few off-grid ones, inside a box small enough that
+// hulls routinely swallow several registers.
+struct RandomCase {
+  CompatibilityGraph graph;
+  std::vector<int> subgraph;
+};
+
+RandomCase random_case(const lib::Library& library,
+                       const lib::RegisterFunction& function, util::Rng& rng) {
+  RandomCase out;
+  const std::vector<int>& widths = library.available_widths(function);
+  const int nodes = static_cast<int>(rng.uniform_int(2, 34));
+  const int strangers = static_cast<int>(rng.uniform_int(0, 30));
+  const double extent = rng.uniform_real(8.0, 60.0);
+  const double edge_p = rng.uniform_real(0.3, 0.95);
+  const int sections = static_cast<int>(rng.uniform_int(0, 2));
+  for (int i = 0; i < nodes + strangers; ++i) {
+    // Mostly narrow registers so cliques grow deep; now and then a wide one.
+    const int bits = rng.chance(0.75)
+                         ? widths.front()
+                         : widths[static_cast<std::size_t>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(widths.size()) - 2))];
+    const lib::RegisterCell* cell = library.cheapest_cell(function, bits);
+    RegisterInfo info;
+    info.lib_cell = cell;
+    info.bits = bits;
+    const auto grid = [&](double pitch) {
+      return pitch * static_cast<double>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(extent / pitch)));
+    };
+    double x = grid(0.19);
+    double y = grid(1.8);
+    if (rng.chance(0.15)) {
+      x = rng.uniform_real(0.0, extent);
+      y = rng.uniform_real(0.0, extent);
+    }
+    info.footprint = {x, y, x + cell->width, y + cell->height};
+    const double cx = x + rng.uniform_real(-5.0, 5.0);
+    const double cy = y + rng.uniform_real(-5.0, 5.0);
+    const double half = rng.uniform_real(4.0, extent);
+    info.region = {cx - half, cy - half, cx + half, cy + half};
+    if (function.is_scan && sections > 0 && rng.chance(0.7)) {
+      info.scan.partition = 0;
+      info.scan.section = static_cast<int>(rng.uniform_int(0, sections - 1));
+      info.scan.order = static_cast<int>(rng.uniform_int(0, 12));
+    }
+    out.graph.add_node(info);
+  }
+  // Subgraph: a sorted random subset of size `nodes`; the rest are strangers.
+  std::vector<int> all(static_cast<std::size_t>(nodes + strangers));
+  for (int i = 0; i < nodes + strangers; ++i)
+    all[static_cast<std::size_t>(i)] = i;
+  for (std::size_t i = all.size(); i > 1; --i)
+    std::swap(all[i - 1], all[static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(i) - 1))]);
+  out.subgraph.assign(all.begin(), all.begin() + nodes);
+  std::sort(out.subgraph.begin(), out.subgraph.end());
+  for (int i = 0; i < nodes + strangers; ++i)
+    for (int j = i + 1; j < nodes + strangers; ++j)
+      if (rng.chance(edge_p)) out.graph.add_edge(i, j);
+  out.graph.finalize();
+  return out;
+}
+
+TEST(CandidatesOracle, MatchesReferenceOnRandomSubgraphs) {
+  lib::DefaultLibraryOptions with3;
+  with3.include_width_3 = true;
+  lib::DefaultLibraryOptions no_per_bit;
+  no_per_bit.per_bit_scan_variants = false;
+  const lib::Library libraries[] = {lib::make_default_library(),
+                                    lib::make_default_library(with3),
+                                    lib::make_default_library(no_per_bit)};
+  const lib::RegisterFunction functions[] = {{}, {.is_scan = true}};
+
+  util::Rng rng(0x0c4ad1da7e5ULL);
+  std::int64_t pruned = 0;
+  std::int64_t truncated = 0;
+  std::int64_t candidates = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const lib::Library& library =
+        libraries[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const lib::RegisterFunction& function =
+        functions[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    const RandomCase c = random_case(library, function, rng);
+
+    EnumerationOptions options;
+    options.allow_incomplete = rng.chance(0.7);
+    options.use_weights = rng.chance(0.85);
+    if (rng.chance(0.3)) options.incomplete_area_overhead = 10.0;
+    if (rng.chance(0.3)) {
+      options.cost.beta = 0.1;
+      options.cost.gamma = 0.05;
+    }
+    if (rng.chance(0.2))
+      options.max_candidates_per_subgraph =
+          static_cast<std::size_t>(rng.uniform_int(1, 60));
+
+    const BlockerIndex index(c.graph);
+    const EnumerationResult got =
+        enumerate_candidates(c.graph, library, index, c.subgraph, options);
+    const EnumerationResult want =
+        reference::enumerate(c.graph, library, c.subgraph, options);
+    ASSERT_TRUE(same_enumeration(got, want)) << "trial " << trial;
+    EXPECT_LE(got.dropped_infinite_weight, want.dropped_infinite_weight);
+    pruned += got.pruned_subtrees;
+    truncated += got.truncated;
+    candidates += static_cast<std::int64_t>(got.candidates.size());
+  }
+  // The trials must actually exercise the prune and the truncation guard.
+  EXPECT_GT(pruned, 0);
+  EXPECT_GT(truncated, 0);
+  EXPECT_GT(candidates, 0);
+}
+
+TEST(CandidatesOracle, PlantedHullPrunesSubtrees) {
+  // Six mutually compatible 1-bit registers on the corners and edges of a
+  // 40 um square; ten strangers sit in its middle, so the hull of any pair
+  // of opposite registers already holds >= W = 8 of them and every clique
+  // grown from such a pair is dropped.
+  const lib::Library library = lib::make_default_library();
+  const lib::RegisterCell* unit = library.cheapest_cell({}, 1);
+  CompatibilityGraph graph;
+  const auto add = [&](double x, double y) {
+    RegisterInfo info;
+    info.lib_cell = unit;
+    info.bits = 1;
+    info.footprint = {x, y, x + unit->width, y + unit->height};
+    info.region = {-100.0, -100.0, 100.0, 100.0};
+    return graph.add_node(info);
+  };
+  std::vector<int> subgraph;
+  for (const auto& [x, y] : std::vector<std::pair<double, double>>{
+           {0, 0}, {40, 40}, {0, 40}, {40, 0}, {20, 0}, {20, 40}})
+    subgraph.push_back(add(x, y));
+  for (int i = 0; i < 10; ++i) add(15.0 + i, 18.0 + 0.3 * i);
+  for (std::size_t i = 0; i < subgraph.size(); ++i)
+    for (std::size_t j = i + 1; j < subgraph.size(); ++j)
+      graph.add_edge(subgraph[i], subgraph[j]);
+  graph.finalize();
+
+  const BlockerIndex index(graph);
+  const EnumerationResult got =
+      enumerate_candidates(graph, library, index, subgraph, {});
+  const EnumerationResult want = reference::enumerate(graph, library, subgraph);
+  EXPECT_GT(got.pruned_subtrees, 0);
+  EXPECT_LT(got.dropped_infinite_weight, want.dropped_infinite_weight);
+  EXPECT_TRUE(same_enumeration(got, want));
+}
+
+// Every subgraph of a generated design, enumerated both ways. The
+// parameter is the profile name: D1-D5 (standard) and D1x4 (scaled).
+class CandidatesOracleDesign : public ::testing::TestWithParam<std::string> {
+protected:
+  static benchgen::DesignProfile profile(const std::string& name) {
+    std::vector<benchgen::DesignProfile> all = benchgen::standard_profiles();
+    for (const benchgen::DesignProfile& p : benchgen::scaled_profiles(4))
+      all.push_back(p);
+    for (const benchgen::DesignProfile& p : all)
+      if (p.name == name) return p;
+    ADD_FAILURE() << "no profile " << name;
+    return {};
+  }
+};
+
+TEST_P(CandidatesOracleDesign, MatchesReferenceOnEverySubgraph) {
+  const lib::Library library = lib::make_default_library();
+  const benchgen::GeneratedDesign generated =
+      benchgen::generate_design(library, profile(GetParam()));
+  sta::TimingOptions timing;
+  timing.clock_period = generated.calibrated_clock_period;
+  const sta::TimingReport report = sta::run_sta(generated.design, timing);
+  const CompositionOptions options;
+  const CompatibilityGraph graph =
+      build_compatibility_graph(generated.design, report, options.compatibility);
+  const BlockerIndex index(graph);
+  std::int64_t subgraphs = 0;
+  std::int64_t pruned = 0;
+  for (const std::vector<int>& part :
+       partition_graph(graph, generated.design, options.partition)) {
+    const EnumerationResult got = enumerate_candidates(
+        graph, library, index, part, options.enumeration);
+    const EnumerationResult want =
+        reference::enumerate(graph, library, part, options.enumeration);
+    ASSERT_TRUE(same_enumeration(got, want)) << "subgraph " << subgraphs;
+    pruned += got.pruned_subtrees;
+    ++subgraphs;
+  }
+  EXPECT_GT(subgraphs, 0);
+  EXPECT_GT(pruned, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, CandidatesOracleDesign,
+                         ::testing::Values("D1", "D2", "D3", "D4", "D5",
+                                           "D1x4"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 }  // namespace
 }  // namespace mbrc::mbr

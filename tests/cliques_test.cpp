@@ -3,7 +3,9 @@
 #include <set>
 
 #include "mbr/cliques.hpp"
+#include "mbr/composition.hpp"
 #include "mbr/worked_example.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace mbrc::mbr {
@@ -197,6 +199,33 @@ TEST_F(PartitionFixture, SmallComponentLeftIntact) {
   const auto parts = partition_component(graph, design, component, options);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0].size(), 64u);
+}
+
+TEST_F(PartitionFixture, BoundOutsideOneToSixtyFourIsRejectedUpFront) {
+  // The clique and candidate steps use 64-bit masks: a bound of 65 would
+  // only fail later, inside a worker task, once a part exceeded 64 nodes.
+  auto component = graph.connected_components().front();
+  for (const int bound : {0, -3, 65, 1000}) {
+    PartitionOptions options;
+    options.max_nodes = bound;
+    try {
+      partition_component(graph, design, component, options);
+      ADD_FAILURE() << "bound " << bound << " accepted";
+    } catch (const util::AssertionError& e) {
+      EXPECT_NE(std::string(e.what()).find("[1, 64]"), std::string::npos)
+          << e.what();
+    }
+    CompositionOptions composition;
+    composition.partition = options;
+    // Rejected before partitioning, even for an empty region.
+    EXPECT_THROW(plan_on_graph(graph, BlockerIndex(graph), design,
+                               std::vector<int>{}, composition),
+                 util::AssertionError)
+        << "bound " << bound;
+  }
+  PartitionOptions widest;
+  widest.max_nodes = kMaxSubgraphNodes;
+  EXPECT_EQ(partition_component(graph, design, component, widest).size(), 1u);
 }
 
 TEST_F(PartitionFixture, PartitionGraphHandlesWholeGraph) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "lib/library.hpp"
 #include "util/assert.hpp"
@@ -161,6 +163,55 @@ TEST(RegisterFunctionEncoding, DistinctPerFeature) {
         for (bool q : {false, true})
           codes.insert(RegisterFunction{r, s, e, q, false}.encode());
   EXPECT_EQ(codes.size(), 16u);
+}
+
+TEST(LibraryIndex, CheapestCellIsFirstMinimumInInsertionOrder) {
+  // The per-(function, width) index must answer what a scan of
+  // registers() in insertion order answers: the first cell of minimum area.
+  const auto cell = [](std::string name, int bits, double area,
+                       RegisterFunction function = {}) {
+    RegisterCell c;
+    c.name = std::move(name);
+    c.bits = bits;
+    c.area = area;
+    c.function = function;
+    c.d_pin_offsets.assign(static_cast<std::size_t>(bits), {});
+    c.q_pin_offsets.assign(static_cast<std::size_t>(bits), {});
+    return c;
+  };
+  Library library;
+  library.add_register(cell("W4_A", 4, 9.0));
+  library.add_register(cell("W2_A", 2, 5.0));
+  library.add_register(cell("W4_B", 4, 7.0));  // new minimum
+  library.add_register(cell("W4_C", 4, 7.0));  // tie: the first one stays
+  library.add_register(cell("W4_R", 4, 1.0, {.has_reset = true}));
+  library.add_register(cell("W2_B", 2, 5.0));  // tie at width 2
+  library.add_register(cell("W1_A", 1, 3.0));  // width inserted below
+
+  EXPECT_EQ(library.cheapest_cell({}, 4)->name, "W4_B");
+  EXPECT_EQ(library.cheapest_cell({}, 2)->name, "W2_A");
+  EXPECT_EQ(library.cheapest_cell({}, 1)->name, "W1_A");
+  EXPECT_EQ(library.cheapest_cell({.has_reset = true}, 4)->name, "W4_R");
+  EXPECT_EQ(library.cheapest_cell({}, 8), nullptr);
+  EXPECT_EQ(library.cheapest_cell({.is_scan = true}, 4), nullptr);
+  EXPECT_EQ(library.available_widths({}), (std::vector<int>{1, 2, 4}));
+
+  std::vector<std::string> names;
+  for (const RegisterCell* c : library.cells_for({}, 4)) names.push_back(c->name);
+  EXPECT_EQ(names, (std::vector<std::string>{"W4_A", "W4_B", "W4_C"}));
+
+  // The default library agrees with a linear scan for every class and width.
+  const Library full = make_default_library();
+  for (const RegisterFunction& f : DefaultLibraryOptions{}.functions) {
+    for (int w : full.available_widths(f)) {
+      const RegisterCell* scan = nullptr;
+      for (const RegisterCell& c : full.registers())
+        if (c.function == f && c.bits == w &&
+            (scan == nullptr || c.area < scan->area))
+          scan = &c;
+      EXPECT_EQ(full.cheapest_cell(f, w), scan) << "width " << w;
+    }
+  }
 }
 
 }  // namespace
