@@ -138,12 +138,11 @@ Workload make_workload(const lib::Library& library, const Settings& settings) {
     r.width = cell.width();
     r.height = cell.height();
     for (const lib::RegisterCell* v :
-         design.library().cells_for(cell.reg->function, cell.reg->bits))
-      if (v->scan_style == cell.reg->scan_style) {
-        r.variants.push_back(v->name);
-        r.width = std::max(r.width, v->width);
-        r.height = std::max(r.height, v->height);
-      }
+         design.library().drive_variants(*cell.reg)) {
+      r.variants.push_back(v->name);
+      r.width = std::max(r.width, v->width);
+      r.height = std::max(r.height, v->height);
+    }
     w.regs.push_back(std::move(r));
   }
   return w;
@@ -564,13 +563,11 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
     if (cell == nullptr) continue;
     Reg reg{r.int_or("cell", -1), r.number_or("x", 0.0), r.number_or("y", 0.0),
             cell->width, cell->height, {}};
-    for (const lib::RegisterCell* v :
-         library.cells_for(cell->function, cell->bits))
-      if (v->scan_style == cell->scan_style) {
-        reg.variants.push_back(v->name);
-        reg.width = std::max(reg.width, v->width);
-        reg.height = std::max(reg.height, v->height);
-      }
+    for (const lib::RegisterCell* v : library.drive_variants(*cell)) {
+      reg.variants.push_back(v->name);
+      reg.width = std::max(reg.width, v->width);
+      reg.height = std::max(reg.height, v->height);
+    }
     regs.push_back(std::move(reg));
   }
   if (regs.empty()) {

@@ -72,24 +72,14 @@ int sample_width(util::Rng& rng, const std::map<int, double>& mix) {
 }
 
 // Picks the register cell of (function, width) with the sampled drive
-// strength (X1-heavy), skipping per-bit-scan variants for initial cells.
+// strength (X1-heavy) from the base-scan-style family, weakest first.
 const lib::RegisterCell* sample_register_cell(util::Rng& rng,
                                               const lib::Library& library,
                                               const lib::RegisterFunction& f,
                                               int width) {
-  auto cells = library.cells_for(f, width);
-  std::erase_if(cells, [](const lib::RegisterCell* c) {
-    return c->scan_style == lib::ScanStyle::kPerBitPins;
-  });
+  const auto cells =
+      library.drive_variants(f, width, lib::base_scan_style(f));
   MBRC_ASSERT_MSG(!cells.empty(), "library lacks a register class/width");
-  // Weakest (highest resistance) first; name breaks resistance ties so the
-  // draw below lands on the same cell on every platform.
-  std::sort(cells.begin(), cells.end(),
-            [](const lib::RegisterCell* a, const lib::RegisterCell* b) {
-              if (a->drive_resistance != b->drive_resistance)
-                return a->drive_resistance > b->drive_resistance;
-              return a->name < b->name;
-            });
   const double draw = rng.uniform_real(0.0, 1.0);
   const std::size_t index = draw < 0.80 ? 0 : (draw < 0.95 ? 1 : 2);
   return cells[std::min(index, cells.size() - 1)];

@@ -74,6 +74,19 @@ struct RegisterCell {
   double power_proxy() const { return clock_pin_cap + leakage; }
 };
 
+/// The scan style of initial registers and of debank pieces: the internal
+/// chain for scan functions, none otherwise.
+constexpr ScanStyle base_scan_style(const RegisterFunction& function) {
+  return function.is_scan ? ScanStyle::kInternalChain : ScanStyle::kNone;
+}
+
+/// True when `a` and `b` belong to one drive-variant family (same function,
+/// width and scan style), i.e. one can replace the other in place.
+inline bool is_drive_variant(const RegisterCell& a, const RegisterCell& b) {
+  return a.function == b.function && a.bits == b.bits &&
+         a.scan_style == b.scan_style;
+}
+
 /// A combinational cell (the logic between registers in the STA substrate).
 struct CombCell {
   std::string name;

@@ -24,10 +24,22 @@ int Library::add_register(RegisterCell cell) {
     fc.widths.insert(at, cell.bits);
     fc.cells.insert(fc.cells.begin() + slot, std::vector<int>{});
     fc.cheapest.insert(fc.cheapest.begin() + slot, index);
+    fc.variants.insert(fc.variants.begin() + slot,
+                       std::array<std::vector<int>, 3>{});
   } else if (cell.area < registers_[fc.cheapest[slot]].area) {
     fc.cheapest[slot] = index;  // strict: ties keep the first inserted
   }
   fc.cells[slot].push_back(index);
+  std::vector<int>& family =
+      fc.variants[slot][static_cast<std::size_t>(cell.scan_style)];
+  const auto weaker = [&](const RegisterCell& a, int b) {
+    const RegisterCell& other = registers_[static_cast<std::size_t>(b)];
+    if (a.drive_resistance != other.drive_resistance)
+      return a.drive_resistance > other.drive_resistance;
+    return a.name < other.name;
+  };
+  family.insert(std::upper_bound(family.begin(), family.end(), cell, weaker),
+                index);
   registers_.push_back(std::move(cell));
   return index;
 }
@@ -73,16 +85,28 @@ std::pair<const Library::FunctionCells*, int> Library::find_width(
   return {&it->second, static_cast<int>(at - widths.begin())};
 }
 
-std::vector<const RegisterCell*> Library::cells_for(
-    const RegisterFunction& function, int bits) const {
+std::vector<const RegisterCell*> Library::pointers(
+    const std::vector<int>& cells) const {
   std::vector<const RegisterCell*> out;
-  const auto [fc, slot] = find_width(function, bits);
-  if (fc == nullptr) return out;
-  const std::vector<int>& cells = fc->cells[static_cast<std::size_t>(slot)];
   out.reserve(cells.size());
   for (int index : cells)
     out.push_back(&registers_[static_cast<std::size_t>(index)]);
   return out;
+}
+
+std::vector<const RegisterCell*> Library::cells_for(
+    const RegisterFunction& function, int bits) const {
+  const auto [fc, slot] = find_width(function, bits);
+  if (fc == nullptr) return {};
+  return pointers(fc->cells[static_cast<std::size_t>(slot)]);
+}
+
+std::vector<const RegisterCell*> Library::drive_variants(
+    const RegisterFunction& function, int bits, ScanStyle style) const {
+  const auto [fc, slot] = find_width(function, bits);
+  if (fc == nullptr) return {};
+  return pointers(fc->variants[static_cast<std::size_t>(slot)]
+                              [static_cast<std::size_t>(style)]);
 }
 
 const RegisterCell* Library::map_register(const MappingRequest& request) const {
@@ -228,10 +252,8 @@ Library make_default_library(const DefaultLibraryOptions& options) {
   for (const RegisterFunction& function : options.functions) {
     for (int bits : widths) {
       for (double strength : options.drive_strengths) {
-        const ScanStyle base_style =
-            function.is_scan ? ScanStyle::kInternalChain : ScanStyle::kNone;
-        library.add_register(
-            make_register(options, function, bits, strength, base_style));
+        library.add_register(make_register(options, function, bits, strength,
+                                           base_scan_style(function)));
         if (function.is_scan && options.per_bit_scan_variants && bits > 1)
           library.add_register(make_register(options, function, bits, strength,
                                              ScanStyle::kPerBitPins));

@@ -4,6 +4,7 @@
 //     (Sec. 4.1 mapping).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -49,6 +50,17 @@ public:
   std::vector<const RegisterCell*> cells_for(const RegisterFunction& function,
                                              int bits) const;
 
+  /// The drive-variant family of (function, bits, style) -- the cells a
+  /// register may be swapped between in place -- weakest first: drive
+  /// resistance descending, then name ascending. Empty when absent.
+  std::vector<const RegisterCell*> drive_variants(
+      const RegisterFunction& function, int bits, ScanStyle style) const;
+  /// The family of `cell` (itself included).
+  std::vector<const RegisterCell*> drive_variants(
+      const RegisterCell& cell) const {
+    return drive_variants(cell.function, cell.bits, cell.scan_style);
+  }
+
   /// Sec. 4.1 mapping: choose the library cell for a composed MBR.
   /// Preference order:
   ///   1. drive resistance <= request.min_drive_resistance (no timing
@@ -85,12 +97,17 @@ private:
     std::vector<int> widths;               // distinct, ascending
     std::vector<std::vector<int>> cells;   // per width: insertion order
     std::vector<int> cheapest;             // per width: first minimum area
+    /// Per width, per ScanStyle: the drive variants, weakest first.
+    std::vector<std::array<std::vector<int>, 3>> variants;
   };
   std::unordered_map<unsigned, FunctionCells> by_function_;
 
   /// Position of `bits` in the class's widths, or nullptr/-1 when absent.
   std::pair<const FunctionCells*, int> find_width(
       const RegisterFunction& function, int bits) const;
+  /// The cells behind a list of registers_ indices.
+  std::vector<const RegisterCell*> pointers(
+      const std::vector<int>& cells) const;
 };
 
 /// Parameters for the built-in parametric library (a 28 nm-flavored model).

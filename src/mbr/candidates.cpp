@@ -492,11 +492,9 @@ struct Enumerator {
 
     for (int width : *widths) {
       cheapest.push_back(library.cheapest_cell(function, width));
-      for (const lib::RegisterCell* cell :
-           library.cells_for(function, width)) {
-        if (cell->scan_style == lib::ScanStyle::kPerBitPins)
-          has_per_bit_scan_cells = true;
-      }
+      if (!library.drive_variants(function, width, lib::ScanStyle::kPerBitPins)
+               .empty())
+        has_per_bit_scan_cells = true;
     }
 
     // Local adjacency masks by merging each node's sorted neighbor list

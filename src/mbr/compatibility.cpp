@@ -115,12 +115,6 @@ bool is_composable(const netlist::Design& design, netlist::CellId cell_id) {
 
 namespace {
 
-netlist::NetId control_net(const netlist::Design& design, netlist::CellId cell,
-                           netlist::PinRole role) {
-  const netlist::PinId pin = design.register_control_pin(cell, role);
-  return pin.valid() ? design.pin(pin).net : netlist::NetId{};
-}
-
 double clamp_slack(double slack, const CompatibilityOptions& options) {
   if (slack == sta::kNoRequired) return options.slack_clamp;
   return std::clamp(slack, -options.slack_clamp, options.slack_clamp);
@@ -146,11 +140,12 @@ RegisterInfo make_register_info(const netlist::Design& design,
   info.drive_resistance = cell.reg->drive_resistance;
   info.clock_net = design.register_clock_net(cell_id);
   info.gating_group = cell.gating_group;
-  info.reset_net = control_net(design, cell_id, netlist::PinRole::kReset);
-  info.set_net = control_net(design, cell_id, netlist::PinRole::kSet);
-  info.enable_net = control_net(design, cell_id, netlist::PinRole::kEnable);
+  using netlist::PinRole;
+  info.reset_net = design.register_control_net(cell_id, PinRole::kReset);
+  info.set_net = design.register_control_net(cell_id, PinRole::kSet);
+  info.enable_net = design.register_control_net(cell_id, PinRole::kEnable);
   info.scan_enable_net =
-      control_net(design, cell_id, netlist::PinRole::kScanEnable);
+      design.register_control_net(cell_id, PinRole::kScanEnable);
   info.scan = cell.scan;
   return info;
 }

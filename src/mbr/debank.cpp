@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mbr/rewire.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -11,27 +12,20 @@ namespace mbrc::mbr {
 namespace {
 
 using netlist::CellId;
-using netlist::NetId;
-using netlist::PinId;
-using netlist::PinRole;
 
 struct Critical {
   double slack = 0.0;
   CellId cell;
 };
 
-// The weakest (max drive resistance) non-per-bit-scan cell of the class at
-// `bits`, or nullptr: the cell every split piece becomes.
+// The weakest cell of the class's base-scan-style family at `bits`, or
+// nullptr: the cell every split piece becomes.
 const lib::RegisterCell* piece_cell(const lib::Library& library,
                                     const lib::RegisterFunction& function,
                                     int bits) {
-  const lib::RegisterCell* best = nullptr;
-  for (const lib::RegisterCell* cell : library.cells_for(function, bits)) {
-    if (cell->scan_style == lib::ScanStyle::kPerBitPins) continue;
-    if (best == nullptr || cell->drive_resistance > best->drive_resistance)
-      best = cell;
-  }
-  return best;
+  const auto family =
+      library.drive_variants(function, bits, lib::base_scan_style(function));
+  return family.empty() ? nullptr : family.front();
 }
 
 bool eligible(const netlist::Design& design, CellId cell_id,
@@ -60,69 +54,17 @@ std::vector<CellId> split_register(netlist::Design& design, CellId cell_id,
                   "split_register: caller must check eligibility");
   const int pieces = cell.reg->bits / piece_bits;
 
-  // Record connectivity before removing the original.
-  struct BitNets {
-    NetId d, q;
-  };
-  std::vector<BitNets> bits(cell.reg->bits);
-  for (int b = 0; b < cell.reg->bits; ++b) {
-    const PinId d = design.register_d_pin(cell_id, b);
-    const PinId q = design.register_q_pin(cell_id, b);
-    bits[b] = {design.pin(d).net, design.pin(q).net};
-  }
-  const NetId clock = design.register_clock_net(cell_id);
-  const auto control = [&](PinRole role) {
-    const PinId pin = design.register_control_pin(cell_id, role);
-    return pin.valid() ? design.pin(pin).net : NetId{};
-  };
-  const NetId reset = control(PinRole::kReset);
-  const NetId set = control(PinRole::kSet);
-  const NetId enable = control(PinRole::kEnable);
-  const NetId scan_enable = control(PinRole::kScanEnable);
-  const geom::Point origin = cell.position;
-  const std::string base_name = cell.name;
-  const netlist::ScanInfo scan = cell.scan;
-  const int gating = cell.gating_group;
-  const double original_width = cell.reg->width;
-
-  design.remove_cell(cell_id);
-
-  std::vector<CellId> created;
-  for (int p = 0; p < pieces; ++p) {
-    // Pieces are distributed over the original footprint (their summed
-    // width slightly exceeds it -- sharing lost); the follow-up
-    // legalization resolves the small overlaps with minimal displacement.
-    const double pitch = std::max(piece->width, original_width / pieces);
-    const geom::Point position{origin.x + p * pitch, origin.y};
-    const CellId new_cell = design.add_register(
-        base_name + "_p" + std::to_string(p), piece, position);
-    netlist::Cell& made = design.cell(new_cell);
-    made.scan = scan;
-    made.gating_group = gating;
-
-    if (clock.valid())
-      design.connect(design.register_clock_pin(new_cell), clock);
-    const auto connect_control = [&](PinRole role, NetId net) {
-      if (!net.valid()) return;
-      const PinId pin = design.register_control_pin(new_cell, role);
-      MBRC_ASSERT(pin.valid());
-      design.connect(pin, net);
-    };
-    connect_control(PinRole::kReset, reset);
-    connect_control(PinRole::kSet, set);
-    connect_control(PinRole::kEnable, enable);
-    connect_control(PinRole::kScanEnable, scan_enable);
-
-    for (int b = 0; b < piece_bits; ++b) {
-      const BitNets& nets = bits[p * piece_bits + b];
-      if (nets.d.valid())
-        design.connect(design.register_d_pin(new_cell, b), nets.d);
-      if (nets.q.valid())
-        design.connect(design.register_q_pin(new_cell, b), nets.q);
-    }
-    created.push_back(new_cell);
-  }
-  return created;
+  // Pieces are distributed over the original footprint (their summed width
+  // slightly exceeds it -- sharing lost); the follow-up legalization
+  // resolves the small overlaps with minimal displacement.
+  const double pitch = std::max(piece->width, cell.reg->width / pieces);
+  std::vector<SpliceTarget> targets;
+  for (int p = 0; p < pieces; ++p)
+    targets.push_back({piece,
+                       {cell.position.x + p * pitch, cell.position.y},
+                       cell.name + "_p" + std::to_string(p),
+                       cell.scan});
+  return splice_registers(design, {cell_id}, targets);
 }
 
 DebankResult debank_critical_registers(const DebankOptions& options,

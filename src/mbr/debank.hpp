@@ -11,9 +11,10 @@
 //
 // This pass selects the timing-critical banks worth that trade: MBRs whose
 // worst constrained bit -- min over the bank's constrained D and Q pins --
-// has slack below `slack_threshold`. One routine, split_register, does the
-// structural work, so the invariants (per-bit D/Q connectivity, shared
-// control nets, scan info) are maintained by exactly one piece of code. The
+// has slack below `slack_threshold`. split_register does the structural
+// work through splice_registers (mbr/rewire.hpp), the same surgery a merge
+// uses, so the invariants (per-bit D/Q connectivity, shared control nets,
+// scan info) are maintained by exactly one piece of code. The
 // flow's bank/debank loop (flow.cpp) then re-legalizes the pieces, offers
 // them back to scoped recomposition, and keeps the result only if the
 // combined cost (mbr/cost.hpp) improved.
@@ -70,15 +71,15 @@ DebankResult debank_critical_registers(const DebankOptions& options,
                                        netlist::Design& design,
                                        const sta::TimingReport& timing);
 
-/// Splits one register into `piece_bits`-wide pieces of the class's weakest
-/// drive variant (splitting must not waste power; sizing re-selects drive
-/// later), preserving per-bit D/Q connectivity, the shared clock/control
-/// nets, scan info and the gating group. The original cell is removed; the
-/// pieces are returned in bit order. The caller must have verified
-/// eligibility: the library offers a non-per-bit-scan cell of the piece
-/// width, `bits % piece_bits == 0`, and the register is not pinned by an
-/// ordered scan section. Pieces overlap the original footprint and must be
-/// legalized, and touched scan chains re-stitched, afterwards.
+/// Splits one register into `piece_bits`-wide pieces of the weakest cell of
+/// the class's base-scan-style family (splitting must not waste power;
+/// sizing re-selects drive later), preserving per-bit D/Q connectivity, the
+/// shared clock/control nets, scan info and the gating group. The original
+/// cell is removed; the pieces are returned in bit order. The caller must
+/// have verified eligibility: the library offers a base-scan-style cell of
+/// the piece width, `bits % piece_bits == 0`, and the register is not pinned
+/// by an ordered scan section. Pieces overlap the original footprint and
+/// must be legalized, and touched scan chains re-stitched, afterwards.
 std::vector<netlist::CellId> split_register(netlist::Design& design,
                                             netlist::CellId cell_id,
                                             int piece_bits);

@@ -109,18 +109,7 @@ void size_new_mbrs(netlist::Design& design,
     const netlist::Cell& cell = design.cell(cell_id);
     const lib::RegisterCell* current = cell.reg;
 
-    // Drive variants of the same function/width/scan style, weakest first.
-    auto variants =
-        design.library().cells_for(current->function, current->bits);
-    std::erase_if(variants, [&](const lib::RegisterCell* v) {
-      return v->scan_style != current->scan_style;
-    });
-    std::sort(variants.begin(), variants.end(),
-              [](const lib::RegisterCell* a, const lib::RegisterCell* b) {
-                if (a->drive_resistance != b->drive_resistance)
-                  return a->drive_resistance > b->drive_resistance;
-                return a->name < b->name;
-              });
+    const auto variants = design.library().drive_variants(*current);
     if (variants.size() <= 1) continue;
 
     const double q_slack = timing.register_q_slack(design, cell_id);

@@ -42,13 +42,15 @@ std::optional<Mapping> map_candidate(const netlist::Design& design,
     const double limit =
         replaced_area * (1.0 + options.incomplete_area_overhead);
     if (cell->area > limit) {
+      const lib::Library& library = design.library();
+      const auto usable =
+          request.needs_per_bit_scan && request.function.is_scan
+              ? library.drive_variants(request.function, request.bits,
+                                       lib::ScanStyle::kPerBitPins)
+              : library.cells_for(request.function, request.bits);
       const lib::RegisterCell* best = nullptr;
-      for (const lib::RegisterCell* variant : design.library().cells_for(
-               request.function, request.bits)) {
+      for (const lib::RegisterCell* variant : usable) {
         if (variant->area > limit) continue;
-        if (request.needs_per_bit_scan && request.function.is_scan &&
-            variant->scan_style != lib::ScanStyle::kPerBitPins)
-          continue;
         if (best == nullptr ||
             variant->drive_resistance < best->drive_resistance)
           best = variant;

@@ -15,16 +15,69 @@ using netlist::NetId;
 using netlist::PinId;
 using netlist::PinRole;
 
-struct BitNets {
-  NetId d;
-  NetId q;
-};
-
-NetId pin_net(const Design& design, PinId pin) {
-  return pin.valid() ? design.pin(pin).net : NetId{};
-}
+// The nets every splice source shares, connected in this order.
+constexpr PinRole kSharedRoles[] = {PinRole::kClock, PinRole::kReset,
+                                    PinRole::kSet, PinRole::kEnable,
+                                    PinRole::kScanEnable};
 
 }  // namespace
+
+std::vector<CellId> splice_registers(Design& design,
+                                     const std::vector<CellId>& sources,
+                                     const std::vector<SpliceTarget>& targets) {
+  MBRC_ASSERT(!sources.empty() && !targets.empty());
+
+  // Capture the per-bit data nets in source bit order and the shared nets.
+  std::vector<std::pair<NetId, NetId>> bits;  // (D, Q)
+  for (CellId source : sources)
+    for (int b = 0; b < design.cell(source).reg->bits; ++b)
+      bits.emplace_back(design.pin(design.register_d_pin(source, b)).net,
+                        design.pin(design.register_q_pin(source, b)).net);
+  std::vector<NetId> shared;
+  for (PinRole role : kSharedRoles)
+    shared.push_back(design.register_control_net(sources.front(), role));
+  const int gating_group = design.cell(sources.front()).gating_group;
+  for (CellId source : sources) {
+    MBRC_ASSERT_MSG(design.cell(source).gating_group == gating_group,
+                    "splice sources must share the gating group");
+    for (std::size_t r = 0; r < shared.size(); ++r)
+      MBRC_ASSERT_MSG(
+          design.register_control_net(source, kSharedRoles[r]) == shared[r],
+          "splice sources must share clock and control nets");
+  }
+  std::size_t capacity = 0;
+  for (const SpliceTarget& target : targets) capacity += target.cell->bits;
+  MBRC_ASSERT_MSG(capacity >= bits.size() &&
+                      capacity - targets.back().cell->bits < bits.size(),
+                  "only the last splice target may have spare bits");
+
+  for (CellId source : sources) design.remove_cell(source);
+
+  std::vector<CellId> created;
+  std::size_t next_bit = 0;
+  for (const SpliceTarget& target : targets) {
+    const CellId reg = design.add_register(target.name, target.cell,
+                                           target.position);
+    netlist::Cell& cell = design.cell(reg);
+    cell.scan = target.scan;
+    cell.gating_group = gating_group;
+
+    for (std::size_t r = 0; r < shared.size(); ++r) {
+      if (!shared[r].valid()) continue;
+      const PinId pin = design.register_control_pin(reg, kSharedRoles[r]);
+      MBRC_ASSERT_MSG(pin.valid(), "target cell lacks a required control pin");
+      design.connect(pin, shared[r]);
+    }
+    for (int b = 0; b < target.cell->bits && next_bit < bits.size();
+         ++b, ++next_bit) {
+      const auto [d, q] = bits[next_bit];
+      if (d.valid()) design.connect(design.register_d_pin(reg, b), d);
+      if (q.valid()) design.connect(design.register_q_pin(reg, b), q);
+    }
+    created.push_back(reg);
+  }
+  return created;
+}
 
 netlist::CellId rewire_candidate(netlist::Design& design,
                                  const CompatibilityGraph& graph,
@@ -33,26 +86,6 @@ netlist::CellId rewire_candidate(netlist::Design& design,
                                  const std::string& name) {
   MBRC_ASSERT(candidate.nodes.size() >= 2);
   const RegisterInfo& first = graph.node(candidate.nodes.front());
-
-  // Shared nets -- identical across members by functional compatibility.
-  const NetId clock_net = first.clock_net;
-  const NetId reset_net = first.reset_net;
-  const NetId set_net = first.set_net;
-  const NetId enable_net = first.enable_net;
-  const NetId scan_enable_net = first.scan_enable_net;
-
-  // Per-bit data nets in MBR bit order.
-  std::vector<BitNets> bit_nets;
-  bit_nets.reserve(candidate.bits);
-  for (std::size_t i = 0; i < mapping.member_order.size(); ++i) {
-    const RegisterInfo& info = graph.node(mapping.member_order[i]);
-    for (int b = 0; b < info.bits; ++b) {
-      bit_nets.push_back(
-          {pin_net(design, design.register_d_pin(info.cell, b)),
-           pin_net(design, design.register_q_pin(info.cell, b))});
-    }
-  }
-  MBRC_ASSERT(static_cast<int>(bit_nets.size()) == candidate.bits);
 
   // Merged scan attributes: a single shared section only when every member
   // belongs to it; the merged order slot is the smallest member order.
@@ -71,37 +104,13 @@ netlist::CellId rewire_candidate(netlist::Design& design,
     scan.order = min_order;
   }
 
-  const int gating_group = graph.node(candidate.nodes.front()).gating_group;
-
-  // Remove the members, then splice in the MBR.
-  for (int node : candidate.nodes) design.remove_cell(graph.node(node).cell);
-
-  const CellId mbr = design.add_register(name, mapping.cell, position);
-  netlist::Cell& cell = design.cell(mbr);
-  cell.scan = scan;
-  cell.gating_group = gating_group;
-
-  if (clock_net.valid())
-    design.connect(design.register_clock_pin(mbr), clock_net);
-  const auto connect_control = [&](PinRole role, NetId net) {
-    if (!net.valid()) return;
-    const PinId pin = design.register_control_pin(mbr, role);
-    MBRC_ASSERT_MSG(pin.valid(), "mapped cell lacks a required control pin");
-    design.connect(pin, net);
-  };
-  connect_control(PinRole::kReset, reset_net);
-  connect_control(PinRole::kSet, set_net);
-  connect_control(PinRole::kEnable, enable_net);
-  connect_control(PinRole::kScanEnable, scan_enable_net);
-
-  for (std::size_t k = 0; k < bit_nets.size(); ++k) {
-    const int bit = static_cast<int>(k);
-    if (bit_nets[k].d.valid())
-      design.connect(design.register_d_pin(mbr, bit), bit_nets[k].d);
-    if (bit_nets[k].q.valid())
-      design.connect(design.register_q_pin(mbr, bit), bit_nets[k].q);
-  }
-  return mbr;
+  // The members in MBR bit order.
+  std::vector<CellId> sources;
+  for (int node : mapping.member_order)
+    sources.push_back(graph.node(node).cell);
+  return splice_registers(design, sources,
+                          {{mapping.cell, position, name, scan}})
+      .front();
 }
 
 namespace {

@@ -1,13 +1,40 @@
 // Netlist surgery for MBR composition: replace a group of registers with one
 // mapped MBR cell, preserving the D/Q connectivity bit by bit and sharing the
 // clock/control nets, then re-stitch the scan chains the merge disturbed.
+// The merge here and the debank split (mbr/debank.hpp) are both one
+// splice_registers call.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "mbr/mapping.hpp"
 
 namespace mbrc::mbr {
+
+/// One register a splice creates.
+struct SpliceTarget {
+  const lib::RegisterCell* cell = nullptr;
+  geom::Point position;  // lower-left corner, pre-legalization
+  std::string name;
+  netlist::ScanInfo scan;
+};
+
+/// The register surgery behind both merge and split: replaces `sources` by
+/// `targets`, in this order --
+///   - capture the sources' D/Q nets, bit by bit in `sources` order, and the
+///     clock/reset/set/enable/scan-enable nets and gating group of the
+///     first source (every source must share them),
+///   - remove (tombstone) the sources,
+///   - per target: add the register, set its scan info and gating group,
+///     connect the clock, then each valid control net, then bit by bit the
+///     D and Q nets dealt from the concatenated source bits.
+/// The last target's spare bits stay unconnected (incomplete MBR); scan
+/// pins are left for restitch_scan_chains(). Returns the new cell ids in
+/// target order.
+std::vector<netlist::CellId> splice_registers(
+    netlist::Design& design, const std::vector<netlist::CellId>& sources,
+    const std::vector<SpliceTarget>& targets);
 
 /// Replaces the candidate's member registers with a new MBR instance of
 /// `mapping.cell` at `position` (lower-left corner, pre-legalization):

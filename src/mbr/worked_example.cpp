@@ -15,13 +15,11 @@ namespace {
 RegisterInfo make_node(const lib::Library& library, int bits,
                        geom::Point position, double slack,
                        const CompatibilityOptions& options) {
-  const lib::RegisterCell* cell = nullptr;
-  for (const lib::RegisterCell* c :
-       library.cells_for(lib::RegisterFunction{}, bits)) {
-    if (cell == nullptr || c->drive_resistance > cell->drive_resistance)
-      cell = c;  // weakest (X1) variant
-  }
-  MBRC_ASSERT(cell != nullptr);
+  // The weakest (X1) plain variant.
+  const auto variants =
+      library.drive_variants({}, bits, lib::ScanStyle::kNone);
+  MBRC_ASSERT(!variants.empty());
+  const lib::RegisterCell* cell = variants.front();
 
   RegisterInfo info;
   info.cell = netlist::CellId{};  // no backing design in the worked example

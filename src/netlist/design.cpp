@@ -190,9 +190,7 @@ void Design::swap_register_cell(CellId cell_id,
   MBRC_ASSERT(replacement != nullptr);
   Cell& c = cells_[cell_id.index];
   MBRC_ASSERT(c.kind == CellKind::kRegister && !c.dead);
-  MBRC_ASSERT_MSG(c.reg->bits == replacement->bits &&
-                      c.reg->function == replacement->function &&
-                      c.reg->scan_style == replacement->scan_style,
+  MBRC_ASSERT_MSG(lib::is_drive_variant(*c.reg, *replacement),
                   "swap_register_cell requires an equivalent cell");
   touched_cells_.push_back(cell_id);  // a sizing move keeps the topology
   c.reg = replacement;
@@ -299,8 +297,12 @@ PinId Design::register_control_pin(CellId cell_id, PinRole role) const {
 }
 
 NetId Design::register_clock_net(CellId cell_id) const {
-  const PinId clk = register_clock_pin(cell_id);
-  return clk.valid() ? pins_[clk.index].net : NetId{};
+  return register_control_net(cell_id, PinRole::kClock);
+}
+
+NetId Design::register_control_net(CellId cell_id, PinRole role) const {
+  const PinId pin = register_control_pin(cell_id, role);
+  return pin.valid() ? pins_[pin.index].net : NetId{};
 }
 
 DesignStats Design::stats() const {

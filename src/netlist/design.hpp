@@ -157,11 +157,14 @@ public:
   PinId register_d_pin(CellId cell, int bit) const;
   PinId register_q_pin(CellId cell, int bit) const;
   PinId register_clock_pin(CellId cell) const;
-  /// The register's control pin of `role` (kReset/kSet/kEnable/kScanEnable),
+  /// The register's pin of `role` (kClock/kReset/kSet/kEnable/kScanEnable),
   /// or an invalid id when the cell's function lacks it.
   PinId register_control_pin(CellId cell, PinRole role) const;
   /// Net driving the register's clock pin (invalid when unconnected).
   NetId register_clock_net(CellId cell) const;
+  /// Net on the register's control pin of `role` (invalid when the pin is
+  /// unconnected or the cell's function lacks it).
+  NetId register_control_net(CellId cell, PinRole role) const;
 
   // --- statistics ---------------------------------------------------------
   DesignStats stats() const;

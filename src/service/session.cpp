@@ -45,9 +45,7 @@ std::string Session::validate(const Edit& edit) const {
           library_.register_by_name(edit.variant);
       if (variant == nullptr)
         return "unknown library cell: " + edit.variant;
-      if (variant->bits != cell.reg->bits ||
-          !(variant->function == cell.reg->function) ||
-          variant->scan_style != cell.reg->scan_style)
+      if (!lib::is_drive_variant(*variant, *cell.reg))
         return "variant " + edit.variant + " is not equivalent to " +
                cell.reg->name;
       return {};

@@ -40,56 +40,18 @@ int TimingReport::failing_hold_endpoints() const {
   return n;
 }
 
-double TimingReport::register_d_hold_slack(const netlist::Design& design,
-                                           netlist::CellId reg) const {
-  const netlist::Cell& cell = design.cell(reg);
+double TimingReport::worst_register_slack(const netlist::Design& design,
+                                          netlist::CellId reg, bool q_side,
+                                          bool hold) const {
+  const netlist::PinRole data = q_side ? netlist::PinRole::kQ
+                                       : netlist::PinRole::kD;
+  const netlist::PinRole scan = q_side ? netlist::PinRole::kScanOut
+                                       : netlist::PinRole::kScanIn;
   double worst = kNoRequired;
-  for (netlist::PinId pin_id : cell.pins) {
+  for (netlist::PinId pin_id : design.cell(reg).pins) {
     const netlist::Pin& p = design.pin(pin_id);
-    if ((p.role == netlist::PinRole::kD ||
-         p.role == netlist::PinRole::kScanIn) &&
-        p.net.valid())
-      worst = std::min(worst, hold_slack(pin_id));
-  }
-  return worst;
-}
-
-double TimingReport::register_q_hold_slack(const netlist::Design& design,
-                                           netlist::CellId reg) const {
-  const netlist::Cell& cell = design.cell(reg);
-  double worst = kNoRequired;
-  for (netlist::PinId pin_id : cell.pins) {
-    const netlist::Pin& p = design.pin(pin_id);
-    if ((p.role == netlist::PinRole::kQ ||
-         p.role == netlist::PinRole::kScanOut) &&
-        p.net.valid())
-      worst = std::min(worst, hold_slack(pin_id));
-  }
-  return worst;
-}
-
-double TimingReport::register_d_slack(const netlist::Design& design,
-                                      netlist::CellId reg) const {
-  const netlist::Cell& cell = design.cell(reg);
-  double worst = kNoRequired;
-  for (netlist::PinId pin_id : cell.pins) {
-    const netlist::Pin& p = design.pin(pin_id);
-    if ((p.role == netlist::PinRole::kD || p.role == netlist::PinRole::kScanIn) &&
-        p.net.valid())
-      worst = std::min(worst, slack(pin_id));
-  }
-  return worst;
-}
-
-double TimingReport::register_q_slack(const netlist::Design& design,
-                                      netlist::CellId reg) const {
-  const netlist::Cell& cell = design.cell(reg);
-  double worst = kNoRequired;
-  for (netlist::PinId pin_id : cell.pins) {
-    const netlist::Pin& p = design.pin(pin_id);
-    if ((p.role == netlist::PinRole::kQ || p.role == netlist::PinRole::kScanOut) &&
-        p.net.valid())
-      worst = std::min(worst, slack(pin_id));
+    if ((p.role == data || p.role == scan) && p.net.valid())
+      worst = std::min(worst, hold ? hold_slack(pin_id) : slack(pin_id));
   }
   return worst;
 }

@@ -88,18 +88,33 @@ public:
   /// Worst slack over the register's D (and SI) pins; kNoRequired when the
   /// register has no constrained data input.
   double register_d_slack(const netlist::Design& design,
-                          netlist::CellId reg) const;
+                          netlist::CellId reg) const {
+    return worst_register_slack(design, reg, false, false);
+  }
   /// Worst slack over the register's Q (and SO) pins.
   double register_q_slack(const netlist::Design& design,
-                          netlist::CellId reg) const;
+                          netlist::CellId reg) const {
+    return worst_register_slack(design, reg, true, false);
+  }
 
   /// Worst *hold* slack over the register's D/SI pins (its own capture
   /// checks) and over its Q/SO pins (the downstream capture checks its
   /// launches feed). Used by hold-aware useful skew.
   double register_d_hold_slack(const netlist::Design& design,
-                               netlist::CellId reg) const;
+                               netlist::CellId reg) const {
+    return worst_register_slack(design, reg, false, true);
+  }
   double register_q_hold_slack(const netlist::Design& design,
-                               netlist::CellId reg) const;
+                               netlist::CellId reg) const {
+    return worst_register_slack(design, reg, true, true);
+  }
+
+private:
+  /// Worst setup (or `hold`) slack over the register's connected data and
+  /// scan pins of one side: D/SI, or Q/SO when `q_side`.
+  double worst_register_slack(const netlist::Design& design,
+                              netlist::CellId reg, bool q_side,
+                              bool hold) const;
 };
 
 /// Runs STA. `skew` supplies per-register useful-skew offsets.

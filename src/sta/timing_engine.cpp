@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -81,11 +82,58 @@ double TimingEngine::cell_arc_delay(PinId out) const {
   return intrinsic + resistance * driver_load(out) * kNsPerKohmFf;
 }
 
-double TimingEngine::launch_delay(PinId q_pin) const {
+// The register timing rules, shared by the full build and the repairs.
+
+double TimingEngine::launch_seed(PinId q_pin) const {
   const Pin& p = design_.pin(q_pin);
   const netlist::Cell& cell = design_.cell(p.cell);
-  return cell.reg->intrinsic_delay +
-         cell.reg->drive_resistance * driver_load(q_pin) * kNsPerKohmFf;
+  const double clk_to_q =
+      cell.reg->intrinsic_delay +
+      cell.reg->drive_resistance * driver_load(q_pin) * kNsPerKohmFf;
+  return register_skew(p.cell) + clk_to_q;
+}
+
+double TimingEngine::setup_required(CellId reg) const {
+  return options_.clock_period + register_skew(reg) -
+         design_.cell(reg).reg->setup_time;
+}
+
+double TimingEngine::hold_required(CellId reg) const {
+  return register_skew(reg) + design_.cell(reg).reg->hold_time;
+}
+
+// Max/min arrival at `pin`: its seed folded with every predecessor's
+// arrival plus the edge delay.
+std::pair<double, double> TimingEngine::gather_arrival(std::int32_t pin) const {
+  const auto& arrival = report_.arrival;
+  const auto& arrival_min = report_.arrival_min;
+  double a = seed_arrival_[pin];
+  double a_min = a == kNoArrival ? kNoRequired : a;
+  for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e) {
+    const double pa = arrival[pred_to_[e]];
+    if (pa != kNoArrival) a = std::max(a, pa + pred_delay_[e]);
+    const double pa_min = arrival_min[pred_to_[e]];
+    if (pa_min != kNoRequired) a_min = std::min(a_min, pa_min + pred_delay_[e]);
+  }
+  return {a, a_min};
+}
+
+// Setup (min) and hold (max) required times at `pin`: its seeds folded with
+// every successor's requirement minus the edge delay.
+std::pair<double, double> TimingEngine::gather_required(
+    std::int32_t pin) const {
+  const auto& required = report_.required;
+  const auto& req_min = report_.required_min;
+  double r = seed_required_[pin];
+  double r_min = seed_required_min_[pin];
+  for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e) {
+    const std::int32_t succ = succ_to_[e];
+    if (required[succ] != kNoRequired)
+      r = std::min(r, required[succ] - succ_delay_[e]);
+    if (req_min[succ] != kNoArrival)
+      r_min = std::max(r_min, req_min[succ] - succ_delay_[e]);
+  }
+  return {r, r_min};
 }
 
 // Builds the successor CSR (one delay evaluation per edge), its transpose,
@@ -235,20 +283,15 @@ void TimingEngine::seed_and_propagate() {
   seed_arrival_.assign(n, kNoArrival);
   for (const PinId pin_id : topo_) {
     const Pin& p = design_.pin(pin_id);
-    const netlist::Cell& cell = design_.cell(p.cell);
-    if (cell.kind == CellKind::kRegister && is_launch_role(p.role)) {
-      seed_arrival_[pin_id.index] =
-          register_skew(p.cell) + launch_delay(pin_id);
-    } else if (cell.kind == CellKind::kPort && p.is_output) {
+    const CellKind kind = design_.cell(p.cell).kind;
+    if (kind == CellKind::kRegister && is_launch_role(p.role))
+      seed_arrival_[pin_id.index] = launch_seed(pin_id);
+    else if (kind == CellKind::kPort && p.is_output)
       seed_arrival_[pin_id.index] = options_.input_delay;
-    }
-    if (seed_arrival_[pin_id.index] != kNoArrival) {
-      arrival[pin_id.index] = seed_arrival_[pin_id.index];
-      arrival_min[pin_id.index] = seed_arrival_[pin_id.index];
-    }
   }
 
-  // Forward propagation: per-level gathers, parallel when jobs > 1.
+  // Forward propagation: per-level gathers, parallel when jobs > 1. Every
+  // live pin is in exactly one level, so each is written once.
   const std::size_t levels = level_begin_.empty() ? 0 : level_begin_.size() - 1;
   for (std::size_t l = 0; l < levels; ++l) {
     const std::size_t lo = level_begin_[l];
@@ -256,17 +299,7 @@ void TimingEngine::seed_and_propagate() {
     runtime::parallel_for(pool, options_.jobs, hi - lo, kLevelGrain,
                           [&](std::size_t k) {
       const std::int32_t pin = by_level_[lo + k];
-      double a = arrival[pin];
-      double a_min = arrival_min[pin];
-      for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e) {
-        const double pa = arrival[pred_to_[e]];
-        if (pa != kNoArrival) a = std::max(a, pa + pred_delay_[e]);
-        const double pa_min = arrival_min[pred_to_[e]];
-        if (pa_min != kNoRequired)
-          a_min = std::min(a_min, pa_min + pred_delay_[e]);
-      }
-      arrival[pin] = a;
-      arrival_min[pin] = a_min;
+      std::tie(arrival[pin], arrival_min[pin]) = gather_arrival(pin);
     });
   }
 
@@ -282,9 +315,8 @@ void TimingEngine::seed_and_propagate() {
     double hold_req = kNoRequired;
     if (cell.kind == CellKind::kRegister && is_endpoint_role(p.role)) {
       if (p.net.valid()) {
-        req = options_.clock_period + register_skew(p.cell) -
-              cell.reg->setup_time;
-        hold_req = register_skew(p.cell) + cell.reg->hold_time;
+        req = setup_required(p.cell);
+        hold_req = hold_required(p.cell);
       }
     } else if (cell.kind == CellKind::kPort && !p.is_output) {
       if (p.net.valid())
@@ -292,7 +324,6 @@ void TimingEngine::seed_and_propagate() {
     }
     if (req == kNoRequired) continue;
     seed_required_[pin_id.index] = req;
-    required[pin_id.index] = req;
     if (arrival[pin_id.index] == kNoArrival) continue;
     EndpointSlack ep;
     ep.pin = pin_id;
@@ -300,7 +331,6 @@ void TimingEngine::seed_and_propagate() {
     if (hold_req != kNoRequired &&
         arrival_min[pin_id.index] != kNoRequired) {
       seed_required_min_[pin_id.index] = hold_req;
-      req_min[pin_id.index] = hold_req;
       ep.hold_slack = arrival_min[pin_id.index] - hold_req;
     } else {
       ep.hold_slack = kNoRequired;
@@ -317,17 +347,7 @@ void TimingEngine::seed_and_propagate() {
     runtime::parallel_for(pool, options_.jobs, hi - lo, kLevelGrain,
                           [&](std::size_t k) {
       const std::int32_t pin = by_level_[lo + k];
-      double r = required[pin];
-      double r_min = req_min[pin];
-      for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e) {
-        const std::int32_t succ = succ_to_[e];
-        if (required[succ] != kNoRequired)
-          r = std::min(r, required[succ] - succ_delay_[e]);
-        if (req_min[succ] != kNoArrival)
-          r_min = std::max(r_min, req_min[succ] - succ_delay_[e]);
-      }
-      required[pin] = r;
-      req_min[pin] = r_min;
+      std::tie(required[pin], req_min[pin]) = gather_required(pin);
     });
   }
 }
@@ -442,19 +462,17 @@ void TimingEngine::refresh_register_seeds(CellId reg) {
     const Pin& p = design_.pin(pin_id);
     const std::int32_t i = pin_id.index;
     if (is_launch_role(p.role)) {
-      const double seed = register_skew(reg) + launch_delay(pin_id);
+      const double seed = launch_seed(pin_id);
       if (seed != seed_arrival_[i]) {
         seed_arrival_[i] = seed;
         mark_forward(i);
       }
     } else if (is_endpoint_role(p.role) && p.net.valid()) {
-      const double req =
-          options_.clock_period + register_skew(reg) - cell.reg->setup_time;
-      const double hold_req = register_skew(reg) + cell.reg->hold_time;
+      const double req = setup_required(reg);
       // The hold seed exists only for endpoints in the report (reachable
       // pins); endpoint_slot_ encodes exactly that.
       const double hold_seed =
-          endpoint_slot_[i] >= 0 ? hold_req : kNoArrival;
+          endpoint_slot_[i] >= 0 ? hold_required(reg) : kNoArrival;
       if (req != seed_required_[i] || hold_seed != seed_required_min_[i]) {
         seed_required_[i] = req;
         seed_required_min_[i] = hold_seed;
@@ -493,7 +511,7 @@ void TimingEngine::touch_net(NetId net_id) {
   const Pin& dp = design_.pin(net.driver);
   const netlist::Cell& dc = design_.cell(dp.cell);
   if (dc.kind == CellKind::kRegister && is_launch_role(dp.role)) {
-    const double seed = register_skew(dp.cell) + launch_delay(net.driver);
+    const double seed = launch_seed(net.driver);
     if (seed != seed_arrival_[d]) {
       seed_arrival_[d] = seed;
       mark_forward(d);
@@ -561,15 +579,7 @@ void TimingEngine::repair_forward() {
     auto& bucket = fwd_bucket_[level];
     for (std::size_t k = 0; k < bucket.size(); ++k) {
       const std::int32_t pin = bucket[k];
-      double a = seed_arrival_[pin];
-      double a_min = a == kNoArrival ? kNoRequired : a;
-      for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e) {
-        const double pa = arrival[pred_to_[e]];
-        if (pa != kNoArrival) a = std::max(a, pa + pred_delay_[e]);
-        const double pa_min = arrival_min[pred_to_[e]];
-        if (pa_min != kNoRequired)
-          a_min = std::min(a_min, pa_min + pred_delay_[e]);
-      }
+      const auto [a, a_min] = gather_arrival(pin);
       ++repaired;
       if (a == arrival[pin] && a_min == arrival_min[pin]) {
         ++early;
@@ -599,15 +609,7 @@ void TimingEngine::repair_backward() {
     auto& bucket = bwd_bucket_[level];
     for (std::size_t k = 0; k < bucket.size(); ++k) {
       const std::int32_t pin = bucket[k];
-      double r = seed_required_[pin];
-      double r_min = seed_required_min_[pin];
-      for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e) {
-        const std::int32_t succ = succ_to_[e];
-        if (required[succ] != kNoRequired)
-          r = std::min(r, required[succ] - succ_delay_[e]);
-        if (req_min[succ] != kNoArrival)
-          r_min = std::max(r_min, req_min[succ] - succ_delay_[e]);
-      }
+      const auto [r, r_min] = gather_required(pin);
       ++repaired;
       if (r == required[pin] && r_min == req_min[pin]) {
         ++early;

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sta/sta.hpp"
@@ -88,7 +89,17 @@ private:
   double driver_load(netlist::PinId driver) const;
   double wire_delay(netlist::PinId driver, netlist::PinId sink) const;
   double cell_arc_delay(netlist::PinId out) const;
-  double launch_delay(netlist::PinId q_pin) const;
+
+  // --- register timing rules, one definition for build and repair -------
+  /// Launch arrival seed of a register Q/SO pin: skew + clk->Q delay.
+  double launch_seed(netlist::PinId q_pin) const;
+  /// Setup and hold required-time seeds of a register's D/SI pins.
+  double setup_required(netlist::CellId reg) const;
+  double hold_required(netlist::CellId reg) const;
+  /// (max, min) arrival at a pin from its seed and its predecessors.
+  std::pair<double, double> gather_arrival(std::int32_t pin) const;
+  /// (setup, hold) required time at a pin from its seeds and successors.
+  std::pair<double, double> gather_required(std::int32_t pin) const;
 
   // --- full build --------------------------------------------------------
   void full_build();

@@ -880,6 +880,10 @@ TEST_P(CandidatesOracleDesign, MatchesReferenceOnEverySubgraph) {
     const EnumerationResult want =
         reference::enumerate(graph, library, part, options.enumeration);
     ASSERT_TRUE(same_enumeration(got, want)) << "subgraph " << subgraphs;
+    // The default bound keeps every subgraph far below the candidate cap
+    // (fewer than 65,536 candidates against 200,000): the truncation guard
+    // exists for loaded designs, which are not bounded, not for these.
+    ASSERT_FALSE(got.truncated) << "subgraph " << subgraphs;
     pruned += got.pruned_subtrees;
     ++subgraphs;
   }

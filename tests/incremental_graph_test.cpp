@@ -78,10 +78,7 @@ std::vector<service::Edit> random_batch(const netlist::Design& design,
       e.op = service::Edit::Op::kSwap;
       e.cell = pick(registers);
       const netlist::Cell& c = design.cell(e.cell);
-      std::vector<const lib::RegisterCell*> variants;
-      for (const lib::RegisterCell* v :
-           design.library().cells_for(c.reg->function, c.reg->bits))
-        if (v->scan_style == c.reg->scan_style) variants.push_back(v);
+      const auto variants = design.library().drive_variants(*c.reg);
       e.variant = variants[static_cast<std::size_t>(rng.uniform_int(
                                0, static_cast<std::int64_t>(variants.size()) -
                                       1))]

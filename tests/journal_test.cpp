@@ -64,11 +64,7 @@ void edit_burst(netlist::Design& design, util::Rng& rng, bool structural) {
                      core.yhi - cell.height());
       design.notify_moved(reg);
     } else if (roll < 0.75) {
-      auto variants =
-          design.library().cells_for(cell.reg->function, cell.reg->bits);
-      std::erase_if(variants, [&](const lib::RegisterCell* v) {
-        return v->scan_style != cell.reg->scan_style;
-      });
+      const auto variants = design.library().drive_variants(*cell.reg);
       if (variants.size() > 1) {
         const auto* variant =
             variants[static_cast<std::size_t>(rng.uniform_int(

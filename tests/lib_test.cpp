@@ -214,5 +214,62 @@ TEST(LibraryIndex, CheapestCellIsFirstMinimumInInsertionOrder) {
   }
 }
 
+TEST(LibraryIndex, DriveVariantsWeakestFirst) {
+  // Drive resistance descending, then name ascending -- whatever the
+  // insertion order. The per-bit-scan twin is a family of its own.
+  const RegisterFunction scan{.is_scan = true};
+  const auto cell = [&](std::string name, double resistance,
+                        ScanStyle style) {
+    RegisterCell c;
+    c.name = std::move(name);
+    c.bits = 2;
+    c.function = scan;
+    c.scan_style = style;
+    c.drive_resistance = resistance;
+    c.d_pin_offsets.assign(2, {});
+    c.q_pin_offsets.assign(2, {});
+    return c;
+  };
+  Library library;
+  library.add_register(cell("SQ_X2", 1.2, ScanStyle::kInternalChain));
+  library.add_register(cell("SQ_X1_B", 2.4, ScanStyle::kInternalChain));
+  library.add_register(cell("SQ_X4", 0.6, ScanStyle::kInternalChain));
+  library.add_register(cell("SQ_X1_A", 2.4, ScanStyle::kInternalChain));
+  library.add_register(cell("SQ_X1_PBS", 2.4, ScanStyle::kPerBitPins));
+
+  const auto names = [](const std::vector<const RegisterCell*>& cells) {
+    std::vector<std::string> out;
+    for (const RegisterCell* c : cells) out.push_back(c->name);
+    return out;
+  };
+  const std::vector<std::string> chain{"SQ_X1_A", "SQ_X1_B", "SQ_X2",
+                                       "SQ_X4"};
+  EXPECT_EQ(names(library.drive_variants(scan, 2, ScanStyle::kInternalChain)),
+            chain);
+  EXPECT_EQ(names(library.drive_variants(scan, 2, base_scan_style(scan))),
+            chain);
+  const RegisterCell& twin = *library.register_by_name("SQ_X1_PBS");
+  EXPECT_EQ(names(library.drive_variants(twin)),
+            (std::vector<std::string>{"SQ_X1_PBS"}));
+  const RegisterCell& x2 = *library.register_by_name("SQ_X2");
+  EXPECT_EQ(names(library.drive_variants(x2)), chain);
+  EXPECT_FALSE(is_drive_variant(twin, x2));
+  EXPECT_TRUE(is_drive_variant(x2, *library.register_by_name("SQ_X4")));
+  EXPECT_TRUE(library.drive_variants(scan, 4, ScanStyle::kInternalChain)
+                  .empty());
+  EXPECT_TRUE(library.drive_variants({}, 2, ScanStyle::kNone).empty());
+  EXPECT_EQ(base_scan_style({}), ScanStyle::kNone);
+
+  // In the default library every family's insertion order is already
+  // weakest first.
+  const Library full = make_default_library();
+  for (const RegisterCell& c : full.registers()) {
+    std::vector<const RegisterCell*> inserted;
+    for (const RegisterCell* v : full.cells_for(c.function, c.bits))
+      if (is_drive_variant(*v, c)) inserted.push_back(v);
+    EXPECT_EQ(full.drive_variants(c), inserted) << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace mbrc::lib

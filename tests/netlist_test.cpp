@@ -60,6 +60,40 @@ TEST_F(DesignFixture, PinLookupHelpers) {
   EXPECT_FALSE(design.register_control_pin(reg, PinRole::kEnable).valid());
 }
 
+TEST(DesignControlNets, RegisterControlNetPerRole) {
+  lib::DefaultLibraryOptions options;
+  options.functions = {{},
+                       {.has_reset = true,
+                        .has_set = true,
+                        .has_enable = true,
+                        .is_scan = true}};
+  const lib::Library library = lib::make_default_library(options);
+  Design design(&library, {0, 0, 200, 200});
+  const CellId reg = design.add_register(
+      "r", library.register_by_name("DFFRSEQ_B2_X1"), {10, 10});
+  const PinRole roles[] = {PinRole::kClock, PinRole::kReset, PinRole::kSet,
+                           PinRole::kEnable, PinRole::kScanEnable};
+  for (PinRole role : roles) {
+    EXPECT_FALSE(design.register_control_net(reg, role).valid());
+    const NetId net = design.create_net(role == PinRole::kClock);
+    design.connect(design.register_control_pin(reg, role), net);
+    EXPECT_EQ(design.register_control_net(reg, role), net);
+  }
+  EXPECT_EQ(design.register_clock_net(reg),
+            design.register_control_net(reg, PinRole::kClock));
+
+  // A function without the role has no such pin, hence no net.
+  const CellId plain = design.add_register(
+      "p", library.register_by_name("DFFP_B2_X1"), {40, 10});
+  design.connect(design.register_clock_pin(plain),
+                 design.register_clock_net(reg));
+  for (PinRole role : {PinRole::kReset, PinRole::kSet, PinRole::kEnable,
+                       PinRole::kScanEnable})
+    EXPECT_FALSE(design.register_control_net(plain, role).valid());
+  EXPECT_EQ(design.register_control_net(plain, PinRole::kClock),
+            design.register_clock_net(reg));
+}
+
 TEST_F(DesignFixture, ConnectDisconnectMaintainsNets) {
   const CellId reg =
       design.add_register("r", reg_cell("DFFP_B1_X1"), {0, 0});

@@ -211,11 +211,7 @@ std::vector<RecordedEdit> mutate_reference(netlist::Design& design,
     const netlist::CellId reg = pick();
     const netlist::Cell& cell = design.cell(reg);
     if (!cell.fixed) {
-      auto variants =
-          design.library().cells_for(cell.reg->function, cell.reg->bits);
-      std::erase_if(variants, [&](const lib::RegisterCell* v) {
-        return v->scan_style != cell.reg->scan_style;
-      });
+      const auto variants = design.library().drive_variants(*cell.reg);
       if (variants.size() > 1) {
         const auto* variant =
             variants[static_cast<std::size_t>(rng.uniform_int(

@@ -93,11 +93,7 @@ void mutate_round(netlist::Design& design, sta::SkewMap& skew, util::Rng& rng) {
   if (rng.chance(0.5)) {
     const netlist::CellId reg = pick();
     const netlist::Cell& cell = design.cell(reg);
-    auto variants =
-        design.library().cells_for(cell.reg->function, cell.reg->bits);
-    std::erase_if(variants, [&](const lib::RegisterCell* v) {
-      return v->scan_style != cell.reg->scan_style;
-    });
+    const auto variants = design.library().drive_variants(*cell.reg);
     if (variants.size() > 1) {
       const auto* variant = variants[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(variants.size()) - 1))];
