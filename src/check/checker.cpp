@@ -387,7 +387,7 @@ void enforce_stage(const Design& design, const char* stage, CheckLevel level,
   DesignChecker checker(design, options);
   checker.check_structure().check_conservation(baseline,
                                                expect.register_count_bounded);
-  if (expect.nets_clean) checker.check_nets();
+  if (expect.scan_stitched) checker.check_nets();
   if (expect.placement_legal) checker.check_placement();
   if (expect.scan_stitched) checker.check_scan_chains();
   if (level == CheckLevel::kParanoid && engine)

@@ -122,8 +122,9 @@ private:
 /// rewiring and restitch), so the flow passes what the stage promises.
 struct StageExpectations {
   bool placement_legal = true;
+  /// Nets clean and scan chains stitched. Both break together: from a
+  /// splice (the replaced registers' chain nets dangle) to the restitch.
   bool scan_stitched = true;
-  bool nets_clean = true;
   /// Register count <= baseline. False from the first debank split (which
   /// turns one MBR into more, narrower registers) to the output boundary,
   /// where the paper's no-increase guarantee holds again unless a debank

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "runtime/thread_pool.hpp"
 #include "util/assert.hpp"
@@ -39,12 +40,6 @@ void CompatibilityGraph::add_edge(int a, int b) {
   dirty_ = true;
 }
 
-void CompatibilityGraph::reserve_degrees(const std::vector<int>& degrees) {
-  MBRC_ASSERT(static_cast<int>(degrees.size()) == node_count());
-  for (int i = 0; i < node_count(); ++i)
-    adjacency_[i].reserve(static_cast<std::size_t>(degrees[i]));
-}
-
 void CompatibilityGraph::finalize() {
   for (auto& adj : adjacency_) {
     std::sort(adj.begin(), adj.end());
@@ -62,43 +57,35 @@ void CompatibilityGraph::clear_edges(int i) {
   adjacency_[i].clear();
 }
 
-void CompatibilityGraph::insert_edge(int a, int b) {
-  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph edited before finalize()");
-  MBRC_ASSERT(a != b && a >= 0 && b >= 0 && a < node_count() &&
-              b < node_count());
-  const auto insert = [](std::vector<int>& adj, int v) {
-    const auto at = std::lower_bound(adj.begin(), adj.end(), v);
-    if (at == adj.end() || *at != v) adj.insert(at, v);
-  };
-  insert(adjacency_[a], b);
-  insert(adjacency_[b], a);
+std::vector<std::vector<int>> CompatibilityGraph::components_of(
+    const std::vector<int>& starts) const {
+  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph read before finalize()");
+  std::vector<std::uint8_t> seen(nodes_.size(), 0);
+  std::vector<std::vector<int>> components;
+  for (int start : starts) {
+    if (seen[start] != 0) continue;
+    seen[start] = 1;
+    std::vector<int> component{start};
+    for (std::size_t k = 0; k < component.size(); ++k)
+      for (int u : adjacency_[component[k]])
+        if (seen[u] == 0) {
+          seen[u] = 1;
+          component.push_back(u);
+        }
+    std::sort(component.begin(), component.end());
+    components.push_back(std::move(component));
+  }
+  std::sort(components.begin(), components.end(),
+            [](const std::vector<int>& a, const std::vector<int>& b) {
+              return a.front() < b.front();
+            });
+  return components;
 }
 
 std::vector<std::vector<int>> CompatibilityGraph::connected_components() const {
-  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph read before finalize()");
-  std::vector<int> component(node_count(), -1);
-  std::vector<std::vector<int>> components;
-  std::vector<int> stack;
-  for (int start = 0; start < node_count(); ++start) {
-    if (component[start] >= 0) continue;
-    const int id = static_cast<int>(components.size());
-    components.emplace_back();
-    stack.push_back(start);
-    component[start] = id;
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      components[id].push_back(v);
-      for (int u : adjacency_[v]) {
-        if (component[u] < 0) {
-          component[u] = id;
-          stack.push_back(u);
-        }
-      }
-    }
-    std::sort(components[id].begin(), components[id].end());
-  }
-  return components;
+  std::vector<int> every(nodes_.size());
+  std::iota(every.begin(), every.end(), 0);
+  return components_of(every);
 }
 
 bool is_composable(const netlist::Design& design, netlist::CellId cell_id) {
@@ -242,6 +229,56 @@ void PairIndex::rebin(const CompatibilityGraph& graph, int i,
   bins.insert(std::lower_bound(bins.begin(), bins.end(), new_bin), new_bin);
 }
 
+void CompatibilityGraph::derive_edges(const std::vector<int>& nodes,
+                                      const PairIndex& pairs,
+                                      const CompatibilityOptions& options) {
+  MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph edited before finalize()");
+  std::vector<std::uint8_t> in_set(nodes_.size(), 0);
+  for (int i : nodes) in_set[i] = 1;
+
+  // Each task probes one node's 3x3 bin block and returns the nodes it
+  // links to. Tasks only read the node array and the index, and the
+  // reduction below appends in `nodes` order, so the lists are identical
+  // at any job count.
+  const std::vector<std::vector<int>> found = runtime::parallel_transform(
+      &runtime::ThreadPool::global(), options.jobs, nodes,
+      [&](int i) {
+        std::vector<int> out;
+        const RegisterInfo& a = nodes_[i];
+        pairs.for_each_near(*this, i, [&](int j) {
+          if (in_set[j] != 0 && j < i) return;  // probed from j
+          const RegisterInfo& b = nodes_[j];
+          if (!placement_compatible(a, b, options)) return;
+          if (!timing_compatible(a, b, options)) return;
+          MBRC_ASSERT(functionally_compatible(a, b) && scan_compatible(a, b));
+          out.push_back(j);
+        });
+        return out;
+      },
+      /*grain=*/32);
+
+  // Exact degree pre-count, so the appends below never reallocate a list.
+  std::vector<std::size_t> added(nodes_.size(), 0);
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    added[nodes[k]] += found[k].size();
+    for (int j : found[k]) ++added[j];
+  }
+  for (std::size_t v = 0; v < added.size(); ++v)
+    if (added[v] != 0) adjacency_[v].reserve(adjacency_[v].size() + added[v]);
+  for (std::size_t k = 0; k < nodes.size(); ++k) {
+    for (int j : found[k]) {
+      adjacency_[nodes[k]].push_back(j);
+      adjacency_[j].push_back(nodes[k]);
+    }
+  }
+  for (std::size_t v = 0; v < added.size(); ++v) {
+    if (added[v] == 0) continue;
+    std::vector<int>& adj = adjacency_[v];
+    std::sort(adj.begin(), adj.end());
+    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+  }
+}
+
 CompatibilityGraph build_compatibility_graph(
     const netlist::Design& design, const sta::TimingReport& timing,
     const CompatibilityOptions& options, PairIndex* pairs) {
@@ -265,42 +302,9 @@ CompatibilityGraph build_compatibility_graph(
   // geometric/timing pair checks only within a group, with a spatial grid
   // to avoid the O(n^2) blowup on large designs.
   PairIndex index(graph, options);
-
-  // Edge detection fans out per node: each task probes its own 3x3 bin
-  // block and returns node i's forward (j > i) edges. Tasks only read the
-  // node array and the index; the reduction below appends the per-node
-  // lists in node order and finalize() sorts each adjacency, so the graph
-  // is byte-identical to the serial double loop at any job count.
-  std::vector<int> tasks(static_cast<std::size_t>(graph.node_count()));
-  for (int i = 0; i < graph.node_count(); ++i) tasks[i] = i;
-  const std::vector<std::vector<int>> forward = runtime::parallel_transform(
-      &runtime::ThreadPool::global(), options.jobs, tasks,
-      [&](int i) {
-        std::vector<int> out;
-        const RegisterInfo& a = graph.node(i);
-        index.for_each_near(graph, i, [&](int j) {
-          if (j <= i) return;  // each unordered pair once
-          const RegisterInfo& b = graph.node(j);
-          if (!placement_compatible(a, b, options)) return;
-          if (!timing_compatible(a, b, options)) return;
-          MBRC_ASSERT(functionally_compatible(a, b) && scan_compatible(a, b));
-          out.push_back(j);
-        });
-        return out;
-      },
-      /*grain=*/32);
-
-  // Exact degree pre-count so the bulk add_edge pass below appends into
-  // right-sized adjacency lists instead of reallocating them as they grow.
-  std::vector<int> degrees(graph.node_count(), 0);
-  for (int i = 0; i < graph.node_count(); ++i) {
-    degrees[i] += static_cast<int>(forward[i].size());
-    for (int j : forward[i]) ++degrees[j];
-  }
-  graph.reserve_degrees(degrees);
-  for (int i = 0; i < graph.node_count(); ++i)
-    for (int j : forward[i]) graph.add_edge(i, j);
-  graph.finalize();
+  std::vector<int> every(static_cast<std::size_t>(graph.node_count()));
+  std::iota(every.begin(), every.end(), 0);
+  graph.derive_edges(every, index, options);
   if (pairs != nullptr) *pairs = std::move(index);
   return graph;
 }

@@ -26,6 +26,8 @@
 
 namespace mbrc::mbr {
 
+class PairIndex;
+
 struct CompatibilityOptions {
   /// Max |slack_a - slack_b| on the D side and on the Q side (ns). Sec. 2:
   /// registers of very different criticality must not merge.
@@ -41,10 +43,10 @@ struct CompatibilityOptions {
   double max_distance = 60.0;
   sta::FeasibleRegionOptions region;
   /// Thread lanes for the per-register info pass and the per-node edge
-  /// detection. Both fan out over pre-sized slots and reduce on the calling
+  /// probe. Both fan out over pre-sized slots and reduce on the calling
   /// thread in node order, so the graph is bit-identical at any job count;
-  /// 1 runs the serial loops. plan_composition overrides this with the
-  /// flow-wide jobs knob.
+  /// 1 runs the serial loops. compatibility_with_jobs overrides this with
+  /// the flow-wide jobs knob.
   int jobs = 1;
 };
 
@@ -86,28 +88,31 @@ public:
   bool has_edge(int a, int b) const;
   std::int64_t edge_count() const;
 
-  /// Connected components, each a sorted list of node indices.
+  /// The connected components that hold a node of `starts`, each a sorted
+  /// list of node indices, listed in ascending order of their smallest node.
+  std::vector<std::vector<int>> components_of(
+      const std::vector<int>& starts) const;
+  /// Every connected component: components_of every node.
   std::vector<std::vector<int>> connected_components() const;
 
-  // Construction (used by build_compatibility_graph and tests). Edges are
+  // Hand construction (tests, fixtures, the worked example). Edges are
   // appended in O(1); call finalize() once after the last add_edge to sort
   // and deduplicate the adjacency lists. Reads (neighbors/has_edge/...)
   // assert that the graph is finalized.
   int add_node(RegisterInfo info);
   void add_edge(int a, int b);
-  /// Pre-sizes each adjacency list from an exact (or upper-bound) degree
-  /// count so the bulk add_edge pass never reallocates. Optional: add_edge
-  /// works without it, at the cost of log(degree) grow-reallocations per
-  /// list on large subgraph batches.
-  void reserve_degrees(const std::vector<int>& degrees);
   void finalize();
 
-  // Incremental maintenance of a finalized graph (the service session's
-  // IncrementalCompatibilityGraph). Both keep every list sorted and unique.
-  /// Removes every edge of node `i`.
+  /// The one edge derivation, for a fresh build and a kept graph's refresh.
+  /// Each node of `nodes` (unique, without edges: fresh, or after
+  /// clear_edges) probes its 3x3 bin block in `pairs` at options.jobs and
+  /// links to every node passing the placement and timing rules; a pair
+  /// inside `nodes` is probed from its smaller node. Only the lists that
+  /// gained edges are sorted again.
+  void derive_edges(const std::vector<int>& nodes, const PairIndex& pairs,
+                    const CompatibilityOptions& options);
+  /// Removes every edge of node `i`; the other lists stay sorted.
   void clear_edges(int i);
-  /// Adds edge (a, b) when absent.
-  void insert_edge(int a, int b);
 
 private:
   std::vector<RegisterInfo> nodes_;

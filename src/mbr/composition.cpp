@@ -1,7 +1,6 @@
 #include "mbr/composition.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "mbr/heuristic.hpp"
 #include "obs/trace.hpp"
@@ -44,29 +43,6 @@ ilp::SetPartitionResult solve_subgraph(
 
 namespace {
 
-// The components holding a region node, found by a walk from each region
-// node. Each comes out sorted and the list is ordered by smallest node, so
-// it is the matching sublist of graph.connected_components().
-std::vector<std::vector<int>> region_components(
-    const CompatibilityGraph& graph, const std::vector<int>& region) {
-  std::vector<std::vector<int>> components;
-  std::unordered_set<int> seen;
-  for (int start : region) {
-    if (!seen.insert(start).second) continue;
-    std::vector<int> component{start};
-    for (std::size_t k = 0; k < component.size(); ++k)
-      for (int u : graph.neighbors(component[k]))
-        if (seen.insert(u).second) component.push_back(u);
-    std::sort(component.begin(), component.end());
-    components.push_back(std::move(component));
-  }
-  std::sort(components.begin(), components.end(),
-            [](const std::vector<int>& a, const std::vector<int>& b) {
-              return a.front() < b.front();
-            });
-  return components;
-}
-
 // The ILP step: enumerate the subgraph's candidates and solve its
 // set-partitioning ILP. Only the chosen candidates leave the task.
 SubgraphPlan allocate_ilp(const CompatibilityGraph& graph,
@@ -90,6 +66,22 @@ SubgraphPlan allocate_ilp(const CompatibilityGraph& graph,
   for (int index : solved.chosen)
     out.chosen.push_back(std::move(enumeration.candidates[index]));
   return out;
+}
+
+// plan_on_graph over a freshly built graph; every register when `region`
+// is null.
+CompositionPlan plan_fresh(const netlist::Design& design,
+                           const sta::TimingReport& timing,
+                           const std::vector<netlist::CellId>* region,
+                           const CompositionOptions& options) {
+  CompatibilityGraph graph =
+      build_compatibility_graph(design, timing, compatibility_with_jobs(options));
+  std::optional<std::vector<int>> nodes;
+  if (region != nullptr) nodes = region_nodes(graph, *region);
+  CompositionPlan plan =
+      plan_on_graph(graph, BlockerIndex(graph), design, nodes, options);
+  plan.graph = std::move(graph);
+  return plan;
 }
 
 }  // namespace
@@ -125,8 +117,7 @@ CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
   check_partition_options(options.partition);  // before any worker task
   std::vector<std::vector<int>> subgraphs;
   for (std::vector<int>& component :
-       region ? region_components(graph, *region)
-              : graph.connected_components()) {
+       region ? graph.components_of(*region) : graph.connected_components()) {
     for (std::vector<int>& part : partition_component(
              graph, design, std::move(component), options.partition)) {
       // partition_component hands each part out sorted.
@@ -180,25 +171,14 @@ CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
 CompositionPlan plan_composition(const netlist::Design& design,
                                  const sta::TimingReport& timing,
                                  const CompositionOptions& options) {
-  CompatibilityGraph graph =
-      build_compatibility_graph(design, timing, compatibility_with_jobs(options));
-  CompositionPlan plan = plan_on_graph(graph, BlockerIndex(graph), design,
-                                       std::nullopt, options);
-  plan.graph = std::move(graph);
-  return plan;
+  return plan_fresh(design, timing, nullptr, options);
 }
 
 CompositionPlan plan_composition_region(
     const netlist::Design& design, const sta::TimingReport& timing,
     const std::vector<netlist::CellId>& region,
     const CompositionOptions& options) {
-  CompatibilityGraph graph =
-      build_compatibility_graph(design, timing, compatibility_with_jobs(options));
-  CompositionPlan plan =
-      plan_on_graph(graph, BlockerIndex(graph), design,
-                    region_nodes(graph, region), options);
-  plan.graph = std::move(graph);
-  return plan;
+  return plan_fresh(design, timing, &region, options);
 }
 
 }  // namespace mbrc::mbr

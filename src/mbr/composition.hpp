@@ -61,6 +61,8 @@ struct SubgraphPlan {
 };
 
 struct CompositionPlan {
+  /// The graph the plan was made on, for apply; only plan_composition and
+  /// plan_composition_region fill it. plan_on_graph leaves it empty.
   CompatibilityGraph graph;
   std::vector<Selection> selections;   // all, including kept singletons
   double objective = 0.0;              // sum of selected weights (ILP only)
@@ -83,12 +85,12 @@ struct CompositionPlan {
 /// a region, only the subgraphs holding a region node are planned: the
 /// others are independent and their plan would be the same as before.
 /// Components are visited in ascending order of their smallest node, as
-/// CompatibilityGraph::connected_components lists them, so the objective's
+/// CompatibilityGraph::components_of lists them, so the objective's
 /// floating-point sum has the same order as a whole-graph plan's. The ILP
 /// step counts blockers against every node of `graph` through `blockers`. The
 /// returned plan's `graph` stays empty: selections name their cells
-/// through Selection::members, and callers that apply the plan attach the
-/// graph themselves. `region` holds node ids, sorted and unique.
+/// through Selection::members, and callers that apply the plan pass the
+/// graph along themselves. `region` holds node ids, sorted and unique.
 CompositionPlan plan_on_graph(const CompatibilityGraph& graph,
                               const BlockerIndex& blockers,
                               const netlist::Design& design,
@@ -102,19 +104,16 @@ std::vector<int> region_nodes(const CompatibilityGraph& graph,
                               const std::vector<netlist::CellId>& cells);
 
 /// plan_on_graph over a freshly built graph, planning every register. Does
-/// not modify the design; the plan carries the graph for apply.
+/// not modify the design; the plan carries the graph for apply. The flow
+/// and the service session plan on a kept IncrementalCompatibilityGraph
+/// instead; this is the fresh-build reference their plans must equal.
 CompositionPlan plan_composition(const netlist::Design& design,
                                  const sta::TimingReport& timing,
                                  const CompositionOptions& options = {});
 
-/// plan_on_graph over a freshly built graph, planning only the subgraphs
-/// that hold a cell of `region`. Within them the plan is identical to the
-/// full plan's. Building the graph still costs O(design): the debank loop
-/// calls this once per iteration, because applying a plan is a structural
-/// edit that invalidates any kept graph. The service session instead keeps
-/// an IncrementalCompatibilityGraph and calls plan_on_graph directly, so a
-/// region plan costs what the region and the edits since the previous plan
-/// touch, not the design.
+/// plan_composition, planning only the subgraphs that hold a cell of
+/// `region`. Within them the plan is identical to the full plan's. Building
+/// the graph costs O(design) whatever the region.
 CompositionPlan plan_composition_region(
     const netlist::Design& design, const sta::TimingReport& timing,
     const std::vector<netlist::CellId>& region,

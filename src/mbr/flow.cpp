@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <unordered_set>
 
+#include "mbr/incremental_graph.hpp"
 #include "mbr/report.hpp"
 #include "obs/counters.hpp"
 #include "sta/timing_engine.hpp"
@@ -16,11 +18,9 @@ namespace mbrc::mbr {
 Metrics evaluate_design(const netlist::Design& design,
                         const FlowOptions& options, const sta::SkewMap& skew,
                         sta::TimingEngine* engine) {
+  MBRC_ASSERT_MSG(engine != nullptr, "evaluate_design needs a timing engine");
   Metrics m;
   m.design = design.stats();
-
-  sta::TimingOptions timing_options = options.timing;
-  timing_options.jobs = options.jobs;
 
   // The three substrates (STA, CTS estimate, congestion map) only read the
   // design; with parallel lanes enabled the estimates run on the pool while
@@ -30,9 +30,9 @@ Metrics evaluate_design(const netlist::Design& design,
   const bool overlap = options.jobs > 1;
   std::future<cts::ClockTreeStats> tree_future;
   std::future<route::CongestionMap> congestion_future;
-  // Both tasks capture this frame by reference, and engine->update/run_sta
-  // below can throw before the help_get calls collect them; the drain
-  // guard blocks every exit path until the watched futures settle.
+  // Both tasks capture this frame by reference, and engine->update below
+  // can throw before the help_get calls collect them; the drain guard
+  // blocks every exit path until the watched futures settle.
   runtime::FutureDrain frame_drain(pool);
   if (overlap) {
     tree_future = pool.async(
@@ -43,8 +43,7 @@ Metrics evaluate_design(const netlist::Design& design,
     frame_drain.watch(congestion_future);
   }
 
-  const sta::TimingReport& timing =
-      engine ? engine->update(skew) : run_sta(design, timing_options, skew);
+  const sta::TimingReport& timing = engine->update(skew);
   m.wns = timing.wns();
   m.tns = timing.tns();
   m.failing_endpoints = timing.failing_endpoints();
@@ -167,11 +166,12 @@ struct ApplyOutcome {
   int incomplete_mbrs = 0;
 };
 
-// Applies the plan's merges in plan order, each as map (Sec. 4.1) -> place
-// (Sec. 4.2) -> rewire against the design the earlier rewires left. New
-// MBRs are named `name_prefix` + a per-call counter; callers must keep
-// prefixes distinct across calls.
+// Applies the plan's merges, made on `graph`, in plan order, each as map
+// (Sec. 4.1) -> place (Sec. 4.2) -> rewire against the design the earlier
+// rewires left. New MBRs are named `name_prefix` + a per-call counter;
+// callers must keep prefixes distinct across calls.
 ApplyOutcome apply_plan_merges(netlist::Design& design,
+                               const CompatibilityGraph& graph,
                                const CompositionPlan& plan,
                                const FlowOptions& options,
                                const std::string& name_prefix) {
@@ -179,15 +179,15 @@ ApplyOutcome apply_plan_merges(netlist::Design& design,
   int name_counter = 0;
   for (const Selection* selection : plan.merges()) {
     const std::optional<Mapping> mapping = map_candidate(
-        design, plan.graph, selection->candidate, options.mapping);
+        design, graph, selection->candidate, options.mapping);
     if (!mapping) {
       ++result.rejected_at_mapping;
       continue;
     }
     const geom::Point position = place_mbr(
-        design, plan.graph, selection->candidate, *mapping, options.placement);
+        design, graph, selection->candidate, *mapping, options.placement);
     result.new_cells.push_back(rewire_candidate(
-        design, plan.graph, selection->candidate, *mapping, position,
+        design, graph, selection->candidate, *mapping, position,
         name_prefix + std::to_string(name_counter++)));
     ++result.mbrs_created;
     result.registers_merged +=
@@ -244,15 +244,17 @@ struct CommitOutcome {
   double compose_seconds = 0.0;        // apply through restitch, wall time
 };
 
-// Commits one composition plan, the part of the paper's Fig. 4 after
-// planning: map -> place -> rewire, drop the skew entries of the merged
-// members, legalize the new MBRs, restitch the scan chains, useful skew over
-// the working set (the new MBRs plus the live `extra_cells`), then sizing.
+// Commits one composition plan, made on `graph`, the part of the paper's
+// Fig. 4 after planning: map -> place -> rewire, drop the skew entries of
+// the merged members, legalize the new MBRs, restitch the scan chains,
+// useful skew over the working set (the new MBRs plus the live
+// `extra_cells`), then sizing.
 // The main pass commits the flow's plan under an empty skew map; each
 // bank/debank iteration commits its scoped plan under the current skew with
 // its split pieces as extra cells. New MBRs are named `name_prefix` plus a
 // per-call counter; stage rows and guard names carry `stage_prefix`.
-CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
+CommitOutcome commit_plan(FlowContext& flow, const CompatibilityGraph& graph,
+                          const CompositionPlan& plan,
                           const std::string& stage_prefix,
                           const std::string& name_prefix, sta::SkewMap skew,
                           const std::vector<netlist::CellId>& extra_cells) {
@@ -266,7 +268,7 @@ CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
   // Map -> place -> rewire, one merge at a time (apply_plan_merges).
   {
     obs::StageTimer timer(flow.stages, stage("apply"));
-    out.applied = apply_plan_merges(design, plan, options, name_prefix);
+    out.applied = apply_plan_merges(design, graph, plan, options, name_prefix);
     timer.add_items(out.applied.mbrs_created);
   }
   const std::vector<netlist::CellId>& new_cells = out.applied.new_cells;
@@ -280,7 +282,6 @@ CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
     // unstitched scan pins; the replaced members' chain nets dangle.
     expect.placement_legal = false;
     expect.scan_stitched = false;
-    expect.nets_clean = false;
   }
   flow.guard(stage("apply"), skew);
 
@@ -305,7 +306,6 @@ CommitOutcome commit_plan(FlowContext& flow, const CompositionPlan& plan,
     flow.chains_restitched = true;
   }
   expect.scan_stitched = true;
-  expect.nets_clean = true;
   flow.guard(stage("restitch"), skew);
   out.compose_seconds = compose_clock.seconds();
 
@@ -358,6 +358,11 @@ FlowResult run_flow_stages(netlist::Design& design,
   // version, so the engine rebuilds exactly when it must; the useful-skew
   // loop and the post-compose queries ride on cheap dirty-cone updates.
   sta::TimingEngine engine(design, timing_options);
+  // One compatibility graph, kept the way a service session keeps its own.
+  // Every pass follows a structural edit, so each sync rebuilds it from the
+  // engine's report (mbr.compat.full_builds counts them).
+  IncrementalCompatibilityGraph graph(
+      design, compatibility_with_jobs(composition_options));
 
   FlowContext flow{design, options, timing_options, engine};
   if (options.check_level != check::CheckLevel::kOff)
@@ -377,22 +382,23 @@ FlowResult run_flow_stages(netlist::Design& design,
   flow.guard("input", no_skew);
 
   util::Stopwatch compose_clock;
-  sta::TimingReport timing;
   {
     obs::StageTimer timer(flow.stages, "sta.plan");
-    timing = engine.update();  // copy: planning reads it across later edits
+    engine.update();
   }
 
   {
     obs::StageTimer timer(flow.stages, "plan");
-    result.plan = plan_composition(design, timing, composition_options);
+    graph.sync(engine);
+    result.plan = plan_on_graph(graph.graph(), graph.blockers(), design,
+                                std::nullopt, composition_options);
     timer.add_items(result.plan.subgraph_count);
   }
   flow.guard("plan", no_skew);
 
   const double plan_seconds = compose_clock.seconds();
   CommitOutcome committed =
-      commit_plan(flow, result.plan, "", "mbrc_", {}, {});
+      commit_plan(flow, graph.graph(), result.plan, "", "mbrc_", {}, {});
   tally(committed.applied);
   result.legalization = committed.legalization;
   result.restitch = committed.restitch;
@@ -452,30 +458,25 @@ FlowResult run_flow_stages(netlist::Design& design,
       // and chains before planning on the new state.
       flow.expect.placement_legal = false;
       flow.expect.scan_stitched = false;
-      flow.expect.nets_clean = false;
       flow.expect.register_count_bounded = false;
       MBRC_ASSERT_MSG(legalize_new_cells(design, split.pieces).success,
                       "debank legalization failed");
       flow.expect.placement_legal = true;
       restitch_scan_chains(design);
       flow.expect.scan_stitched = true;
-      flow.expect.nets_clean = true;
       flow.guard("debank.split", result.skew);
 
       // Scoped recomposition: only the subgraphs touching the freed pieces
-      // are enumerated and solved. The compatibility graph is still built
-      // fresh, at O(design) per iteration: splitting and apply_plan_merges
-      // are structural edits that move topology_version, and the kept graph
-      // of mbr/incremental_graph.hpp handles only moves and swaps. The
-      // service session, whose edits keep the topology, plans on such a
-      // kept graph instead.
-      const sta::TimingReport& replan_timing = engine.update(result.skew);
-      const CompositionPlan region_plan = plan_composition_region(
-          design, replan_timing, split.pieces, composition_options);
+      // are enumerated and solved, on the kept graph.
+      engine.update(result.skew);
+      graph.sync(engine);
+      const CompositionPlan region_plan = plan_on_graph(
+          graph.graph(), graph.blockers(), design,
+          region_nodes(graph.graph(), split.pieces), composition_options);
       // Fresh skew freedom is the point of the split: the surviving pieces
       // join the recomposed MBRs in the commit's working set, each getting
       // its own offset where the old bank had to share one.
-      committed = commit_plan(flow, region_plan, "debank.",
+      committed = commit_plan(flow, graph.graph(), region_plan, "debank.",
                               "mbrc_d" + std::to_string(iter) + "_",
                               std::move(result.skew), split.pieces);
       result.skew = std::move(committed.skew);
@@ -514,7 +515,6 @@ FlowResult run_flow_stages(netlist::Design& design,
         static_cast<std::int64_t>(result.debank_iterations.size()));
     flow.expect.placement_legal = true;
     flow.expect.scan_stitched = true;
-    flow.expect.nets_clean = true;
   }
 
   {

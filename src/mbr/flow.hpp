@@ -158,18 +158,19 @@ struct FlowResult {
   /// Collected spans when FlowOptions::trace was on; empty otherwise.
   /// Wall-clock measurement only, like `stages`.
   obs::TraceData trace;
-  CompositionPlan plan;          // the accepted plan (for reporting)
+  /// The main pass's plan (for reporting). It was made on the flow's kept
+  /// compatibility graph, which the flow does not hand out, so `plan.graph`
+  /// stays empty.
+  CompositionPlan plan;
 };
 
 /// Measures a design state with the flow's substrates. `skew` is applied
 /// during STA (pass the flow's resulting skew for 'after' measurements).
-/// When `engine` is non-null (it must be bound to `design`), the timing
-/// metrics come from an incremental engine update instead of a from-scratch
-/// run; the numbers are bit-identical either way.
+/// The timing metrics come from an update of `engine`, which must be
+/// non-null and bound to `design`.
 Metrics evaluate_design(const netlist::Design& design,
-                        const FlowOptions& options,
-                        const sta::SkewMap& skew = {},
-                        sta::TimingEngine* engine = nullptr);
+                        const FlowOptions& options, const sta::SkewMap& skew,
+                        sta::TimingEngine* engine);
 
 /// Post-composition sizing pass (FlowOptions::size_new_mbrs): moves each
 /// cell in `new_cells` to the weakest drive variant whose Q-side setup and

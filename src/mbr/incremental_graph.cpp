@@ -123,16 +123,7 @@ void IncrementalCompatibilityGraph::refresh(const sta::TimingReport& report,
     blockers_->move(i, from, graph_.node(i).center());
   }
 
-  for (int i : dirty) {
-    const RegisterInfo& a = graph_.node(i);
-    pairs_.for_each_near(graph_, i, [&](int j) {
-      if (dirty_[j] != 0 && j < i) return;  // probed from j already
-      const RegisterInfo& b = graph_.node(j);
-      if (placement_compatible(a, b, options_) &&
-          timing_compatible(a, b, options_))
-        graph_.insert_edge(i, j);
-    });
-  }
+  graph_.derive_edges(dirty, pairs_, options_);
   for (int i : dirty) dirty_[i] = 0;
 }
 

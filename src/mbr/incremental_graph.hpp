@@ -3,7 +3,9 @@
 // build_compatibility_graph costs O(design): every composable register gets
 // a RegisterInfo and a bin probe. A service session plans small regions
 // again and again on one design, so it keeps one graph and re-derives only
-// what its edits invalidated. Two logs say what that is:
+// what its edits invalidated. The batch flow holds one the same way; its
+// passes follow structural edits, so each of its syncs is a full build.
+// Two logs say what an edit invalidated:
 //   - the Design edit journal (touched_cells), read with this graph's own
 //     cursor: placement moves and sizing swaps;
 //   - the TimingEngine change log (changed_pins): every pin whose arrival or
@@ -18,10 +20,12 @@
 //   2. a moved or swapped cell has a pin on the net of one of its data pins,
 //   3. one of its data pins is in the engine's change log.
 // Dirty registers get a new RegisterInfo, move in the pair and blocker
-// indexes, drop their edges and probe their 3x3 bin block again. An edge
-// depends only on its two endpoints' infos, and the probe is symmetric, so
-// the result equals a fresh build_compatibility_graph node for node and
-// edge for edge. The node set itself changes only with the topology.
+// indexes and drop their edges; CompatibilityGraph::derive_edges, the
+// routine a fresh build runs on every node, then probes their 3x3 bin
+// blocks again. An edge depends only on its two endpoints' infos, and the
+// probe is symmetric, so the result equals a fresh
+// build_compatibility_graph node for node and edge for edge. The node set
+// itself changes only with the topology.
 //
 // Invalidation follows the engine's rule: when the design's topology
 // version moves (structural edits, snapshot restore) or the engine did a

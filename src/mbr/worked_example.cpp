@@ -1,5 +1,6 @@
 #include "mbr/worked_example.hpp"
 
+#include "sta/feasible_region.hpp"
 #include "util/assert.hpp"
 
 namespace mbrc::mbr {
@@ -27,9 +28,8 @@ RegisterInfo make_node(const lib::Library& library, int bits,
   info.bits = bits;
   info.footprint = {position.x, position.y, position.x + cell->width,
                     position.y + cell->height};
-  const double radius =
-      std::min(options.region.max_radius, slack / options.region.delay_per_um);
-  info.region = info.footprint.inflate(std::max(0.0, radius));
+  info.region = info.footprint.inflate(
+      sta::slack_to_distance(slack, options.region));
   info.d_slack = slack;
   info.q_slack = slack;
   info.drive_resistance = cell->drive_resistance;

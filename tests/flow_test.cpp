@@ -7,10 +7,17 @@
 
 #include "benchgen/generator.hpp"
 #include "mbr/flow.hpp"
+#include "sta/sta.hpp"
 #include "sta/timing_engine.hpp"
 
 namespace mbrc::mbr {
 namespace {
+
+// A counter of the run's delta; 0 when the run did not move it.
+std::int64_t counter(const FlowResult& r, const char* name) {
+  const auto it = r.counters.counters.find(name);
+  return it == r.counters.counters.end() ? std::int64_t{0} : it->second;
+}
 
 class FlowFixture : public ::testing::Test {
 protected:
@@ -125,12 +132,8 @@ TEST_F(FlowFixture, HeuristicDebankLoopSolvesNoIlp) {
   const FlowResult r = run(options);
   ASSERT_FALSE(r.debank_iterations.empty());
   EXPECT_TRUE(r.stages.contains("debank.apply"));
-  const auto count = [&](const char* name) {
-    const auto it = r.counters.counters.find(name);
-    return it == r.counters.counters.end() ? std::int64_t{0} : it->second;
-  };
-  EXPECT_GT(count("mbr.cliques.calls"), 0);
-  EXPECT_EQ(count("ilp.set_partition.solves"), 0);
+  EXPECT_GT(counter(r, "mbr.cliques.calls"), 0);
+  EXPECT_EQ(counter(r, "ilp.set_partition.solves"), 0);
 }
 
 TEST_F(FlowFixture, SkewOnlyAppliesToNewMbrs) {
@@ -475,6 +478,61 @@ TEST(SizeNewMbrs, WireCapFromEngineOptions) {
   EXPECT_GE(run_sta(design, timing).register_q_slack(design, m), 0.0);
 }
 
+// The flow keeps one compatibility graph. Every pass follows a structural
+// edit, so each sync is a full build: one for the main pass, none
+// incremental. The main plan made on it equals plan_composition on a fresh
+// run_sta report of the input: same selections, bit-exact objective, same
+// subgraph and candidate counts.
+TEST(FlowKeptGraph, MainPassBuildsOnceAndMatchesFreshPlan) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated =
+      benchgen::generate_design(library, benchgen::standard_profiles().front());
+  const netlist::Design input = generated.design;
+  FlowOptions options;
+  options.timing.clock_period = generated.calibrated_clock_period;
+  const FlowResult r = run_composition_flow(generated.design, options);
+  EXPECT_EQ(counter(r, "mbr.compat.full_builds"), 1);
+  EXPECT_EQ(counter(r, "mbr.compat.incremental_updates"), 0);
+
+  sta::TimingOptions timing = options.timing;
+  timing.jobs = options.jobs;
+  CompositionOptions composition = options.composition;
+  composition.jobs = options.jobs;
+  composition.enumeration.cost = options.cost;
+  const CompositionPlan fresh =
+      plan_composition(input, sta::run_sta(input, timing), composition);
+  EXPECT_EQ(r.plan.graph.node_count(), 0);  // the flow keeps its graph
+  EXPECT_EQ(r.plan.objective, fresh.objective);  // bit-exact
+  EXPECT_EQ(r.plan.subgraph_count, fresh.subgraph_count);
+  EXPECT_EQ(r.plan.candidate_count, fresh.candidate_count);
+  EXPECT_EQ(r.plan.ilp_nodes, fresh.ilp_nodes);
+  ASSERT_EQ(r.plan.selections.size(), fresh.selections.size());
+  for (std::size_t k = 0; k < fresh.selections.size(); ++k) {
+    const Selection& a = r.plan.selections[k];
+    const Selection& b = fresh.selections[k];
+    EXPECT_EQ(a.members, b.members) << "selection " << k;
+    EXPECT_EQ(a.candidate.nodes, b.candidate.nodes) << "selection " << k;
+    EXPECT_EQ(a.candidate.weight, b.candidate.weight) << "selection " << k;
+    EXPECT_EQ(a.candidate.mapped_width, b.candidate.mapped_width);
+  }
+}
+
+// With the debank loop on, each iteration replans on the kept graph after
+// its split, a structural edit: one more full build per iteration.
+TEST(FlowKeptGraph, EachDebankIterationRebuildsOnce) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated =
+      benchgen::generate_design(library, benchgen::scenario_profiles().front());
+  FlowOptions options;
+  options.timing.clock_period = generated.calibrated_clock_period;
+  options.debank_loop = true;
+  const FlowResult r = run_composition_flow(generated.design, options);
+  ASSERT_FALSE(r.debank_iterations.empty());
+  EXPECT_EQ(counter(r, "mbr.compat.full_builds"),
+            1 + static_cast<std::int64_t>(r.debank_iterations.size()));
+  EXPECT_EQ(counter(r, "mbr.compat.incremental_updates"), 0);
+}
+
 TEST(EvaluateDesign, StandaloneMetrics) {
   const lib::Library library = lib::make_default_library();
   benchgen::DesignProfile profile;
@@ -484,7 +542,8 @@ TEST(EvaluateDesign, StandaloneMetrics) {
       benchgen::generate_design(library, profile);
   FlowOptions options;
   options.timing.clock_period = generated.calibrated_clock_period;
-  const Metrics m = evaluate_design(generated.design, options);
+  sta::TimingEngine engine(generated.design, options.timing);
+  const Metrics m = evaluate_design(generated.design, options, {}, &engine);
   EXPECT_EQ(m.design.total_registers, 200);
   EXPECT_GT(m.composable_registers, 0);
   EXPECT_LE(m.composable_registers, 200);

@@ -329,6 +329,48 @@ TEST_P(IncrementalGraphTest, RecomposeAfterRollbackMatchesFreshSession) {
   EXPECT_EQ(fresh.compat_stats().full_builds, 1u);
 }
 
+// All nodes dirty: every register is moved (a small shift, so bins, regions
+// and slacks change) and notified. The refresh re-derives every edge through
+// the same routine a fresh build runs, from cleared lists, and must equal a
+// fresh build_compatibility_graph node for node and edge for edge.
+TEST_P(IncrementalGraphTest, RefreshWithEveryNodeDirtyMatchesFreshBuild) {
+  const int jobs = GetParam();
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library);
+  netlist::Design& design = generated.design;
+  sta::TimingOptions timing;
+  timing.clock_period = generated.calibrated_clock_period;
+  timing.jobs = jobs;
+  const mbr::CompatibilityOptions options =
+      mbr::compatibility_with_jobs(composition_options(jobs));
+
+  sta::TimingEngine engine(design, timing);
+  mbr::IncrementalCompatibilityGraph kept(design, options);
+  engine.update();
+  kept.sync(engine);
+  ASSERT_GT(kept.graph().edge_count(), 0);
+
+  const geom::Rect& core = design.core();
+  int k = 0;
+  for (netlist::CellId reg : design.registers()) {
+    netlist::Cell& cell = design.cell(reg);
+    const double shift = (k++ % 2 == 0) ? 3.5 : -3.5;
+    cell.position.x =
+        std::clamp(cell.position.x + shift, core.xlo, core.xhi - cell.width());
+    design.notify_moved(reg);
+  }
+  engine.update();
+  kept.sync(engine);
+  EXPECT_EQ(kept.stats().full_builds, 1u);
+  EXPECT_EQ(kept.stats().incremental_updates, 1u);
+  EXPECT_EQ(kept.stats().last_dirty_registers,
+            static_cast<std::size_t>(kept.graph().node_count()));
+
+  const mbr::CompatibilityGraph fresh = mbr::build_compatibility_graph(
+      design, sta::run_sta(design, timing), options);
+  expect_same_graph(kept.graph(), fresh);
+}
+
 INSTANTIATE_TEST_SUITE_P(Jobs, IncrementalGraphTest, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "jobs" + std::to_string(info.param);
