@@ -231,9 +231,11 @@ void PairIndex::rebin(const CompatibilityGraph& graph, int i,
 
 void CompatibilityGraph::derive_edges(const std::vector<int>& nodes,
                                       const PairIndex& pairs,
-                                      const CompatibilityOptions& options) {
+                                      const CompatibilityOptions& options,
+                                      NodeScratch& scratch) {
   MBRC_ASSERT_MSG(!dirty_, "CompatibilityGraph edited before finalize()");
-  std::vector<std::uint8_t> in_set(nodes_.size(), 0);
+  scratch.fit(nodes_.size());
+  std::vector<std::uint8_t>& in_set = scratch.mark;
   for (int i : nodes) in_set[i] = 1;
 
   // Each task probes one node's 3x3 bin block and returns the nodes it
@@ -256,26 +258,32 @@ void CompatibilityGraph::derive_edges(const std::vector<int>& nodes,
         return out;
       },
       /*grain=*/32);
+  for (int i : nodes) in_set[i] = 0;
 
   // Exact degree pre-count, so the appends below never reallocate a list.
-  std::vector<std::size_t> added(nodes_.size(), 0);
+  // Only the lists that gain an edge are visited.
+  std::vector<std::size_t>& added = scratch.count;
+  std::vector<int> touched;
+  const auto count = [&](int v, std::size_t edges) {
+    if (added[v] == 0) touched.push_back(v);
+    added[v] += edges;
+  };
   for (std::size_t k = 0; k < nodes.size(); ++k) {
-    added[nodes[k]] += found[k].size();
-    for (int j : found[k]) ++added[j];
+    if (!found[k].empty()) count(nodes[k], found[k].size());
+    for (int j : found[k]) count(j, 1);
   }
-  for (std::size_t v = 0; v < added.size(); ++v)
-    if (added[v] != 0) adjacency_[v].reserve(adjacency_[v].size() + added[v]);
+  for (int v : touched) adjacency_[v].reserve(adjacency_[v].size() + added[v]);
   for (std::size_t k = 0; k < nodes.size(); ++k) {
     for (int j : found[k]) {
       adjacency_[nodes[k]].push_back(j);
       adjacency_[j].push_back(nodes[k]);
     }
   }
-  for (std::size_t v = 0; v < added.size(); ++v) {
-    if (added[v] == 0) continue;
+  for (int v : touched) {
     std::vector<int>& adj = adjacency_[v];
     std::sort(adj.begin(), adj.end());
     adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+    added[v] = 0;
   }
 }
 
@@ -304,7 +312,8 @@ CompatibilityGraph build_compatibility_graph(
   PairIndex index(graph, options);
   std::vector<int> every(static_cast<std::size_t>(graph.node_count()));
   std::iota(every.begin(), every.end(), 0);
-  graph.derive_edges(every, index, options);
+  NodeScratch scratch;
+  graph.derive_edges(every, index, options, scratch);
   if (pairs != nullptr) *pairs = std::move(index);
   return graph;
 }

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -27,6 +29,22 @@
 namespace mbrc::mbr {
 
 class PairIndex;
+
+/// Per-node scratch for CompatibilityGraph::derive_edges. Every entry is
+/// zero between calls and each call clears only what it set, so a call
+/// costs what it touches rather than the node count.
+/// IncrementalCompatibilityGraph, which derives edges on every sync(), keeps
+/// one; the calls grow it to the graph's node count.
+struct NodeScratch {
+  std::vector<std::uint8_t> mark;
+  std::vector<std::size_t> count;
+
+  /// Grows both arrays, zero-filled, to at least `nodes` entries.
+  void fit(std::size_t nodes) {
+    if (mark.size() < nodes) mark.resize(nodes, 0);
+    if (count.size() < nodes) count.resize(nodes, 0);
+  }
+};
 
 struct CompatibilityOptions {
   /// Max |slack_a - slack_b| on the D side and on the Q side (ns). Sec. 2:
@@ -108,9 +126,9 @@ public:
   /// clear_edges) probes its 3x3 bin block in `pairs` at options.jobs and
   /// links to every node passing the placement and timing rules; a pair
   /// inside `nodes` is probed from its smaller node. Only the lists that
-  /// gained edges are sorted again.
+  /// gained edges are visited again (reserved, then sorted).
   void derive_edges(const std::vector<int>& nodes, const PairIndex& pairs,
-                    const CompatibilityOptions& options);
+                    const CompatibilityOptions& options, NodeScratch& scratch);
   /// Removes every edge of node `i`; the other lists stay sorted.
   void clear_edges(int i);
 

@@ -95,7 +95,8 @@ void size_new_mbrs(netlist::Design& design,
   // slacks the decision was based on).
   place::RowGrid grid = place::build_occupancy(design);
 
-  for (netlist::CellId cell_id : new_cells) {
+  for (std::size_t k = 0; k < new_cells.size(); ++k) {
+    const netlist::CellId cell_id = new_cells[k];
     // Re-query per cell: each accepted swap edits the design under the
     // loop's feet. A different drive variant has a different footprint, so
     // the swap moves the cell's pins and stretches (or shrinks) every net
@@ -103,8 +104,10 @@ void size_new_mbrs(netlist::Design& design,
     // list*. A neighbor sized against the pre-swap report keeps a Q slack
     // that no longer exists and skips the upsize that would repair it (or
     // upsizes for slack it no longer lacks). The engine's dirty-cone
-    // repair makes the per-swap re-query cheap.
-    const sta::TimingReport& timing = engine.update(skew);
+    // repair makes the per-swap re-query cheap; the skew is fixed for the
+    // whole loop, so after the first query a journal-only refresh suffices.
+    const sta::TimingReport& timing =
+        k == 0 ? engine.update(skew) : engine.refresh();
     const netlist::Cell& cell = design.cell(cell_id);
     const lib::RegisterCell* current = cell.reg;
 

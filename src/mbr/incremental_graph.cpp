@@ -123,7 +123,7 @@ void IncrementalCompatibilityGraph::refresh(const sta::TimingReport& report,
     blockers_->move(i, from, graph_.node(i).center());
   }
 
-  graph_.derive_edges(dirty, pairs_, options_);
+  graph_.derive_edges(dirty, pairs_, options_, scratch_);
   for (int i : dirty) dirty_[i] = 0;
 }
 

@@ -89,6 +89,7 @@ private:
   std::vector<int> node_of_cell_;      // cell index -> node, -1 if none
   std::vector<std::uint8_t> data_net_; // net holds a node's data pin
   std::vector<std::uint8_t> dirty_;    // per node, set only inside sync()
+  NodeScratch scratch_;                // derive_edges, kept across syncs
 
   Stats stats_;
 };

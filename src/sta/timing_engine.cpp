@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <tuple>
 
 #include "obs/counters.hpp"
@@ -23,10 +24,17 @@ using netlist::PinRole;
 // kOhm * fF = ps; delays are kept in ns.
 constexpr double kNsPerKohmFf = 1e-3;
 
-// Pins per parallel_for task in the full-build propagation passes. The
-// incremental repair runs serially: dirty cones are small by construction,
-// and a serial gather keeps the worklist bookkeeping trivial.
+// Pins per parallel_for task in the full-build passes: the CSR count and
+// fill and the level sweeps. The incremental repair does not split a level:
+// its forward and backward sweeps each stay one serial worklist, and with
+// jobs > 1 the two run side by side (see repair()).
 constexpr std::size_t kLevelGrain = 256;
+
+// Seed pins each repair frontier needs before the forward and backward
+// sweeps run concurrently. A service edit or a sizing swap seeds under 128
+// pins per side (most under 64) and its repair costs microseconds, below
+// the cost of a pool hand-off; a useful-skew pass on D1x10 seeds 8k-32k.
+constexpr std::size_t kConcurrentRepairMin = 256;
 
 bool is_launch_role(PinRole role) {
   return role == PinRole::kQ || role == PinRole::kScanOut;
@@ -136,19 +144,24 @@ std::pair<double, double> TimingEngine::gather_required(
   return {r, r_min};
 }
 
-// Builds the successor CSR (one delay evaluation per edge), its transpose,
-// and the cross-links between the two views. Only live pins contribute
-// edges. Edge enumeration mirrors run_sta's for_each_successor: an output
-// pin's successors are its net's sinks (wire arcs, skipping clock nets); a
-// comb/buffer input's successors are its cell's outputs (cell arcs).
+// Builds the successor CSR, its transpose, and the cross-links between the
+// two views. Only live pins contribute edges. Edge enumeration mirrors
+// run_sta's for_each_successor: an output pin's successors are its net's
+// sinks (wire arcs, skipping clock nets); a comb/buffer input's successors
+// are its cell's outputs (cell arcs). A cell arc's delay depends only on its
+// output pin, so it is evaluated once per output rather than once per
+// input. The count and fill passes fan out over pins: each pin writes its
+// own count slot and, after the prefix sum, its own CSR range.
 void TimingEngine::build_edges() {
   const int n = design_.pin_count();
+  runtime::ThreadPool* pool =
+      options_.jobs > 1 ? &runtime::ThreadPool::global() : nullptr;
 
   const auto for_each_successor = [&](PinId pin_id, auto&& fn) {
     const Pin& p = design_.pin(pin_id);
     if (p.is_output) {
       if (!p.net.valid() || design_.net(p.net).is_clock) return;
-      for (PinId s : design_.net(p.net).sinks) fn(s, wire_delay(pin_id, s));
+      for (PinId s : design_.net(p.net).sinks) fn(s);
       return;
     }
     const netlist::Cell& cell = design_.cell(p.cell);
@@ -156,15 +169,13 @@ void TimingEngine::build_edges() {
       case CellKind::kComb:
         if (p.role == PinRole::kCombIn) {
           for (PinId out : cell.pins)
-            if (design_.pin(out).role == PinRole::kCombOut)
-              fn(out, cell_arc_delay(out));
+            if (design_.pin(out).role == PinRole::kCombOut) fn(out);
         }
         break;
       case CellKind::kClockBuffer:
         if (p.role == PinRole::kBufIn) {
           for (PinId out : cell.pins)
-            if (design_.pin(out).role == PinRole::kBufOut)
-              fn(out, cell_arc_delay(out));
+            if (design_.pin(out).role == PinRole::kBufOut) fn(out);
         }
         break;
       default:
@@ -172,29 +183,41 @@ void TimingEngine::build_edges() {
     }
   };
 
+  // Count pass, plus the cell-arc delay of every comb/buffer output: the
+  // only pins for_each_successor yields from an input.
+  std::vector<double> arc_delay(static_cast<std::size_t>(n), 0.0);
   succ_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::int32_t i = 0; i < n; ++i) {
-    const PinId pin{i};
-    if (design_.cell(design_.pin(pin).cell).dead) continue;
+  runtime::parallel_for(pool, options_.jobs, static_cast<std::size_t>(n),
+                        kLevelGrain, [&](std::size_t i) {
+    const PinId pin{static_cast<std::int32_t>(i)};
+    const Pin& p = design_.pin(pin);
+    const netlist::Cell& cell = design_.cell(p.cell);
+    if (cell.dead) return;
+    if ((cell.kind == CellKind::kComb && p.role == PinRole::kCombOut) ||
+        (cell.kind == CellKind::kClockBuffer && p.role == PinRole::kBufOut))
+      arc_delay[i] = cell_arc_delay(pin);
     int count = 0;
-    for_each_successor(pin, [&](PinId, double) { ++count; });
-    succ_offset_[static_cast<std::size_t>(i) + 1] = count;
-  }
+    for_each_successor(pin, [&](PinId) { ++count; });
+    succ_offset_[i + 1] = count;
+  });
   for (int i = 0; i < n; ++i) succ_offset_[i + 1] += succ_offset_[i];
   const std::size_t edges = static_cast<std::size_t>(succ_offset_[n]);
   succ_to_.resize(edges);
   succ_delay_.resize(edges);
   succ_pred_index_.resize(edges);
-  std::vector<int> cursor(succ_offset_.begin(), succ_offset_.end() - 1);
-  for (std::int32_t i = 0; i < n; ++i) {
-    const PinId pin{i};
-    if (design_.cell(design_.pin(pin).cell).dead) continue;
-    for_each_successor(pin, [&](PinId succ, double delay) {
-      const int at = cursor[i]++;
+  runtime::parallel_for(pool, options_.jobs, static_cast<std::size_t>(n),
+                        kLevelGrain, [&](std::size_t i) {
+    const PinId pin{static_cast<std::int32_t>(i)};
+    const Pin& p = design_.pin(pin);
+    if (design_.cell(p.cell).dead) return;
+    const bool wire = p.is_output;
+    int at = succ_offset_[i];
+    for_each_successor(pin, [&](PinId succ) {
       succ_to_[at] = succ.index;
-      succ_delay_[at] = delay;
+      succ_delay_[at] = wire ? wire_delay(pin, succ) : arc_delay[succ.index];
+      ++at;
     });
-  }
+  });
 
   pred_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (std::size_t e = 0; e < edges; ++e)
@@ -203,7 +226,7 @@ void TimingEngine::build_edges() {
   pred_to_.resize(edges);
   pred_delay_.resize(edges);
   pred_succ_index_.resize(edges);
-  cursor.assign(pred_offset_.begin(), pred_offset_.end() - 1);
+  std::vector<int> cursor(pred_offset_.begin(), pred_offset_.end() - 1);
   for (std::int32_t i = 0; i < n; ++i) {
     for (int e = succ_offset_[i]; e < succ_offset_[i + 1]; ++e) {
       const int at = cursor[succ_to_[e]]++;
@@ -353,7 +376,10 @@ void TimingEngine::seed_and_propagate() {
 }
 
 void TimingEngine::full_build() {
-  build_edges();
+  {
+    obs::Span span("sta.build_edges");
+    build_edges();
+  }
   topo_and_levels();
   seed_and_propagate();
 
@@ -382,6 +408,14 @@ void TimingEngine::log_change(std::int32_t pin) {
 }
 
 const TimingReport& TimingEngine::update(const SkewMap& skew) {
+  return sync(&skew);
+}
+
+const TimingReport& TimingEngine::refresh() { return sync(nullptr); }
+
+// One path for update() and refresh(): `skew` is null when the skew of the
+// last update stays in force, so only the edit journal is replayed.
+const TimingReport& TimingEngine::sync(const SkewMap* skew) {
   static obs::Counter& c_full = obs::counter("sta.engine.full_builds");
   static obs::Counter& c_inc = obs::counter("sta.engine.incremental_updates");
   static obs::Counter& c_early = obs::counter("sta.engine.early_stops");
@@ -389,7 +423,7 @@ const TimingReport& TimingEngine::update(const SkewMap& skew) {
 
   if (!built_ || design_.topology_version() != seen_topology_) {
     obs::Span span("sta.full_build");
-    current_skew_ = skew;
+    if (skew != nullptr) current_skew_ = *skew;
     full_build();
     built_ = true;
     seen_topology_ = design_.topology_version();
@@ -403,19 +437,63 @@ const TimingReport& TimingEngine::update(const SkewMap& skew) {
   obs::Span span("sta.repair");
   const std::uint64_t early_before = stats_.early_stops;
   begin_epoch();
-  apply_skew_diff(skew);
+  if (skew != nullptr) apply_skew_diff(*skew);
   const auto& journal = design_.touched_cells();
   for (std::size_t i = journal_cursor_; i < journal.size(); ++i)
     touch_cell(journal[i]);
   journal_cursor_ = journal.size();
-  repair_forward();
-  refresh_endpoints();
-  repair_backward();
+  repair();
   ++stats_.incremental_updates;
   c_inc.add(1);
   c_early.add(static_cast<std::int64_t>(stats_.early_stops - early_before));
   h_cone.record(static_cast<std::int64_t>(stats_.last_repaired_pins));
   return report_;
+}
+
+// Repairs the seeded frontiers. The forward side (arrivals, endpoint slacks)
+// and the backward side (required times) read and write disjoint arrays:
+// required times gather over successors' required times and edge delays
+// only, never over arrivals. So with jobs > 1, pool workers and both
+// frontiers wide, the backward sweep runs on the pool while this thread
+// runs the forward one.
+// Either way the backward side's changed pins are logged after the forward
+// side's, so changed_pins() has the serial order at any jobs count.
+void TimingEngine::repair() {
+  const auto frontier = [](const std::vector<std::vector<std::int32_t>>& buckets,
+                           std::int32_t lo, std::int32_t hi) {
+    std::size_t pins = 0;
+    for (std::int32_t level = lo; level <= hi; ++level)
+      pins += buckets[level].size();
+    return pins;
+  };
+  runtime::ThreadPool& pool = runtime::ThreadPool::global();
+  const bool concurrent =
+      options_.jobs > 1 && pool.worker_count() > 0 &&
+      frontier(fwd_bucket_, fwd_lo_, fwd_hi_) >= kConcurrentRepairMin &&
+      frontier(bwd_bucket_, bwd_lo_, bwd_hi_) >= kConcurrentRepairMin;
+
+  RepairTally forward;
+  RepairTally backward;
+  if (concurrent) {
+    std::future<RepairTally> backward_future;
+    // The task captures this engine by reference; the drain guard keeps
+    // every exit path from leaving it running.
+    runtime::FutureDrain frame_drain(pool);
+    backward_future = pool.async([this] { return repair_backward(); });
+    frame_drain.watch(backward_future);
+    forward = repair_forward();
+    refresh_endpoints();
+    backward = runtime::help_get(pool, std::move(backward_future));
+    ++stats_.concurrent_repairs;
+  } else {
+    forward = repair_forward();
+    refresh_endpoints();
+    backward = repair_backward();
+  }
+  for (const std::int32_t pin : bwd_changed_) log_change(pin);
+  bwd_changed_.clear();
+  stats_.last_repaired_pins += forward.repaired + backward.repaired;
+  stats_.early_stops += forward.early + backward.early;
 }
 
 void TimingEngine::begin_epoch() {
@@ -542,6 +620,9 @@ void TimingEngine::touch_cell(CellId cell_id) {
 }
 
 void TimingEngine::apply_skew_diff(const SkewMap& skew) {
+  static obs::Counter& c_scanned =
+      obs::counter("sta.engine.skew_entries_scanned");
+  c_scanned.add(static_cast<std::int64_t>(skew.size() + current_skew_.size()));
   std::vector<CellId> changed;
   // mbrc-lint: allow(R1, collects into changed which is sorted below before any order-sensitive work)
   for (const auto& [cell, value] : skew) {
@@ -570,19 +651,18 @@ void TimingEngine::apply_skew_diff(const SkewMap& skew) {
 // levels. A pin's new value is a gather over the same operand set the full
 // sweep folds, so the result is bit-identical; when it equals the cached
 // value the cone is not expanded further (early termination).
-void TimingEngine::repair_forward() {
+TimingEngine::RepairTally TimingEngine::repair_forward() {
   auto& arrival = report_.arrival;
   auto& arrival_min = report_.arrival_min;
-  std::size_t repaired = 0;
-  std::uint64_t early = 0;
+  RepairTally tally;
   for (std::int32_t level = fwd_lo_; level <= fwd_hi_; ++level) {
     auto& bucket = fwd_bucket_[level];
     for (std::size_t k = 0; k < bucket.size(); ++k) {
       const std::int32_t pin = bucket[k];
       const auto [a, a_min] = gather_arrival(pin);
-      ++repaired;
+      ++tally.repaired;
       if (a == arrival[pin] && a_min == arrival_min[pin]) {
-        ++early;
+        ++tally.early;
         continue;
       }
       arrival[pin] = a;
@@ -594,37 +674,36 @@ void TimingEngine::repair_forward() {
     }
     bucket.clear();
   }
-  stats_.last_repaired_pins += repaired;
-  stats_.early_stops += early;
+  return tally;
 }
 
 // Mirror image of repair_forward: required times, descending levels,
-// gathering over successors.
-void TimingEngine::repair_backward() {
+// gathering over successors. Touches only required*, bwd_* and its own
+// change list bwd_changed_ (repair() merges that into the log), so it may
+// run beside repair_forward.
+TimingEngine::RepairTally TimingEngine::repair_backward() {
   auto& required = report_.required;
   auto& req_min = report_.required_min;
-  std::size_t repaired = 0;
-  std::uint64_t early = 0;
+  RepairTally tally;
   for (std::int32_t level = bwd_hi_; level >= bwd_lo_; --level) {
     auto& bucket = bwd_bucket_[level];
     for (std::size_t k = 0; k < bucket.size(); ++k) {
       const std::int32_t pin = bucket[k];
       const auto [r, r_min] = gather_required(pin);
-      ++repaired;
+      ++tally.repaired;
       if (r == required[pin] && r_min == req_min[pin]) {
-        ++early;
+        ++tally.early;
         continue;
       }
       required[pin] = r;
       req_min[pin] = r_min;
-      log_change(pin);
+      bwd_changed_.push_back(pin);
       for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e)
         mark_backward(pred_to_[e]);  // strictly lower levels only
     }
     bucket.clear();
   }
-  stats_.last_repaired_pins += repaired;
-  stats_.early_stops += early;
+  return tally;
 }
 
 void TimingEngine::refresh_endpoints() {

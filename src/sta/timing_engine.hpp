@@ -20,6 +20,18 @@
 //   - A structural edit (rewire, debank split, cell removal) bumps the
 //     design's topology version; the next update() falls back to a full
 //     rebuild, exactly run_sta's path.
+//   - refresh() is update() under the skew of the last update: it replays
+//     only the edit journal and skips the skew diff, which scans both whole
+//     skew maps. A loop of edits under a fixed skew (the sizing pass) pays
+//     per call only for the cells it touched.
+//
+// Work split. The full build evaluates each cell-arc delay once per output
+// pin and fills the CSR rows in parallel, each pin at its precomputed
+// offset. A repair's forward side (arrivals, endpoint slacks) and backward
+// side (required times) write disjoint arrays, so with jobs > 1, pool
+// workers and both seeded frontiers wide the backward sweep runs on the
+// pool beside the forward one. Its changed pins are logged after the forward side's, the
+// serial order, whichever side finishes first.
 //
 // Determinism contract (inherited from the parallel runtime, DESIGN.md §6):
 // every value is a pure max/min gather over a fixed operand set, so an
@@ -49,6 +61,12 @@ public:
   /// engine is destroyed but its contents mutate on the next update().
   const TimingReport& update(const SkewMap& skew = {});
 
+  /// update() under the skew of the last update (empty before the first):
+  /// repairs only what the design's edit journal names, without comparing
+  /// skew maps. Falls back to a full build after structural edits, like
+  /// update().
+  const TimingReport& refresh();
+
   /// The report of the last update(). Invalid before the first update().
   const TimingReport& report() const { return report_; }
 
@@ -67,6 +85,10 @@ public:
     /// Pins re-gathered by the last incremental repair (0 after a full
     /// build); the dirty-cone size, the engine's unit of work.
     std::size_t last_repaired_pins = 0;
+    /// Repairs whose forward and backward sweeps ran side by side. Depends
+    /// on `jobs` and the pool's workers, so it stays out of the obs counter
+    /// registry.
+    std::uint64_t concurrent_repairs = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -108,6 +130,12 @@ private:
   void seed_and_propagate();
 
   // --- incremental repair ------------------------------------------------
+  /// Pins re-gathered by one repair sweep, and how many of them early-stopped.
+  struct RepairTally {
+    std::size_t repaired = 0;
+    std::uint64_t early = 0;
+  };
+  const TimingReport& sync(const SkewMap* skew);
   void begin_epoch();
   void touch_cell(netlist::CellId cell);
   void touch_net(netlist::NetId net);
@@ -116,8 +144,9 @@ private:
   void mark_forward(std::int32_t pin);
   void mark_backward(std::int32_t pin);
   void mark_endpoint(std::int32_t pin);
-  void repair_forward();
-  void repair_backward();
+  void repair();
+  RepairTally repair_forward();
+  RepairTally repair_backward();
   void refresh_endpoints();
   void log_change(std::int32_t pin);
 
@@ -168,8 +197,11 @@ private:
   std::vector<std::int32_t> ep_marks_;
 
   // Change log (see changed_pins()); the flag keeps each pin in it once.
+  // The backward sweep collects into bwd_changed_, merged after the forward
+  // side's entries once both sweeps are done.
   std::vector<std::int32_t> changed_pins_;
   std::vector<std::uint8_t> changed_flag_;
+  std::vector<std::int32_t> bwd_changed_;
 
   Stats stats_;
 };

@@ -3,7 +3,10 @@
 // merges, TimingEngine::update() is bit-identical to a from-scratch
 // run_sta() -- every arrival, required time and endpoint slack, at jobs = 1
 // and jobs > 1. The engine must also actually be incremental: topology-
-// preserving edit sequences may trigger exactly one full build.
+// preserving edit sequences may trigger exactly one full build. Wide
+// repairs at jobs > 1 run their forward and backward sweeps side by side;
+// the report and the change log must still equal the serial repair's, and
+// refresh() must equal update() under an unchanged skew.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/rewire.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sta/timing_engine.hpp"
 #include "util/rng.hpp"
 
@@ -22,11 +26,12 @@ namespace mbrc {
 namespace {
 
 benchgen::GeneratedDesign make_design(const lib::Library& library,
-                                      std::uint64_t seed) {
+                                      std::uint64_t seed,
+                                      int registers = 220) {
   benchgen::DesignProfile profile;
   profile.name = "inc";
   profile.seed = seed;
-  profile.register_cells = 220;
+  profile.register_cells = registers;
   profile.comb_per_register = 4.0;
   return benchgen::generate_design(library, profile);
 }
@@ -59,47 +64,116 @@ void expect_report_matches_oracle(const sta::TimingReport& got,
   }
 }
 
+netlist::CellId pick_register(const std::vector<netlist::CellId>& registers,
+                              util::Rng& rng) {
+  return registers[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(registers.size()) - 1))];
+}
+
+// A placement move of `reg`, journaled via notify_moved.
+void move_register(netlist::Design& design, netlist::CellId reg,
+                   util::Rng& rng) {
+  netlist::Cell& cell = design.cell(reg);
+  const geom::Rect& core = design.core();
+  cell.position.x = std::clamp(cell.position.x + rng.uniform_real(-8.0, 8.0),
+                               core.xlo, core.xhi - cell.width());
+  cell.position.y = std::clamp(cell.position.y + rng.uniform_real(-8.0, 8.0),
+                               core.ylo, core.yhi - cell.height());
+  design.notify_moved(reg);
+}
+
+// A drive-variant swap of `reg` (journaled by swap_register_cell), when
+// its class has another variant.
+void swap_register(netlist::Design& design, netlist::CellId reg,
+                   util::Rng& rng) {
+  const netlist::Cell& cell = design.cell(reg);
+  const auto variants = design.library().drive_variants(*cell.reg);
+  if (variants.size() <= 1) return;
+  const auto* variant = variants[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(variants.size()) - 1))];
+  if (variant != cell.reg) design.swap_register_cell(reg, variant);
+}
+
 // One mutation round: random per-register skew nudges, a placement move
 // (journaled via notify_moved) and a drive-variant swap. All topology-
 // preserving, so the engine must absorb them without a rebuild.
 void mutate_round(netlist::Design& design, sta::SkewMap& skew, util::Rng& rng) {
   const auto registers = design.registers();
   ASSERT_FALSE(registers.empty());
-  auto pick = [&] {
-    return registers[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(registers.size()) - 1))];
-  };
 
   const int nudges = static_cast<int>(rng.uniform_int(1, 6));
   for (int i = 0; i < nudges; ++i) {
-    const netlist::CellId reg = pick();
+    const netlist::CellId reg = pick_register(registers, rng);
     if (rng.chance(0.2))
       skew.erase(reg);
     else
       skew[reg] = rng.uniform_real(-0.15, 0.15);
   }
 
-  if (rng.chance(0.7)) {
-    const netlist::CellId reg = pick();
-    netlist::Cell& cell = design.cell(reg);
-    const geom::Rect& core = design.core();
-    cell.position.x = std::clamp(cell.position.x + rng.uniform_real(-8.0, 8.0),
-                                 core.xlo, core.xhi - cell.width());
-    cell.position.y = std::clamp(cell.position.y + rng.uniform_real(-8.0, 8.0),
-                                 core.ylo, core.yhi - cell.height());
-    design.notify_moved(reg);
-  }
+  if (rng.chance(0.7)) move_register(design, pick_register(registers, rng), rng);
+  if (rng.chance(0.5)) swap_register(design, pick_register(registers, rng), rng);
+}
 
-  if (rng.chance(0.5)) {
-    const netlist::CellId reg = pick();
-    const netlist::Cell& cell = design.cell(reg);
-    const auto variants = design.library().drive_variants(*cell.reg);
-    if (variants.size() > 1) {
-      const auto* variant = variants[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(variants.size()) - 1))];
-      if (variant != cell.reg) design.swap_register_cell(reg, variant);
-    }
+// Whether `pin`'s arrival (max or min) differs between two reports.
+bool arrival_moved(const sta::TimingReport& before,
+                   const sta::TimingReport& after, std::int32_t pin) {
+  return before.arrival[pin] != after.arrival[pin] ||
+         before.arrival_min[pin] != after.arrival_min[pin];
+}
+
+bool required_moved(const sta::TimingReport& before,
+                    const sta::TimingReport& after, std::int32_t pin) {
+  return before.required[pin] != after.required[pin] ||
+         before.required_min[pin] != after.required_min[pin];
+}
+
+// The change log of one repair, against the reports around it: it lists
+// exactly the pins whose arrival or required time moved, each once, and
+// every pin whose arrival moved comes before every pin whose only change is
+// its required time (the forward sweep logs first, the backward sweep
+// appends what it adds).
+void expect_log_in_serial_order(const std::vector<std::int32_t>& log,
+                                const sta::TimingReport& before,
+                                const sta::TimingReport& after) {
+  std::vector<std::int32_t> moved;
+  for (std::int32_t pin = 0; pin < static_cast<std::int32_t>(after.arrival.size());
+       ++pin)
+    if (arrival_moved(before, after, pin) || required_moved(before, after, pin))
+      moved.push_back(pin);
+  std::vector<std::int32_t> logged = log;
+  std::sort(logged.begin(), logged.end());
+  ASSERT_EQ(logged, moved) << "log is not exactly the moved pins";
+
+  bool backward_part = false;
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    const bool forward_entry = arrival_moved(before, after, log[k]);
+    if (!forward_entry) backward_part = true;
+    ASSERT_FALSE(forward_entry && backward_part)
+        << "arrival change of pin " << log[k] << " logged at " << k
+        << " after a required-only change";
   }
+}
+
+// Applies up to `limit` merges of a greedy plan (map -> place -> rewire) and
+// returns how many it applied.
+int apply_merges(netlist::Design& design, const sta::TimingReport& planning,
+                 int limit) {
+  mbr::CompositionOptions greedy;
+  greedy.allocator = mbr::Allocator::kHeuristic;
+  const mbr::CompositionPlan plan =
+      mbr::plan_composition(design, planning, greedy);
+  int applied = 0;
+  for (const mbr::Selection* selection : plan.merges()) {
+    const auto mapping =
+        mbr::map_candidate(design, plan.graph, selection->candidate);
+    if (!mapping) continue;
+    const geom::Point position =
+        mbr::place_mbr(design, plan.graph, selection->candidate, *mapping);
+    mbr::rewire_candidate(design, plan.graph, selection->candidate, *mapping,
+                          position, "inc_mbr_" + std::to_string(applied));
+    if (++applied == limit) break;
+  }
+  return applied;
 }
 
 void run_randomized_sequence(int jobs) {
@@ -180,24 +254,10 @@ TEST(StaIncremental, StructuralMergeRebuildsThenStaysIncremental) {
   const sta::TimingReport planning = engine.update();  // copy for planning
   EXPECT_EQ(engine.stats().full_builds, 1u);
 
-  // Apply a few real merges (map -> place -> rewire): structural edits that
-  // must force exactly one rebuild on the next update.
-  mbr::CompositionOptions greedy;
-  greedy.allocator = mbr::Allocator::kHeuristic;
-  const mbr::CompositionPlan plan =
-      mbr::plan_composition(design, planning, greedy);
-  int applied = 0;
-  for (const mbr::Selection* selection : plan.merges()) {
-    const auto mapping =
-        mbr::map_candidate(design, plan.graph, selection->candidate);
-    if (!mapping) continue;
-    const geom::Point position =
-        mbr::place_mbr(design, plan.graph, selection->candidate, *mapping);
-    mbr::rewire_candidate(design, plan.graph, selection->candidate, *mapping,
-                          position, "inc_mbr_" + std::to_string(applied));
-    if (++applied == 3) break;
-  }
-  ASSERT_GT(applied, 0) << "benchgen design produced no applicable merges";
+  // Apply a few real merges: structural edits that must force exactly one
+  // rebuild on the next update.
+  ASSERT_GT(apply_merges(design, planning, 3), 0)
+      << "benchgen design produced no applicable merges";
   design.check_consistency();
 
   expect_report_matches_oracle(engine.update(), sta::run_sta(design, options),
@@ -215,6 +275,136 @@ TEST(StaIncremental, StructuralMergeRebuildsThenStaysIncremental) {
   }
   EXPECT_EQ(engine.stats().full_builds, 2u);
 }
+
+// Dense rounds: a new skew on at least a quarter of the registers plus
+// moves and swaps, so both repair frontiers are wide enough for the
+// concurrent sweeps at jobs 4. Two engines on two copies of the design take
+// the same rounds at jobs 1 and 4; the reports and the exact change logs
+// must match each other, and the reports must match run_sta.
+TEST(StaIncremental, DenseRepairAtJobs4MatchesSerialRepairAndOracle) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 515, 1500);
+  netlist::Design serial_design = generated.design;
+  netlist::Design& parallel_design = generated.design;
+
+  sta::TimingOptions serial_options;
+  serial_options.clock_period = generated.calibrated_clock_period;
+  serial_options.jobs = 1;
+  sta::TimingOptions parallel_options = serial_options;
+  parallel_options.jobs = 4;
+
+  sta::TimingEngine serial(serial_design, serial_options);
+  sta::TimingEngine parallel(parallel_design, parallel_options);
+  sta::SkewMap skew;
+  serial.update(skew);
+  parallel.update(skew);
+
+  const auto registers = serial_design.registers();
+  util::Rng rng(0x5eed);
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::size_t dense = registers.size() / 4 + static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(registers.size()) / 4));
+    for (std::size_t i = 0; i < dense; ++i) {
+      const netlist::CellId reg = pick_register(registers, rng);
+      if (rng.chance(0.1))
+        skew.erase(reg);
+      else
+        skew[reg] = rng.uniform_real(-0.15, 0.15);
+    }
+    for (int edit = 0; edit < 4; ++edit) {
+      const netlist::CellId reg = pick_register(registers, rng);
+      util::Rng twin = rng;  // the same placement and variant on both copies
+      move_register(serial_design, reg, twin);
+      swap_register(serial_design, reg, twin);
+      move_register(parallel_design, reg, rng);
+      swap_register(parallel_design, reg, rng);
+    }
+
+    const sta::TimingReport before = serial.report();
+    serial.clear_changed_pins();
+    parallel.clear_changed_pins();
+    const sta::TimingReport& want = serial.update(skew);
+    const sta::TimingReport& got = parallel.update(skew);
+    expect_report_matches_oracle(got, want, "jobs 4 against jobs 1");
+    expect_report_matches_oracle(
+        got, sta::run_sta(parallel_design, parallel_options, skew),
+        "jobs 4 against run_sta");
+    ASSERT_EQ(parallel.changed_pins(), serial.changed_pins());
+    expect_log_in_serial_order(parallel.changed_pins(), before, got);
+    EXPECT_EQ(parallel.stats().last_repaired_pins,
+              serial.stats().last_repaired_pins);
+    EXPECT_EQ(parallel.stats().early_stops, serial.stats().early_stops);
+  }
+  EXPECT_EQ(parallel.stats().full_builds, 1u);
+  EXPECT_EQ(serial.stats().concurrent_repairs, 0u);
+  // The rounds are wide enough for side-by-side sweeps whenever the host
+  // has pool workers to run them; without workers every repair is serial.
+  const bool workers = runtime::ThreadPool::global().worker_count() > 0;
+  EXPECT_EQ(parallel.stats().concurrent_repairs, workers ? 6u : 0u);
+}
+
+class StaRefresh : public ::testing::TestWithParam<int> {};
+
+// refresh() after journaled edits equals update() with the skew it keeps:
+// the same report, the same change log, one incremental update each. After
+// a structural merge it rebuilds under that skew too.
+TEST_P(StaRefresh, RefreshAfterEditsEqualsUpdateWithSameSkew) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 46);
+  netlist::Design refreshed_design = generated.design;
+  netlist::Design& updated_design = generated.design;
+
+  sta::TimingOptions options;
+  options.clock_period = generated.calibrated_clock_period;
+  options.jobs = GetParam();
+
+  sta::TimingEngine refreshed(refreshed_design, options);
+  sta::TimingEngine updated(updated_design, options);
+  const auto registers = updated_design.registers();
+  sta::SkewMap skew;
+  util::Rng rng(0x7e57);
+  for (const netlist::CellId reg : registers)
+    if (rng.chance(0.5)) skew[reg] = rng.uniform_real(-0.1, 0.1);
+  refreshed.update(skew);
+  updated.update(skew);
+
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (int edit = 0; edit < 3; ++edit) {
+      const netlist::CellId reg = pick_register(registers, rng);
+      util::Rng twin = rng;
+      swap_register(refreshed_design, reg, twin);
+      if (round % 2 == 1) move_register(refreshed_design, reg, twin);
+      swap_register(updated_design, reg, rng);
+      if (round % 2 == 1) move_register(updated_design, reg, rng);
+    }
+    refreshed.clear_changed_pins();
+    updated.clear_changed_pins();
+    expect_report_matches_oracle(refreshed.refresh(), updated.update(skew),
+                                 "refresh against update");
+    ASSERT_EQ(refreshed.changed_pins(), updated.changed_pins());
+    expect_report_matches_oracle(refreshed.report(),
+                                 sta::run_sta(refreshed_design, options, skew),
+                                 "refresh against run_sta");
+  }
+  EXPECT_EQ(refreshed.stats().full_builds, 1u);
+  EXPECT_EQ(refreshed.stats().incremental_updates,
+            updated.stats().incremental_updates);
+
+  // A structural edit: refresh() rebuilds, still under the kept skew.
+  const sta::TimingReport planning = refreshed.report();
+  ASSERT_GT(apply_merges(refreshed_design, planning, 2), 0);
+  expect_report_matches_oracle(refreshed.refresh(),
+                               sta::run_sta(refreshed_design, options, skew),
+                               "refresh after a merge");
+  EXPECT_EQ(refreshed.stats().full_builds, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, StaRefresh, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace mbrc
