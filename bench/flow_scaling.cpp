@@ -13,9 +13,11 @@
 // steps of the nearest-free-spot search) and the candidate enumeration's
 // (candidates kept, cliques dropped as w = infinity, subtrees pruned, hulls
 // built), the deterministic measures of how those stages grow with the
-// design, and the skew-map entries the timing engine compared
+// design, the skew-map entries the timing engine compared
 // (sta.engine.skew_entries_scanned), which grows with the serial tail's
-// skew diffs.
+// skew diffs, and the net sink-list slots the rewires touched
+// (netlist.sink_entries_scanned), which grows with the splices' sink
+// removals.
 //
 // Wall times are measurement, not contract: on a single-core host
 // (hardware_threads 1 in the JSON) every jobs value runs the same work on
@@ -75,7 +77,7 @@ const char* const kRecordedCounters[] = {
     "place.legalize.row_probes",       "place.legalize.gap_steps",
     "mbr.candidates.enumerated",       "flow.candidates.dropped_infinite_weight",
     "mbr.candidates.pruned_subtrees",  "mbr.candidates.hulls",
-    "sta.engine.skew_entries_scanned"};
+    "sta.engine.skew_entries_scanned", "netlist.sink_entries_scanned"};
 
 }  // namespace
 

@@ -132,8 +132,7 @@ DesignChecker& DesignChecker::check_structure() {
         add("structure", "output pin " + std::to_string(i) +
                              " is not the driver of its net " +
                              std::to_string(p.net.index));
-    } else if (std::find(net.sinks.begin(), net.sinks.end(), pin_id) ==
-               net.sinks.end()) {
+    } else if (net.sinks.at_slot(p.sink_slot) != pin_id) {
       add("structure", "input pin " + std::to_string(i) +
                            " missing from the sink list of its net " +
                            std::to_string(p.net.index));

@@ -344,6 +344,9 @@ FlowResult run_flow_stages(netlist::Design& design,
   obs::Span flow_span("flow");
   util::Stopwatch total_clock;
   FlowResult result;
+  // The netlist keeps its own sink-list tally (it does not link obs); this
+  // run's share becomes netlist.sink_entries_scanned.
+  const std::int64_t sink_entries_before = design.sink_entries_scanned();
 
   // One jobs knob drives every stage: the copies push it into the nested
   // option structs the stages read.
@@ -534,6 +537,9 @@ FlowResult run_flow_stages(netlist::Design& design,
   // only enforced when no iteration was kept.
   flow.expect.register_count_bounded = !debank_accepted_any;
   flow.guard("output", result.skew);
+  static obs::Counter& c_sink_entries =
+      obs::counter("netlist.sink_entries_scanned");
+  c_sink_entries.add(design.sink_entries_scanned() - sink_entries_before);
   result.total_seconds = total_clock.seconds();
   result.stages = flow.stages.snapshot();
   return result;

@@ -34,11 +34,15 @@ double Cell::area() const {
   return 0.0;
 }
 
+bool operator==(const SinkList& a, const SinkList& b) {
+  return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
 PinId Design::add_pin(CellId cell, PinRole role, bool is_output, int bit,
                       geom::Point offset, double cap) {
   ++topology_version_;
   const PinId id{static_cast<std::int32_t>(pins_.size())};
-  pins_.push_back({cell, NetId{}, role, is_output, bit, offset, cap});
+  pins_.push_back({cell, NetId{}, role, is_output, bit, -1, offset, cap});
   cells_[cell.index].pins.push_back(id);
   return id;
 }
@@ -158,7 +162,9 @@ void Design::connect(PinId pin_id, NetId net_id) {
     MBRC_ASSERT_MSG(!n.driver.valid(), "net already has a driver");
     n.driver = pin_id;
   } else {
-    n.sinks.push_back(pin_id);
+    p.sink_slot = static_cast<std::int32_t>(n.sinks.slots_.size());
+    n.sinks.slots_.push_back(pin_id);
+    ++n.sinks.live_;
   }
   p.net = net_id;
 }
@@ -171,8 +177,26 @@ void Design::disconnect(PinId pin_id) {
   if (p.is_output && n.driver == pin_id) {
     n.driver = PinId{};
   } else {
-    n.sinks.erase(std::remove(n.sinks.begin(), n.sinks.end(), pin_id),
-                  n.sinks.end());
+    SinkList& sinks = n.sinks;
+    MBRC_ASSERT_MSG(sinks.at_slot(p.sink_slot) == pin_id,
+                    "input pin missing from its net's sink list");
+    sinks.slots_[static_cast<std::size_t>(p.sink_slot)] = PinId{};
+    --sinks.live_;
+    p.sink_slot = -1;
+    ++sink_entries_scanned_;
+    // Holes outnumber live entries: compact stably, so storage stays under
+    // twice the live count and each removal pays amortized O(1).
+    const std::size_t holes = sinks.slots_.size() - sinks.size();
+    if (holes > sinks.size()) {
+      sink_entries_scanned_ += static_cast<std::int64_t>(sinks.slots_.size());
+      std::size_t kept = 0;
+      for (const PinId sink : sinks.slots_) {
+        if (!sink.valid()) continue;
+        pins_[sink.index].sink_slot = static_cast<std::int32_t>(kept);
+        sinks.slots_[kept++] = sink;
+      }
+      sinks.slots_.resize(kept);
+    }
   }
   p.net = NetId{};
 }
@@ -383,9 +407,8 @@ void Design::check_consistency() const {
     if (p.is_output) {
       MBRC_ASSERT_MSG(n.driver == PinId{i}, "output pin not the net driver");
     } else {
-      MBRC_ASSERT_MSG(
-          std::find(n.sinks.begin(), n.sinks.end(), PinId{i}) != n.sinks.end(),
-          "input pin missing from net sink list");
+      MBRC_ASSERT_MSG(n.sinks.at_slot(p.sink_slot) == PinId{i},
+                      "input pin missing from net sink list");
     }
   }
 }

@@ -8,6 +8,9 @@
 // into their former connectivity.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -45,15 +48,103 @@ struct Pin {
   PinRole role = PinRole::kCombIn;
   bool is_output = false;    // drives its net
   int bit = -1;              // bit index for kD/kQ/kScanIn/kScanOut
+  /// Index of this pin in its net's SinkList storage; -1 for outputs and
+  /// unconnected pins. It fills the padding before `offset`.
+  std::int32_t sink_slot = -1;
   geom::Point offset;        // relative to the cell's lower-left corner
   double cap = 0.0;          // input capacitance (fF); 0 for outputs
+};
+// A design holds one Pin per pin (about 875k on D1x10); keep it at 48 B.
+static_assert(sizeof(Pin) == 48, "Pin grew: sink_slot must stay in padding");
+
+/// The input pins of a net, in connection order.
+///
+/// Storage is a slot array with holes: connect() appends a pin at a new
+/// slot, which the pin records in Pin::sink_slot, and disconnect() turns
+/// that slot into a hole in O(1). Once holes outnumber live entries the
+/// list is compacted stably and the moved pins' slots are rewritten, so a
+/// removal costs amortized O(1) however large the net (a register clock net
+/// grows with the design).
+///
+/// Order invariant: a pin only ever enters at the end, and neither a hole
+/// nor a stable compaction reorders the live entries. So the live sequence
+/// is exactly the vector an eager erase-remove would hold after the same
+/// connects and disconnects, wherever compaction happens. Iteration skips
+/// holes and yields that sequence, which the timing graph, the reports and
+/// save_design depend on.
+class SinkList {
+public:
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = PinId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const PinId*;
+    using reference = const PinId&;
+
+    const_iterator() = default;
+    const PinId& operator*() const { return *at_; }
+    const_iterator& operator++() {
+      ++at_;
+      skip_holes();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++*this;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+  private:
+    friend class SinkList;
+    const_iterator(const PinId* at, const PinId* end) : at_(at), end_(end) {
+      skip_holes();
+    }
+    void skip_holes() {
+      while (at_ != end_ && !at_->valid()) ++at_;
+    }
+    const PinId* at_ = nullptr;
+    const PinId* end_ = nullptr;
+  };
+
+  const_iterator begin() const {
+    return {slots_.data(), slots_.data() + slots_.size()};
+  }
+  const_iterator end() const {
+    const PinId* end = slots_.data() + slots_.size();
+    return {end, end};
+  }
+  std::size_t size() const { return static_cast<std::size_t>(live_); }
+  bool empty() const { return live_ == 0; }
+  PinId front() const {
+    MBRC_ASSERT_MSG(!empty(), "front() of an empty sink list");
+    return *begin();
+  }
+  /// The pin stored at `slot`; invalid for a hole or a slot out of range.
+  /// A connected input pin `p` is listed iff at_slot(p.sink_slot) == p.
+  PinId at_slot(std::int32_t slot) const {
+    return slot >= 0 && static_cast<std::size_t>(slot) < slots_.size()
+               ? slots_[static_cast<std::size_t>(slot)]
+               : PinId{};
+  }
+  /// Equal live sequences (holes are storage, not content).
+  friend bool operator==(const SinkList& a, const SinkList& b);
+
+private:
+  friend class Design;
+  std::vector<PinId> slots_;  // invalid ids are holes
+  std::int32_t live_ = 0;
 };
 
 struct Net {
   PinId driver;              // invalid for undriven nets (e.g. constants)
-  std::vector<PinId> sinks;  // input pins on the net
   bool is_clock = false;
+  SinkList sinks;            // input pins on the net
 };
+static_assert(sizeof(Net) == 40, "Net grew: is_clock must pad with driver");
 
 /// Scan-chain attributes of a register (Sec. 2 scan compatibility): the
 /// partition says which chains the register may be placed on; registers of an
@@ -185,6 +276,11 @@ public:
   /// util::AssertionError on violation; cheap enough to call in tests.
   void check_consistency() const;
 
+  /// Sink-list slots touched by disconnects and compactions since this
+  /// design was created (copied with it, never rewound by restore()). The
+  /// flow reports each run's delta as netlist.sink_entries_scanned.
+  std::int64_t sink_entries_scanned() const { return sink_entries_scanned_; }
+
   // --- edit journal -------------------------------------------------------
   // Incremental observers (sta::TimingEngine) stay in sync with the design
   // through two channels. Structural edits -- pins/nets created, pins
@@ -242,6 +338,7 @@ private:
   std::vector<Net> nets_;
   std::uint64_t topology_version_ = 0;
   std::vector<CellId> touched_cells_;
+  std::int64_t sink_entries_scanned_ = 0;
 };
 
 }  // namespace mbrc::netlist

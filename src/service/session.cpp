@@ -86,6 +86,7 @@ void Session::apply_one(const Edit& edit) {
         skew_.erase(edit.cell);
       else
         skew_[edit.cell] = edit.skew;
+      skew_changed_ = true;
       break;
     }
   }
@@ -123,6 +124,12 @@ EditOutcome Session::apply(const std::vector<Edit>& edits) {
   return outcome;
 }
 
+const sta::TimingReport& Session::sync_engine() {
+  if (!skew_changed_) return engine_.refresh();
+  skew_changed_ = false;
+  return engine_.update(skew_);
+}
+
 TimingAnswer Session::query(const TimingQuery& query) {
   obs::Span span("service.session.query");
 
@@ -141,7 +148,7 @@ TimingAnswer Session::query(const TimingQuery& query) {
     }
   }
 
-  const sta::TimingReport& report = engine_.update(skew_);
+  const sta::TimingReport& report = sync_engine();
   answer.wns = report.wns();
   answer.tns = report.tns();
   answer.failing_endpoints = report.failing_endpoints();
@@ -192,7 +199,7 @@ RecomposeAnswer Session::recompose(const std::vector<netlist::CellId>& region,
   answer.region_registers = static_cast<int>(cells.size());
   if (cells.empty()) return answer;  // nothing touched: empty plan
 
-  engine_.update(skew_);
+  sync_engine();
   graph_.sync(engine_);
   mbr::CompositionOptions composition = options_.composition;
   if (cost) composition.enumeration.cost = *cost;
@@ -254,6 +261,7 @@ Session::SnapshotOutcome Session::rollback(const std::string& name) {
   }
   design_.restore(it->second.design);
   skew_ = it->second.skew;
+  skew_changed_ = true;
   touched_ = it->second.touched;
   outcome.snapshot_count = snapshots_.size();
   return outcome;

@@ -182,6 +182,10 @@ private:
   std::string validate(const Edit& edit) const;  // empty when applicable
   void apply_one(const Edit& edit);
   void note_touched(netlist::CellId cell);
+  /// Brings engine_ in sync with the design and skew_: update(skew_) when
+  /// skew_changed_, otherwise refresh(), which skips the diff of the two
+  /// whole skew maps and replays only the edit journal.
+  const sta::TimingReport& sync_engine();
 
   const lib::Library& library_;
   netlist::Design design_;
@@ -191,6 +195,11 @@ private:
   /// recompose; rebuilt after a rollback.
   mbr::IncrementalCompatibilityGraph graph_;
   sta::SkewMap skew_;
+  /// Set by a skew edit or a rollback: skew_ may differ from the skew the
+  /// engine last synced to. A rollback must set it even when skew_ ends up
+  /// equal, since the restore forces a rebuild that would otherwise run
+  /// under the engine's kept skew.
+  bool skew_changed_ = true;
   /// Registers edited since the last implicit recompose, ordered by id
   /// (deterministic region resolution).
   std::set<netlist::CellId> touched_;

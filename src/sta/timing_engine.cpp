@@ -24,10 +24,11 @@ using netlist::PinRole;
 // kOhm * fF = ps; delays are kept in ns.
 constexpr double kNsPerKohmFf = 1e-3;
 
-// Pins per parallel_for task in the full-build passes: the CSR count and
-// fill and the level sweeps. The incremental repair does not split a level:
-// its forward and backward sweeps each stay one serial worklist, and with
-// jobs > 1 the two run side by side (see repair()).
+// Pins per parallel_for task in the full-build passes: liveness, the CSR
+// count and fill, the launch and endpoint seeds, and the level sweeps. The
+// incremental repair does not split a level: its forward and backward
+// sweeps each stay one serial worklist, and with jobs > 1 the two run side
+// by side (see repair()).
 constexpr std::size_t kLevelGrain = 256;
 
 // Seed pins each repair frontier needs before the forward and backward
@@ -152,7 +153,7 @@ std::pair<double, double> TimingEngine::gather_required(
 // output pin, so it is evaluated once per output rather than once per
 // input. The count and fill passes fan out over pins: each pin writes its
 // own count slot and, after the prefix sum, its own CSR range.
-void TimingEngine::build_edges() {
+void TimingEngine::build_edges(const std::vector<std::uint8_t>& live) {
   const int n = design_.pin_count();
   runtime::ThreadPool* pool =
       options_.jobs > 1 ? &runtime::ThreadPool::global() : nullptr;
@@ -189,10 +190,10 @@ void TimingEngine::build_edges() {
   succ_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
   runtime::parallel_for(pool, options_.jobs, static_cast<std::size_t>(n),
                         kLevelGrain, [&](std::size_t i) {
+    if (live[i] == 0) return;
     const PinId pin{static_cast<std::int32_t>(i)};
     const Pin& p = design_.pin(pin);
     const netlist::Cell& cell = design_.cell(p.cell);
-    if (cell.dead) return;
     if ((cell.kind == CellKind::kComb && p.role == PinRole::kCombOut) ||
         (cell.kind == CellKind::kClockBuffer && p.role == PinRole::kBufOut))
       arc_delay[i] = cell_arc_delay(pin);
@@ -207,10 +208,9 @@ void TimingEngine::build_edges() {
   succ_pred_index_.resize(edges);
   runtime::parallel_for(pool, options_.jobs, static_cast<std::size_t>(n),
                         kLevelGrain, [&](std::size_t i) {
+    if (live[i] == 0) return;
     const PinId pin{static_cast<std::int32_t>(i)};
-    const Pin& p = design_.pin(pin);
-    if (design_.cell(p.cell).dead) return;
-    const bool wire = p.is_output;
+    const bool wire = design_.pin(pin).is_output;
     int at = succ_offset_[i];
     for_each_successor(pin, [&](PinId succ) {
       succ_to_[at] = succ.index;
@@ -243,7 +243,7 @@ void TimingEngine::build_edges() {
 // strictly higher one, so one level's pins can be gathered independently
 // and a dirty pin's repair can only dirty higher (forward) or lower
 // (backward) levels.
-void TimingEngine::topo_and_levels() {
+void TimingEngine::topo_and_levels(const std::vector<std::uint8_t>& live) {
   const int n = design_.pin_count();
   std::vector<int> indegree(n, 0);
   for (std::int32_t i = 0; i < n; ++i)
@@ -252,9 +252,12 @@ void TimingEngine::topo_and_levels() {
   topo_.clear();
   topo_.reserve(n);
   std::vector<PinId> work;
-  for (std::int32_t i = 0; i < n; ++i)
-    if (indegree[i] == 0 && !design_.cell(design_.pin(PinId{i}).cell).dead)
-      work.push_back(PinId{i});
+  int live_pins = 0;
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (live[i] == 0) continue;
+    ++live_pins;
+    if (indegree[i] == 0) work.push_back(PinId{i});
+  }
   std::size_t head = 0;
   std::int32_t max_level = 0;
   while (head < work.size()) {
@@ -269,9 +272,6 @@ void TimingEngine::topo_and_levels() {
       if (--indegree[succ] == 0) work.push_back(PinId{succ});
     }
   }
-  int live_pins = 0;
-  for (std::int32_t i = 0; i < n; ++i)
-    if (!design_.cell(design_.pin(PinId{i}).cell).dead) ++live_pins;
   MBRC_ASSERT_MSG(static_cast<int>(topo_.size()) == live_pins,
                   "combinational cycle in design");
 
@@ -302,16 +302,19 @@ void TimingEngine::seed_and_propagate() {
   req_min.assign(n, kNoArrival);
   report_.endpoints.clear();
 
-  // Launch/input seeds (single-arc launch timing: min and max coincide).
+  // Launch/input seeds (single-arc launch timing: min and max coincide),
+  // one live pin per iteration, each writing its own slot.
   seed_arrival_.assign(n, kNoArrival);
-  for (const PinId pin_id : topo_) {
+  runtime::parallel_for(pool, options_.jobs, topo_.size(), kLevelGrain,
+                        [&](std::size_t k) {
+    const PinId pin_id = topo_[k];
     const Pin& p = design_.pin(pin_id);
     const CellKind kind = design_.cell(p.cell).kind;
     if (kind == CellKind::kRegister && is_launch_role(p.role))
       seed_arrival_[pin_id.index] = launch_seed(pin_id);
     else if (kind == CellKind::kPort && p.is_output)
       seed_arrival_[pin_id.index] = options_.input_delay;
-  }
+  });
 
   // Forward propagation: per-level gathers, parallel when jobs > 1. Every
   // live pin is in exactly one level, so each is written once.
@@ -326,40 +329,40 @@ void TimingEngine::seed_and_propagate() {
     });
   }
 
-  // Endpoint seeds, required times and the endpoint report (topo order,
-  // matching run_sta's historical iteration order).
+  // Endpoint seeds, in parallel: each live pin writes its own setup seed,
+  // and its hold seed when it is reached and carries a hold check.
   seed_required_.assign(n, kNoRequired);
   seed_required_min_.assign(n, kNoArrival);
+  runtime::parallel_for(pool, options_.jobs, topo_.size(), kLevelGrain,
+                        [&](std::size_t k) {
+    const PinId pin_id = topo_[k];
+    const Pin& p = design_.pin(pin_id);
+    if (!p.net.valid()) return;
+    const CellKind kind = design_.cell(p.cell).kind;
+    const std::int32_t i = pin_id.index;
+    if (kind == CellKind::kRegister && is_endpoint_role(p.role)) {
+      seed_required_[i] = setup_required(p.cell);
+      if (arrival[i] != kNoArrival && arrival_min[i] != kNoRequired)
+        seed_required_min_[i] = hold_required(p.cell);
+    } else if (kind == CellKind::kPort && !p.is_output) {
+      seed_required_[i] = options_.clock_period - options_.output_margin;
+    }
+  });
+
+  // The endpoint report: one serial pass in topo order, matching run_sta's
+  // historical iteration order (the order TNS sums in). The same slack rule
+  // as refresh_endpoints.
   endpoint_slot_.assign(n, -1);
   for (const PinId pin_id : topo_) {
-    const Pin& p = design_.pin(pin_id);
-    const netlist::Cell& cell = design_.cell(p.cell);
-    double req = kNoRequired;
-    double hold_req = kNoRequired;
-    if (cell.kind == CellKind::kRegister && is_endpoint_role(p.role)) {
-      if (p.net.valid()) {
-        req = setup_required(p.cell);
-        hold_req = hold_required(p.cell);
-      }
-    } else if (cell.kind == CellKind::kPort && !p.is_output) {
-      if (p.net.valid())
-        req = options_.clock_period - options_.output_margin;
-    }
-    if (req == kNoRequired) continue;
-    seed_required_[pin_id.index] = req;
-    if (arrival[pin_id.index] == kNoArrival) continue;
+    const std::int32_t i = pin_id.index;
+    if (seed_required_[i] == kNoRequired || arrival[i] == kNoArrival) continue;
     EndpointSlack ep;
     ep.pin = pin_id;
-    ep.slack = req - arrival[pin_id.index];
-    if (hold_req != kNoRequired &&
-        arrival_min[pin_id.index] != kNoRequired) {
-      seed_required_min_[pin_id.index] = hold_req;
-      ep.hold_slack = arrival_min[pin_id.index] - hold_req;
-    } else {
-      ep.hold_slack = kNoRequired;
-    }
-    endpoint_slot_[pin_id.index] =
-        static_cast<std::int32_t>(report_.endpoints.size());
+    ep.slack = seed_required_[i] - arrival[i];
+    ep.hold_slack = seed_required_min_[i] == kNoArrival
+                        ? kNoRequired
+                        : arrival_min[i] - seed_required_min_[i];
+    endpoint_slot_[i] = static_cast<std::int32_t>(report_.endpoints.size());
     report_.endpoints.push_back(ep);
   }
 
@@ -376,14 +379,23 @@ void TimingEngine::seed_and_propagate() {
 }
 
 void TimingEngine::full_build() {
+  const std::size_t n = static_cast<std::size_t>(design_.pin_count());
+  // Per-pin liveness (pin -> cell -> dead), computed once for the CSR
+  // passes and Kahn's source scan.
+  std::vector<std::uint8_t> live(n);
+  runtime::parallel_for(
+      options_.jobs > 1 ? &runtime::ThreadPool::global() : nullptr,
+      options_.jobs, n, kLevelGrain, [&](std::size_t i) {
+        const PinId pin{static_cast<std::int32_t>(i)};
+        live[i] = design_.cell(design_.pin(pin).cell).dead ? 0 : 1;
+      });
   {
     obs::Span span("sta.build_edges");
-    build_edges();
+    build_edges(live);
   }
-  topo_and_levels();
+  topo_and_levels(live);
   seed_and_propagate();
 
-  const std::size_t n = static_cast<std::size_t>(design_.pin_count());
   fwd_stamp_.assign(n, 0);
   bwd_stamp_.assign(n, 0);
   ep_stamp_.assign(n, 0);

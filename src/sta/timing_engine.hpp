@@ -27,7 +27,9 @@
 //
 // Work split. The full build evaluates each cell-arc delay once per output
 // pin and fills the CSR rows in parallel, each pin at its precomputed
-// offset. A repair's forward side (arrivals, endpoint slacks) and backward
+// offset; its liveness, launch-seed and endpoint-seed passes also run per
+// pin in parallel. Kahn's topological order and the endpoint list stay
+// serial, because they fix the order endpoints are reported in. A repair's forward side (arrivals, endpoint slacks) and backward
 // side (required times) write disjoint arrays, so with jobs > 1, pool
 // workers and both seeded frontiers wide the backward sweep runs on the
 // pool beside the forward one. Its changed pins are logged after the forward side's, the
@@ -125,8 +127,9 @@ private:
 
   // --- full build --------------------------------------------------------
   void full_build();
-  void build_edges();
-  void topo_and_levels();
+  /// `live` holds one flag per pin: 1 unless the pin's cell is dead.
+  void build_edges(const std::vector<std::uint8_t>& live);
+  void topo_and_levels(const std::vector<std::uint8_t>& live);
   void seed_and_propagate();
 
   // --- incremental repair ------------------------------------------------

@@ -127,6 +127,36 @@ TEST_F(CheckerFixture, CorruptedBackReferenceCaught) {
       << checker.report().to_string();
 }
 
+TEST_F(CheckerFixture, InputPinMissingFromItsNetsSinkListCaught) {
+  // Point a connected input pin at a net that does not list it: the pin's
+  // side of the check must name the pin and the net it points at.
+  PinId moved;
+  NetId target;
+  for (std::int32_t i = 0; i < design().pin_count() && !moved.valid(); ++i) {
+    const netlist::Pin& p = design().pin(PinId{i});
+    if (p.is_output || !p.net.valid()) continue;
+    for (std::int32_t n = 0; n < design().net_count(); ++n) {
+      const auto& sinks = design().net(NetId{n}).sinks;
+      if (NetId{n} == p.net || sinks.empty() ||
+          std::find(sinks.begin(), sinks.end(), PinId{i}) != sinks.end())
+        continue;
+      moved = PinId{i};
+      target = NetId{n};
+      break;
+    }
+  }
+  ASSERT_TRUE(moved.valid());
+  design().pin(moved).net = target;
+
+  DesignChecker checker(design());
+  checker.check_structure();
+  const std::string expected =
+      "input pin " + std::to_string(moved.index) +
+      " missing from the sink list of its net " + std::to_string(target.index);
+  EXPECT_NE(checker.report().to_string().find(expected), std::string::npos)
+      << checker.report().to_string();
+}
+
 TEST_F(CheckerFixture, LostRegisterBitsCaught) {
   const auto baseline = DesignChecker::capture(design());
   design().remove_cell(design().registers().front());

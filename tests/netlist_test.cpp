@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <vector>
+
 #include "lib/library.hpp"
 #include "netlist/design.hpp"
+#include "netlist/io.hpp"
+#include "util/rng.hpp"
 
 namespace mbrc::netlist {
 namespace {
@@ -110,7 +116,7 @@ TEST_F(DesignFixture, ConnectDisconnectMaintainsNets) {
   design.connect(gin, net);
   EXPECT_EQ(design.net(net).driver, q);
   ASSERT_EQ(design.net(net).sinks.size(), 1u);
-  EXPECT_EQ(design.net(net).sinks[0], gin);
+  EXPECT_EQ(design.net(net).sinks.front(), gin);
   design.check_consistency();
 
   design.disconnect(q);
@@ -237,6 +243,114 @@ TEST_F(DesignFixture, PortsHaveSinglePin) {
   EXPECT_TRUE(design.pin(design.cell(in).pins[0]).is_output);
   EXPECT_FALSE(design.pin(design.cell(out).pins[0]).is_output);
   EXPECT_DOUBLE_EQ(design.cell(in).area(), 0.0);
+}
+
+// SinkList against the eager erase-remove vector it replaced: seeded random
+// connects and disconnects over a few small nets and one net of more than
+// 5k sinks, through a snapshot/restore and a save/load round trip. After
+// every step the edited net's live sequence, size, empty and front match.
+class SinkListOracle : public DesignFixture {
+protected:
+  static constexpr int kNets = 4;  // net 0 is the wide one
+  static constexpr int kPins = 6400;
+
+  SinkListOracle() : ref(kNets) {
+    for (int n = 0; n < kNets; ++n) {
+      nets.push_back(design.create_net());
+      const CellId driver = design.add_port("in" + std::to_string(n), true,
+                                            {0.0, 10.0 * n});
+      design.connect(design.cell(driver).pins.front(), nets.back());
+    }
+    for (int i = 0; i < kPins; ++i) {
+      const CellId sink = design.add_port(
+          "out" + std::to_string(i), false,
+          {static_cast<double>(i % 200), static_cast<double>(i / 200)});
+      pins.push_back(design.cell(sink).pins.front());
+    }
+  }
+
+  void expect_net_matches(int n) {
+    const SinkList& got = design.net(nets[n]).sinks;
+    const std::vector<PinId>& want = ref[n];
+    ASSERT_EQ(got.size(), want.size()) << "net " << n;
+    ASSERT_EQ(got.empty(), want.empty()) << "net " << n;
+    if (!want.empty()) {
+      ASSERT_EQ(got.front(), want.front()) << "net " << n;
+    }
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "net " << n;
+  }
+
+  void expect_all_match() {
+    for (int n = 0; n < kNets; ++n) expect_net_matches(n);
+    design.check_consistency();
+  }
+
+  // One random edit: disconnect a connected pin or connect a free one (to
+  // net 0 with probability `wide`); a drawn connected pin is passed over
+  // with probability `keep`. Checks the edited net afterwards.
+  void step(util::Rng& rng, double wide, double keep) {
+    PinId pin;
+    do {
+      pin = pins[static_cast<std::size_t>(rng.uniform_int(0, kPins - 1))];
+    } while (design.pin(pin).net.valid() && rng.chance(keep));
+    const NetId on = design.pin(pin).net;
+    int n = 0;
+    if (on.valid()) {
+      while (nets[n] != on) ++n;
+      design.disconnect(pin);
+      ref[n].erase(std::remove(ref[n].begin(), ref[n].end(), pin),
+                   ref[n].end());
+    } else {
+      n = rng.chance(wide) ? 0
+                           : static_cast<int>(rng.uniform_int(1, kNets - 1));
+      design.connect(pin, nets[n]);
+      ref[n].push_back(pin);
+    }
+    expect_net_matches(n);
+  }
+
+  std::vector<NetId> nets;
+  std::vector<PinId> pins;
+  std::vector<std::vector<PinId>> ref;
+};
+
+TEST_F(SinkListOracle, RandomEditsMatchEraseRemoveVector) {
+  util::Rng rng(20261018);
+  // Grow: mostly connects, so net 0 passes 5k sinks with holes along the way.
+  for (int s = 0; s < 9000 && !HasFatalFailure(); ++s) step(rng, 0.95, 0.97);
+  ASSERT_GT(ref[0].size(), 5000u);
+  expect_all_match();
+
+  // Churn, then roll back to the mid-point state and churn again.
+  for (int s = 0; s < 3000 && !HasFatalFailure(); ++s) step(rng, 0.5, 0.0);
+  const Design::Snapshot saved = design.snapshot();
+  const std::vector<std::vector<PinId>> saved_ref = ref;
+  for (int s = 0; s < 3000 && !HasFatalFailure(); ++s) step(rng, 0.5, 0.0);
+  design.restore(saved);
+  ref = saved_ref;
+  expect_all_match();
+
+  // Drain the wide net well below its peak: compactions must keep order.
+  const std::vector<PinId> wide = ref[0];
+  for (std::size_t k = 0; k < wide.size() && !HasFatalFailure(); k += 2) {
+    design.disconnect(wide[k]);
+    ref[0].erase(std::remove(ref[0].begin(), ref[0].end(), wide[k]),
+                 ref[0].end());
+    expect_net_matches(0);
+  }
+  for (int s = 0; s < 2000 && !HasFatalFailure(); ++s) step(rng, 0.5, 0.0);
+  expect_all_match();
+
+  // save_design writes sinks in list order; a loaded copy saves the same
+  // bytes.
+  std::ostringstream saved_text;
+  save_design(design, saved_text);
+  std::istringstream in(saved_text.str());
+  const Design loaded = load_design(library, in);
+  std::ostringstream resaved_text;
+  save_design(loaded, resaved_text);
+  EXPECT_EQ(saved_text.str(), resaved_text.str());
 }
 
 }  // namespace

@@ -522,6 +522,119 @@ TEST(ServiceTest, RollbackRestoresTimingExactly) {
             before.int_or("failing_endpoints", -2));
 }
 
+// A session diffs its skew map against the engine's only after a skew edit
+// or a rollback: queries after moves and swaps replay the edit journal
+// alone, so they scan no skew entries, and every answer still equals a
+// direct engine's update() under the same skew. After a rollback the
+// rebuild must run under the restored skew, not the engine's last one.
+TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
+  const lib::Library library = lib::make_default_library();
+  const benchgen::GeneratedDesign generated = reference_design(library);
+  service::SessionOptions options;
+  options.timing.clock_period = generated.calibrated_clock_period;
+  service::Session session(library, generated.design, options);
+  netlist::Design reference = generated.design;
+  sta::SkewMap skew;
+  const obs::Counter& scanned =
+      obs::counter("sta.engine.skew_entries_scanned");
+
+  std::vector<netlist::CellId> movable;
+  for (const netlist::CellId reg : reference.registers())
+    if (!reference.cell(reg).fixed) movable.push_back(reg);
+  ASSERT_GE(movable.size(), 8u);
+
+  // Skews on a few registers, mirrored into `skew`.
+  const auto skew_round = [&](int round) {
+    std::vector<service::Edit> edits;
+    for (int k = 0; k < 4; ++k) {
+      service::Edit e;
+      e.op = service::Edit::Op::kSkew;
+      e.cell = movable[static_cast<std::size_t>(round + 2 * k) % movable.size()];
+      e.skew = 0.01 * (round + k + 1);
+      skew[e.cell] = e.skew;
+      edits.push_back(e);
+    }
+    ASSERT_TRUE(session.apply(edits).ok());
+  };
+  // A move and a drive-variant swap, mirrored into `reference`.
+  const auto motion_round = [&](int round) {
+    const netlist::CellId reg =
+        movable[static_cast<std::size_t>(3 * round + 1) % movable.size()];
+    netlist::Cell& cell = reference.cell(reg);
+    service::Edit move;
+    move.op = service::Edit::Op::kMove;
+    move.cell = reg;
+    move.x = std::clamp(cell.position.x + 2.5, reference.core().xlo,
+                        reference.core().xhi - cell.width());
+    move.y = cell.position.y;
+    cell.position = {move.x, move.y};
+    reference.notify_moved(reg);
+    std::vector<service::Edit> edits{move};
+    const auto variants = library.drive_variants(*cell.reg);
+    for (const lib::RegisterCell* variant : variants) {
+      if (variant == cell.reg) continue;
+      service::Edit swap;
+      swap.op = service::Edit::Op::kSwap;
+      swap.cell = reg;
+      swap.variant = variant->name;
+      reference.swap_register_cell(reg, variant);
+      edits.push_back(swap);
+      break;
+    }
+    ASSERT_TRUE(session.apply(edits).ok());
+  };
+  const auto expect_answer = [&](const std::string& context) {
+    SCOPED_TRACE(context);
+    service::TimingQuery query;
+    query.registers = movable;
+    const service::TimingAnswer answer = session.query(query);
+    ASSERT_TRUE(answer.ok()) << answer.error;
+    const sta::TimingReport want = sta::run_sta(reference, options.timing, skew);
+    EXPECT_EQ(answer.wns, want.wns());
+    EXPECT_EQ(answer.tns, want.tns());
+    EXPECT_EQ(answer.hold_wns, want.hold_wns());
+    EXPECT_EQ(answer.failing_endpoints, want.failing_endpoints());
+    ASSERT_EQ(answer.registers.size(), movable.size());
+    for (std::size_t i = 0; i < movable.size(); ++i) {
+      EXPECT_EQ(answer.registers[i].d_slack,
+                want.register_d_slack(reference, movable[i]));
+      EXPECT_EQ(answer.registers[i].q_slack,
+                want.register_q_slack(reference, movable[i]));
+    }
+  };
+
+  expect_answer("first query");
+  for (int round = 0; round < 4; ++round) {
+    skew_round(round);
+    std::int64_t before = scanned.value();
+    expect_answer("after skew edits " + std::to_string(round));
+    EXPECT_GT(scanned.value(), before) << "a skew edit must diff the maps";
+
+    motion_round(round);
+    before = scanned.value();
+    expect_answer("after moves and swaps " + std::to_string(round));
+    EXPECT_EQ(scanned.value(), before) << "no skew edit, yet the maps were diffed";
+  }
+  EXPECT_EQ(session.engine_stats().full_builds, 1u);
+
+  // Snapshot, change skews and placement, roll back: the rebuild after the
+  // restore must use the snapshot's skew.
+  ASSERT_TRUE(session.snapshot("base").ok());
+  const netlist::Design saved_reference = reference;
+  const sta::SkewMap saved_skew = skew;
+  skew_round(7);
+  motion_round(7);
+  expect_answer("before rollback");
+  ASSERT_TRUE(session.rollback("base").ok());
+  reference = saved_reference;
+  skew = saved_skew;
+  expect_answer("after rollback");
+  motion_round(9);
+  const std::int64_t before = scanned.value();
+  expect_answer("moves after rollback");
+  EXPECT_EQ(scanned.value(), before);
+}
+
 TEST(ServiceTest, ProtocolErrorsAreReported) {
   const lib::Library library = lib::make_default_library();
   service::Daemon daemon(library, {.jobs = 1});

@@ -276,6 +276,39 @@ TEST(StaIncremental, StructuralMergeRebuildsThenStaysIncremental) {
   EXPECT_EQ(engine.stats().full_builds, 2u);
 }
 
+// The full build's parallel passes (liveness, launch and endpoint seeds, the
+// CSR fill, the level sweeps) on a design that holds dead cells after real
+// merges, under a skew: the jobs 4 build must equal the serial run_sta in
+// every report array and in endpoint order.
+TEST(StaIncremental, FullBuildAtJobs4WithDeadCellsMatchesSerial) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 404, 1200);
+  netlist::Design& design = generated.design;
+
+  sta::TimingOptions serial_options;
+  serial_options.clock_period = generated.calibrated_clock_period;
+  serial_options.jobs = 1;
+  sta::TimingOptions parallel_options = serial_options;
+  parallel_options.jobs = 4;
+
+  ASSERT_GT(apply_merges(design, sta::run_sta(design, serial_options), 40), 0);
+  int dead_cells = 0;
+  for (std::int32_t i = 0; i < design.cell_count(); ++i)
+    if (design.cell(netlist::CellId{i}).dead) ++dead_cells;
+  ASSERT_GT(dead_cells, 0);
+
+  sta::SkewMap skew;
+  util::Rng rng(404);
+  for (const netlist::CellId reg : design.registers())
+    if (rng.chance(0.3)) skew[reg] = rng.uniform_real(-0.15, 0.15);
+
+  const sta::TimingReport serial = sta::run_sta(design, serial_options, skew);
+  sta::TimingEngine engine(design, parallel_options);
+  expect_report_matches_oracle(engine.update(skew), serial,
+                               "jobs 4 full build after merges");
+  EXPECT_EQ(engine.report().tns(), serial.tns());
+}
+
 // Dense rounds: a new skew on at least a quarter of the registers plus
 // moves and swaps, so both repair frontiers are wide enough for the
 // concurrent sweeps at jobs 4. Two engines on two copies of the design take
