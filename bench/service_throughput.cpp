@@ -29,9 +29,12 @@
 // A second study, the design-size axis, holds the traffic fixed and grows
 // the design: one session per size (3k, 30k and 300k registers by default,
 // --sizes to override) replays the same local-edit transcript shape, and
-// the bench reports recompose_region p50/p99 per size. A recompose runs on
-// the session's kept compatibility graph, so its latency should follow the
-// edited region, not the design.
+// the bench reports query_timing and recompose_region p50/p99 per size. A
+// recompose runs on the session's kept compatibility graph, so its latency
+// should follow the edited region, not the design. A query repairs the
+// edited cones and then walks the report's failing-endpoint index, so its
+// latency follows the cones and the failing endpoints; the point records
+// both endpoint counts and the summary entries each query visited.
 //
 // Results go to BENCH_service_throughput.json (or argv[1]) with
 // "schema": 1.
@@ -501,6 +504,13 @@ constexpr int kSizeSubgraphBound = 20;
 struct SizePoint {
   int registers = 0;
   double open_seconds = 0.0;  // generation + first full timing build
+  double query_p50_ms = 0.0;
+  double query_p99_ms = 0.0;
+  // From the last query: the endpoints the summary walks and all of them.
+  std::int64_t failing_endpoints = 0;
+  std::int64_t total_endpoints = 0;
+  // sta.summary.entries_visited per timed query (failing + hold-failing).
+  double summary_entries_per_query = 0.0;
   double recompose_p50_ms = 0.0;
   double recompose_p99_ms = 0.0;
   std::int64_t compat_full_builds = 0;
@@ -513,7 +523,7 @@ struct SizePoint {
 /// size: rounds of kSizeEditsPerRound local edits on random movable
 /// registers -- 35% moves of up to 6 um per axis, 55% skews in +-0.08 ns,
 /// 10% swaps within the family -- then one query_timing and one implicit
-/// recompose_region, which is the timed request. One untimed warm-up round
+/// recompose_region, the two timed requests. One untimed warm-up round
 /// builds the session's compatibility graph first.
 SizePoint run_size_point(const lib::Library& library, const Settings& settings,
                          int registers) {
@@ -578,6 +588,9 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
   util::Rng rng(0x512e'0000u);
   std::int64_t next_id = 1;
   std::vector<double> recompose_ms;
+  std::vector<double> query_ms;
+  const obs::Counter& visited = obs::counter("sta.summary.entries_visited");
+  std::int64_t visited_by_queries = 0;
   for (int round = -1; round < kSizeRounds; ++round) {
     std::ostringstream os;
     obs::JsonWriter w(os, 0);
@@ -606,7 +619,20 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
     }
     w.end_array().end_object();
     request(os.str());
-    request(query_request(next_id++, "s"));
+    const std::int64_t visited_before = visited.value();
+    const Clock::time_point tq = Clock::now();
+    const std::string answer = request(query_request(next_id++, "s"));
+    if (round >= 0) {
+      query_ms.push_back(1e-3 * micros_between(tq, Clock::now()));
+      visited_by_queries += visited.value() - visited_before;
+    }
+    if (round + 1 == kSizeRounds) {
+      const obs::JsonParseResult parsed = obs::parse_json(answer);
+      if (parsed.ok) {
+        point.failing_endpoints = parsed.value.int_or("failing_endpoints", 0);
+        point.total_endpoints = parsed.value.int_or("total_endpoints", 0);
+      }
+    }
 
     std::ostringstream recompose;
     obs::JsonWriter rw(recompose, 0);
@@ -632,6 +658,11 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
   }
   request(R"({"id":0,"cmd":"close","session":"s"})");
 
+  std::sort(query_ms.begin(), query_ms.end());
+  point.query_p50_ms = obs::Histogram::percentile(query_ms, 0.50);
+  point.query_p99_ms = obs::Histogram::percentile(query_ms, 0.99);
+  point.summary_entries_per_query =
+      static_cast<double>(visited_by_queries) / kSizeRounds;
   std::sort(recompose_ms.begin(), recompose_ms.end());
   point.recompose_p50_ms = obs::Histogram::percentile(recompose_ms, 0.50);
   point.recompose_p99_ms = obs::Histogram::percentile(recompose_ms, 0.99);
@@ -725,14 +756,19 @@ int main(int argc, char** argv) {
   std::printf("\ndesign-size axis: %d rounds of %d local edits + query + "
               "recompose_region per size, in-process daemon\n",
               kSizeRounds, kSizeEditsPerRound);
-  std::printf("%10s %10s %16s %16s %12s %7s\n", "registers", "open_s",
-              "recompose_p50_ms", "recompose_p99_ms", "graph_builds", "errors");
+  std::printf("%10s %10s %13s %13s %9s %9s %16s %16s %12s %7s\n",
+              "registers", "open_s", "query_p50_ms", "query_p99_ms", "failing",
+              "endpoints", "recompose_p50_ms", "recompose_p99_ms",
+              "graph_builds", "errors");
   for (int registers : settings.sizes) {
     points.push_back(run_size_point(library, settings, registers));
     const SizePoint& p = points.back();
-    std::printf("%10d %10.2f %16.3f %16.3f %12lld %7lld\n", p.registers,
-                p.open_seconds, p.recompose_p50_ms, p.recompose_p99_ms,
-                static_cast<long long>(p.compat_full_builds),
+    std::printf("%10d %10.2f %13.3f %13.3f %9lld %9lld %16.3f %16.3f %12lld "
+                "%7lld\n",
+                p.registers, p.open_seconds, p.query_p50_ms, p.query_p99_ms,
+                static_cast<long long>(p.failing_endpoints),
+                static_cast<long long>(p.total_endpoints), p.recompose_p50_ms,
+                p.recompose_p99_ms, static_cast<long long>(p.compat_full_builds),
                 static_cast<long long>(p.errors));
   }
   const double size_ratio =
@@ -801,6 +837,14 @@ int main(int argc, char** argv) {
         .kv("name", "regs_" + std::to_string(p.registers))
         .kv("registers", static_cast<std::int64_t>(p.registers))
         .kv("open_seconds", p.open_seconds);
+    w.key("query_timing_ms")
+        .begin_object()
+        .kv("p50", p.query_p50_ms)
+        .kv("p99", p.query_p99_ms)
+        .end_object();
+    w.kv("failing_endpoints", p.failing_endpoints)
+        .kv("total_endpoints", p.total_endpoints)
+        .kv("summary_entries_per_query", p.summary_entries_per_query);
     w.key("recompose_region_ms")
         .begin_object()
         .kv("p50", p.recompose_p50_ms)

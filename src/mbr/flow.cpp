@@ -44,12 +44,13 @@ Metrics evaluate_design(const netlist::Design& design,
   }
 
   const sta::TimingReport& timing = engine->update(skew);
-  m.wns = timing.wns();
-  m.tns = timing.tns();
-  m.failing_endpoints = timing.failing_endpoints();
+  const sta::TimingSummary summary = timing.summary();
+  m.wns = summary.wns;
+  m.tns = summary.tns;
+  m.failing_endpoints = summary.failing_endpoints;
   m.total_endpoints = timing.total_endpoints();
-  m.hold_wns = timing.hold_wns();
-  m.failing_hold_endpoints = timing.failing_hold_endpoints();
+  m.hold_wns = summary.hold_wns;
+  m.failing_hold_endpoints = summary.failing_hold_endpoints;
 
   for (netlist::CellId reg : design.registers())
     if (is_composable(design, reg)) ++m.composable_registers;

@@ -149,11 +149,12 @@ TimingAnswer Session::query(const TimingQuery& query) {
   }
 
   const sta::TimingReport& report = sync_engine();
-  answer.wns = report.wns();
-  answer.tns = report.tns();
-  answer.failing_endpoints = report.failing_endpoints();
+  const sta::TimingSummary summary = report.summary();
+  answer.wns = summary.wns;
+  answer.tns = summary.tns;
+  answer.failing_endpoints = summary.failing_endpoints;
   answer.total_endpoints = report.total_endpoints();
-  answer.hold_wns = report.hold_wns();
+  answer.hold_wns = summary.hold_wns;
   for (netlist::PinId pin : query.pins)
     answer.pins.push_back({pin, report.slack(pin), report.hold_slack(pin)});
   for (netlist::CellId cell : query.registers)

@@ -2,42 +2,72 @@
 
 #include <algorithm>
 
+#include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "sta/timing_engine.hpp"
 
 namespace mbrc::sta {
 
+namespace {
+
+// Endpoint entries the summary walks read: the failing and hold-failing
+// slots, never the whole list. Flushed once per walk.
+void count_visited(int entries) {
+  static obs::Counter& c_visited = obs::counter("sta.summary.entries_visited");
+  c_visited.add(entries);
+}
+
+}  // namespace
+
+// The walks fold only the indexed slots, in slot order. A slack >= 0 (or
+// NaN) never lowers a minimum that starts at 0.0 and is no part of TNS, so
+// each walk returns the bits of the same fold over every endpoint.
+
 double TimingReport::wns() const {
   double w = 0.0;
-  for (const EndpointSlack& e : endpoints) w = std::min(w, e.slack);
+  failing_.for_each(
+      [&](std::size_t slot) { w = std::min(w, endpoints[slot].slack); });
+  count_visited(failing_.size());
   return w;
 }
 
 double TimingReport::tns() const {
   double t = 0.0;
-  for (const EndpointSlack& e : endpoints)
-    if (e.slack < 0) t += e.slack;
+  failing_.for_each([&](std::size_t slot) { t += endpoints[slot].slack; });
+  count_visited(failing_.size());
   return t;
-}
-
-int TimingReport::failing_endpoints() const {
-  int n = 0;
-  for (const EndpointSlack& e : endpoints)
-    if (e.slack < 0) ++n;
-  return n;
 }
 
 double TimingReport::hold_wns() const {
   double w = 0.0;
-  for (const EndpointSlack& e : endpoints)
-    if (e.hold_slack != kNoRequired) w = std::min(w, e.hold_slack);
+  hold_failing_.for_each(
+      [&](std::size_t slot) { w = std::min(w, endpoints[slot].hold_slack); });
+  count_visited(hold_failing_.size());
   return w;
 }
 
-int TimingReport::failing_hold_endpoints() const {
-  int n = 0;
-  for (const EndpointSlack& e : endpoints)
-    if (e.hold_slack != kNoRequired && e.hold_slack < 0) ++n;
-  return n;
+TimingSummary TimingReport::summary() const {
+  obs::Span span("sta.summary");
+  TimingSummary s;
+  s.failing_endpoints = failing_.size();
+  s.failing_hold_endpoints = hold_failing_.size();
+  failing_.for_each([&](std::size_t slot) {
+    const double slack = endpoints[slot].slack;
+    s.wns = std::min(s.wns, slack);
+    s.tns += slack;
+  });
+  hold_failing_.for_each([&](std::size_t slot) {
+    s.hold_wns = std::min(s.hold_wns, endpoints[slot].hold_slack);
+  });
+  count_visited(s.failing_endpoints + s.failing_hold_endpoints);
+  return s;
+}
+
+void TimingReport::index_all_endpoints() {
+  failing_.reset(endpoints.size());
+  hold_failing_.reset(endpoints.size());
+  for (std::size_t slot = 0; slot < endpoints.size(); ++slot)
+    index_endpoint(slot);
 }
 
 double TimingReport::worst_register_slack(const netlist::Design& design,

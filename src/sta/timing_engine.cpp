@@ -259,7 +259,6 @@ void TimingEngine::topo_and_levels(const std::vector<std::uint8_t>& live) {
     if (indegree[i] == 0) work.push_back(PinId{i});
   }
   std::size_t head = 0;
-  std::int32_t max_level = 0;
   while (head < work.size()) {
     const PinId pin = work[head++];
     topo_.push_back(pin);
@@ -268,21 +267,24 @@ void TimingEngine::topo_and_levels(const std::vector<std::uint8_t>& live) {
          ++e) {
       const std::int32_t succ = succ_to_[e];
       level_of_[succ] = std::max(level_of_[succ], next_level);
-      max_level = std::max(max_level, level_of_[succ]);
       if (--indegree[succ] == 0) work.push_back(PinId{succ});
     }
   }
   MBRC_ASSERT_MSG(static_cast<int>(topo_.size()) == live_pins,
                   "combinational cycle in design");
 
-  // Counting sort of `topo_` by level (stable within a level).
-  std::vector<std::size_t> bucket(static_cast<std::size_t>(max_level) + 2, 0);
-  for (const PinId pin : topo_) ++bucket[level_of_[pin.index] + 1];
-  for (std::size_t l = 1; l < bucket.size(); ++l) bucket[l] += bucket[l - 1];
-  level_begin_ = bucket;
-  by_level_.resize(topo_.size());
-  for (const PinId pin : topo_)
-    by_level_[bucket[level_of_[pin.index]]++] = pin.index;
+  // The FIFO pops pins level by level: a pin of level L + 1 is queued when
+  // its last predecessor, of level L, is processed, which is after every
+  // level-L pin was queued. So `topo_` is sorted by level already and each
+  // level is one range of it, [level_begin_[l], level_begin_[l + 1]).
+  level_begin_.assign(1, 0);
+  for (std::size_t k = 0; k < topo_.size(); ++k) {
+    const auto level = static_cast<std::size_t>(level_of_[topo_[k].index]);
+    if (level == level_begin_.size()) level_begin_.push_back(k);
+    MBRC_ASSERT_MSG(level + 1 == level_begin_.size(),
+                    "Kahn order is not sorted by level");
+  }
+  level_begin_.push_back(topo_.size());
 }
 
 // Seeds, level sweeps and endpoint collection: the values are exactly
@@ -324,7 +326,7 @@ void TimingEngine::seed_and_propagate() {
     const std::size_t hi = level_begin_[l + 1];
     runtime::parallel_for(pool, options_.jobs, hi - lo, kLevelGrain,
                           [&](std::size_t k) {
-      const std::int32_t pin = by_level_[lo + k];
+      const std::int32_t pin = topo_[lo + k].index;
       std::tie(arrival[pin], arrival_min[pin]) = gather_arrival(pin);
     });
   }
@@ -351,7 +353,7 @@ void TimingEngine::seed_and_propagate() {
 
   // The endpoint report: one serial pass in topo order, matching run_sta's
   // historical iteration order (the order TNS sums in). The same slack rule
-  // as refresh_endpoints.
+  // as refresh_endpoints; the failing index is rebuilt after it.
   endpoint_slot_.assign(n, -1);
   for (const PinId pin_id : topo_) {
     const std::int32_t i = pin_id.index;
@@ -365,6 +367,7 @@ void TimingEngine::seed_and_propagate() {
     endpoint_slot_[i] = static_cast<std::int32_t>(report_.endpoints.size());
     report_.endpoints.push_back(ep);
   }
+  report_.index_all_endpoints();
 
   // Backward propagation of required times (setup: min; hold: max).
   for (std::size_t l = levels; l-- > 0;) {
@@ -372,7 +375,7 @@ void TimingEngine::seed_and_propagate() {
     const std::size_t hi = level_begin_[l + 1];
     runtime::parallel_for(pool, options_.jobs, hi - lo, kLevelGrain,
                           [&](std::size_t k) {
-      const std::int32_t pin = by_level_[lo + k];
+      const std::int32_t pin = topo_[lo + k].index;
       std::tie(required[pin], req_min[pin]) = gather_required(pin);
     });
   }
@@ -462,12 +465,12 @@ const TimingReport& TimingEngine::sync(const SkewMap* skew) {
   return report_;
 }
 
-// Repairs the seeded frontiers. The forward side (arrivals, endpoint slacks)
-// and the backward side (required times) read and write disjoint arrays:
-// required times gather over successors' required times and edge delays
-// only, never over arrivals. So with jobs > 1, pool workers and both
-// frontiers wide, the backward sweep runs on the pool while this thread
-// runs the forward one.
+// Repairs the seeded frontiers. The forward side (arrivals, endpoint slacks,
+// the failing index) and the backward side (required times) read and write
+// disjoint data: required times gather over successors' required times and
+// edge delays only, never over arrivals. So with jobs > 1, pool workers and
+// both frontiers wide, the backward sweep runs on the pool while this
+// thread runs the forward one.
 // Either way the backward side's changed pins are logged after the forward
 // side's, so changed_pins() has the serial order at any jobs count.
 void TimingEngine::repair() {
@@ -727,6 +730,7 @@ void TimingEngine::refresh_endpoints() {
     ep.hold_slack = seed_required_min_[pin] == kNoArrival
                         ? kNoRequired
                         : arrival_min[pin] - seed_required_min_[pin];
+    report_.index_endpoint(static_cast<std::size_t>(endpoint_slot_[pin]));
   }
 }
 

@@ -29,11 +29,19 @@
 // pin and fills the CSR rows in parallel, each pin at its precomputed
 // offset; its liveness, launch-seed and endpoint-seed passes also run per
 // pin in parallel. Kahn's topological order and the endpoint list stay
-// serial, because they fix the order endpoints are reported in. A repair's forward side (arrivals, endpoint slacks) and backward
-// side (required times) write disjoint arrays, so with jobs > 1, pool
-// workers and both seeded frontiers wide the backward sweep runs on the
-// pool beside the forward one. Its changed pins are logged after the forward side's, the
-// serial order, whichever side finishes first.
+// serial, because they fix the order endpoints are reported in; Kahn's FIFO
+// order is also sorted by level, so the level sweeps read it directly.
+// A repair's forward side (arrivals, endpoint slacks and the report's
+// failing-endpoint index) and backward side (required times) write disjoint
+// data, so with jobs > 1, pool workers and both seeded frontiers wide the
+// backward sweep runs on the pool beside the forward one. Its changed pins
+// are logged after the forward side's, the serial order, whichever side
+// finishes first.
+//
+// The engine is the report's only writer. Wherever it writes an endpoint's
+// slacks (the full build's endpoint pass, refresh_endpoints) it re-files
+// the endpoint in the report's failing index, so the report's summaries
+// walk only failing endpoints.
 //
 // Determinism contract (inherited from the parallel runtime, DESIGN.md §6):
 // every value is a pure max/min gather over a fixed operand set, so an
@@ -174,8 +182,7 @@ private:
   std::vector<std::int32_t> pred_succ_index_;
   std::vector<netlist::PinId> topo_;
   std::vector<std::int32_t> level_of_;
-  std::vector<std::int32_t> by_level_;
-  std::vector<std::size_t> level_begin_;
+  std::vector<std::size_t> level_begin_;  // level -> first topo_ index
 
   // Per-pin propagation seeds: launch/input arrivals (kNoArrival when the
   // pin is not a source) and endpoint required times (setup; hold side is

@@ -527,6 +527,8 @@ TEST(ServiceTest, RollbackRestoresTimingExactly) {
 // alone, so they scan no skew entries, and every answer still equals a
 // direct engine's update() under the same skew. After a rollback the
 // rebuild must run under the restored skew, not the engine's last one.
+// Each query's summary walks only the failing and hold-failing endpoints,
+// never the whole endpoint list.
 TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   const lib::Library library = lib::make_default_library();
   const benchgen::GeneratedDesign generated = reference_design(library);
@@ -537,6 +539,7 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   sta::SkewMap skew;
   const obs::Counter& scanned =
       obs::counter("sta.engine.skew_entries_scanned");
+  const obs::Counter& visited = obs::counter("sta.summary.entries_visited");
 
   std::vector<netlist::CellId> movable;
   for (const netlist::CellId reg : reference.registers())
@@ -587,9 +590,14 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
     SCOPED_TRACE(context);
     service::TimingQuery query;
     query.registers = movable;
+    const std::int64_t visited_before = visited.value();
     const service::TimingAnswer answer = session.query(query);
+    const std::int64_t visited_by_query = visited.value() - visited_before;
     ASSERT_TRUE(answer.ok()) << answer.error;
     const sta::TimingReport want = sta::run_sta(reference, options.timing, skew);
+    EXPECT_EQ(visited_by_query,
+              want.failing_endpoints() + want.failing_hold_endpoints());
+    EXPECT_LT(visited_by_query, want.total_endpoints());
     EXPECT_EQ(answer.wns, want.wns());
     EXPECT_EQ(answer.tns, want.tns());
     EXPECT_EQ(answer.hold_wns, want.hold_wns());

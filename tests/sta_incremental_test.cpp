@@ -6,10 +6,15 @@
 // preserving edit sequences may trigger exactly one full build. Wide
 // repairs at jobs > 1 run their forward and backward sweeps side by side;
 // the report and the change log must still equal the serial repair's, and
-// refresh() must equal update() under an unchanged skew.
+// refresh() must equal update() under an unchanged skew. The report's
+// failing-endpoint index must give the same aggregates as a full scan of
+// its endpoints after every build and repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -438,6 +443,171 @@ INSTANTIATE_TEST_SUITE_P(Jobs, StaRefresh, ::testing::Values(1, 4),
                          [](const auto& info) {
                            return "jobs" + std::to_string(info.param);
                          });
+
+// The five aggregates as full scans of the endpoint list: the reference the
+// failing-endpoint index must reproduce bit for bit.
+sta::TimingSummary scan_endpoints(const sta::TimingReport& report) {
+  sta::TimingSummary s;
+  for (const sta::EndpointSlack& e : report.endpoints) {
+    s.wns = std::min(s.wns, e.slack);
+    if (e.slack < 0) {
+      s.tns += e.slack;
+      ++s.failing_endpoints;
+    }
+    if (e.hold_slack != sta::kNoRequired) {
+      s.hold_wns = std::min(s.hold_wns, e.hold_slack);
+      if (e.hold_slack < 0) ++s.failing_hold_endpoints;
+    }
+  }
+  return s;
+}
+
+void expect_bits(double got, double want, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << what << ": " << got << " vs " << want;
+}
+
+// summary() and each accessor against the scan.
+void expect_summaries_match_scan(const sta::TimingReport& report,
+                                 const std::string& context) {
+  SCOPED_TRACE(context);
+  const sta::TimingSummary want = scan_endpoints(report);
+  const sta::TimingSummary got = report.summary();
+  expect_bits(got.wns, want.wns, "summary wns");
+  expect_bits(got.tns, want.tns, "summary tns");
+  expect_bits(got.hold_wns, want.hold_wns, "summary hold_wns");
+  EXPECT_EQ(got.failing_endpoints, want.failing_endpoints);
+  EXPECT_EQ(got.failing_hold_endpoints, want.failing_hold_endpoints);
+  expect_bits(report.wns(), want.wns, "wns()");
+  expect_bits(report.tns(), want.tns, "tns()");
+  expect_bits(report.hold_wns(), want.hold_wns, "hold_wns()");
+  EXPECT_EQ(report.failing_endpoints(), want.failing_endpoints);
+  EXPECT_EQ(report.failing_hold_endpoints(), want.failing_hold_endpoints);
+}
+
+class StaFailingIndex : public ::testing::TestWithParam<int> {};
+
+// Every full build and every repair keeps the failing index in step with
+// the slacks it writes. Large skews push register D endpoints across zero
+// in both directions (a late capture clock passes setup and fails hold, an
+// early one fails setup), moves and swaps reach the index through the edit
+// journal and refresh(), and a snapshot restore rebuilds it.
+TEST_P(StaFailingIndex, SummariesMatchEndpointScanAfterEveryUpdate) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 612, 400);
+  netlist::Design& design = generated.design;
+
+  sta::TimingOptions options;
+  options.clock_period = generated.calibrated_clock_period;
+  options.jobs = GetParam();
+
+  sta::TimingEngine engine(design, options);
+  sta::SkewMap skew;
+  const auto registers = design.registers();
+  util::Rng rng(0xfa11 + static_cast<std::uint64_t>(GetParam()));
+
+  // Setup-failing slots of the previous report, to count crossings.
+  std::vector<bool> failing;
+  int entered = 0;
+  int left = 0;
+  int most_hold_failing = 0;
+  const auto check = [&](const sta::TimingReport& report,
+                         const std::string& context) {
+    expect_summaries_match_scan(report, context);
+    if (failing.size() == report.endpoints.size()) {
+      for (std::size_t i = 0; i < failing.size(); ++i) {
+        const bool now = report.endpoints[i].slack < 0;
+        if (now && !failing[i]) ++entered;
+        if (!now && failing[i]) ++left;
+      }
+    }
+    failing.assign(report.endpoints.size(), false);
+    for (std::size_t i = 0; i < failing.size(); ++i)
+      failing[i] = report.endpoints[i].slack < 0;
+    most_hold_failing =
+        std::max(most_hold_failing, report.failing_hold_endpoints());
+  };
+
+  check(engine.update(skew), "initial build");
+  ASSERT_GT(engine.report().failing_endpoints(), 0);
+
+  std::optional<netlist::Design::Snapshot> saved;
+  sta::SkewMap saved_skew;
+  for (int round = 0; round < 12; ++round) {
+    const std::string tag = "round " + std::to_string(round);
+    mutate_round(design, skew, rng);
+    for (int k = 0; k < 3; ++k) {
+      const netlist::CellId reg = pick_register(registers, rng);
+      skew[reg] = (round + k) % 2 == 0 ? 0.6 : -0.6;
+    }
+    check(engine.update(skew), tag + " update");
+
+    // Moves and swaps alone: the journal-only repair.
+    move_register(design, pick_register(registers, rng), rng);
+    swap_register(design, pick_register(registers, rng), rng);
+    check(engine.refresh(), tag + " refresh");
+
+    if (round == 4) {
+      saved = design.snapshot();
+      saved_skew = skew;
+    }
+  }
+  EXPECT_EQ(engine.stats().full_builds, 1u);
+  EXPECT_GT(entered, 0) << "no endpoint started failing";
+  EXPECT_GT(left, 0) << "no endpoint stopped failing";
+  EXPECT_GT(most_hold_failing, 0) << "no endpoint failed hold";
+
+  ASSERT_TRUE(saved.has_value());
+  design.restore(*saved);
+  failing.clear();
+  check(engine.update(saved_skew), "after restore");
+  EXPECT_EQ(engine.stats().full_builds, 2u);
+  expect_report_matches_oracle(engine.report(),
+                               sta::run_sta(design, options, saved_skew),
+                               "after restore");
+  mutate_round(design, saved_skew, rng);
+  check(engine.update(saved_skew), "repair after restore");
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, StaFailingIndex, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
+
+// The level sweeps read each level as one range of Kahn's order, which
+// holds because the FIFO pops pins in level order; the engine asserts it on
+// every build. Rounds of real merges leave dead cells and force rebuilds:
+// each rebuild at jobs 1 and 4 must pass that assertion and agree with the
+// other and with run_sta, summaries included.
+TEST(StaIncremental, KahnOrderIsLevelSortedAcrossRebuildsWithDeadCells) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 707, 900);
+  netlist::Design& design = generated.design;
+
+  sta::TimingOptions serial_options;
+  serial_options.clock_period = generated.calibrated_clock_period;
+  sta::TimingOptions parallel_options = serial_options;
+  parallel_options.jobs = 4;
+
+  sta::TimingEngine serial(design, serial_options);
+  sta::TimingEngine parallel(design, parallel_options);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const sta::TimingReport planning = serial.update();
+    ASSERT_GT(apply_merges(design, planning, 15), 0);
+    const sta::TimingReport& want = serial.update();
+    const sta::TimingReport& got = parallel.update();
+    expect_report_matches_oracle(got, want, "jobs 4 against jobs 1");
+    expect_report_matches_oracle(want, sta::run_sta(design, serial_options),
+                                 "jobs 1 against run_sta");
+    expect_summaries_match_scan(got, "jobs 4 rebuild");
+  }
+  int dead_cells = 0;
+  for (std::int32_t i = 0; i < design.cell_count(); ++i)
+    if (design.cell(netlist::CellId{i}).dead) ++dead_cells;
+  EXPECT_GT(dead_cells, 0);
+  EXPECT_EQ(serial.stats().full_builds, 4u);
+}
 
 }  // namespace
 }  // namespace mbrc
