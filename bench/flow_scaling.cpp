@@ -17,7 +17,11 @@
 // (sta.engine.skew_entries_scanned), which grows with the serial tail's
 // skew diffs, and the net sink-list slots the rewires touched
 // (netlist.sink_entries_scanned), which grows with the splices' sink
-// removals.
+// removals. The timing repairs' work is recorded twice: the pins they
+// re-gathered (sta.engine.repaired_pins, a histogram's sum) and the
+// frontier bitmap and summary words their level sweeps read
+// (sta.engine.frontier_words_scanned), which must grow with the first,
+// not with the levels' widths.
 //
 // Wall times are measurement, not contract: on a single-core host
 // (hardware_threads 1 in the JSON) every jobs value runs the same work on
@@ -77,7 +81,12 @@ const char* const kRecordedCounters[] = {
     "place.legalize.row_probes",       "place.legalize.gap_steps",
     "mbr.candidates.enumerated",       "flow.candidates.dropped_infinite_weight",
     "mbr.candidates.pruned_subtrees",  "mbr.candidates.hulls",
-    "sta.engine.skew_entries_scanned", "netlist.sink_entries_scanned"};
+    "sta.engine.skew_entries_scanned", "netlist.sink_entries_scanned",
+    "sta.engine.frontier_words_scanned"};
+
+// Histograms whose sums are recorded with the counters, under their own
+// names.
+const char* const kRecordedHistogramSums[] = {"sta.engine.repaired_pins"};
 
 }  // namespace
 
@@ -143,6 +152,11 @@ int main() {
         const auto it = result.counters.counters.find(name);
         run.counters[name] =
             it == result.counters.counters.end() ? 0 : it->second;
+      }
+      for (const char* name : kRecordedHistogramSums) {
+        const auto it = result.counters.histograms.find(name);
+        run.counters[name] =
+            it == result.counters.histograms.end() ? 0 : it->second.sum;
       }
 
       std::cout << "  jobs " << jobs << ": " << run.flow_seconds

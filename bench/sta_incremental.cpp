@@ -13,9 +13,11 @@
 // results as machine-readable JSON (BENCH_sta_incremental.json by default,
 // or argv[1]).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
@@ -143,6 +145,8 @@ int main(int argc, char** argv) {
   obs::JsonWriter w(out);
   w.begin_object();
   w.kv("schema", 1).kv("bench", "sta_incremental");
+  w.kv("hardware_threads",
+       static_cast<std::int64_t>(std::thread::hardware_concurrency()));
   w.key("design").begin_object();
   w.kv("profile", largest->name)
       .kv("register_cells", largest->register_cells)

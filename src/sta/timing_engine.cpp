@@ -1,9 +1,11 @@
 #include "sta/timing_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <future>
+#include <limits>
 #include <tuple>
+#include <utility>
 
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -25,17 +27,32 @@ using netlist::PinRole;
 constexpr double kNsPerKohmFf = 1e-3;
 
 // Pins per parallel_for task in the full-build passes: liveness, the CSR
-// count and fill, the launch and endpoint seeds, and the level sweeps. The
-// incremental repair does not split a level: its forward and backward
-// sweeps each stay one serial worklist, and with jobs > 1 the two run side
-// by side (see repair()).
+// count, fill and transpose, the launch and endpoint seeds, and the level
+// sweeps.
 constexpr std::size_t kLevelGrain = 256;
 
-// Seed pins each repair frontier needs before the forward and backward
-// sweeps run concurrently. A service edit or a sizing swap seeds under 128
-// pins per side (most under 64) and its repair costs microseconds, below
-// the cost of a pool hand-off; a useful-skew pass on D1x10 seeds 8k-32k.
-constexpr std::size_t kConcurrentRepairMin = 256;
+// A level with more dirty frontier words than kSerialWords (2048 positions)
+// is swept on the pool in chunks of kChunkWords words, one per task; a
+// smaller one (every level of a service edit or a sizing swap) is one chunk
+// on the calling thread.
+constexpr std::size_t kSerialWords = 32;
+constexpr std::size_t kChunkWords = 8;
+
+// Pin ranges of the parallel CSR transpose (see build_edges); fixed, so the
+// work split does not depend on `jobs`.
+constexpr std::size_t kTransposeParts = 64;
+
+// Registers per task when a skew diff refreshes register seeds.
+constexpr std::size_t kSeedGrain = 64;
+
+// The bits of a 64-bit word at global bit indices [first, last], for the
+// word whose bit 0 has global index `base`.
+std::uint64_t range_mask(std::size_t base, std::size_t first,
+                         std::size_t last) {
+  const std::size_t lo = first > base ? first - base : 0;
+  const std::size_t hi = std::min<std::size_t>(last - base, 63);
+  return (~std::uint64_t{0} >> (63 - hi)) & (~std::uint64_t{0} << lo);
+}
 
 bool is_launch_role(PinRole role) {
   return role == PinRole::kQ || role == PinRole::kScanOut;
@@ -219,27 +236,74 @@ void TimingEngine::build_edges(const std::vector<std::uint8_t>& live) {
     });
   });
 
+  // The transpose, as a stable counting sort of the edges by head pin, in
+  // parallel and without atomics. The pins are cut into kTransposeParts
+  // ranges. Each range of tail pins counts its edges per range of head pins
+  // and then scatters them, in edge order, into its slice of that head
+  // range's list; each head range then fills its own pins' rows from its
+  // list. A row thus lists its entries in edge order, the serial fill's
+  // order, at any `jobs`.
+  const std::size_t parts = kTransposeParts;
+  const std::size_t width = (static_cast<std::size_t>(n) + parts - 1) / parts;
+  const auto part_range = [&](std::size_t part) {
+    const std::size_t lo = std::min(static_cast<std::size_t>(n), part * width);
+    return std::pair{lo, std::min(static_cast<std::size_t>(n), lo + width)};
+  };
+  // slice[head * parts + tail]: that pair's edge count, then its offset.
+  std::vector<std::size_t> slice(parts * parts + 1, 0);
+  runtime::parallel_for(pool, options_.jobs, parts, 1, [&](std::size_t tail) {
+    std::vector<std::size_t> count(parts, 0);
+    const auto [lo, hi] = part_range(tail);
+    for (int e = succ_offset_[lo]; e < succ_offset_[hi]; ++e)
+      ++count[static_cast<std::size_t>(succ_to_[e]) / width];
+    for (std::size_t head = 0; head < parts; ++head)
+      slice[head * parts + tail] = count[head];
+  });
+  std::size_t total = 0;
+  for (std::size_t& entry : slice) total += std::exchange(entry, total);
+  // Edges grouped by head range, and their tail pins.
+  std::vector<std::int32_t> by_head(edges);
+  std::vector<std::int32_t> tail_of(edges);
+  runtime::parallel_for(pool, options_.jobs, parts, 1, [&](std::size_t tail) {
+    std::vector<std::size_t> cursor(parts);
+    for (std::size_t head = 0; head < parts; ++head)
+      cursor[head] = slice[head * parts + tail];
+    const auto [lo, hi] = part_range(tail);
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (int e = succ_offset_[i]; e < succ_offset_[i + 1]; ++e) {
+        const std::size_t at =
+            cursor[static_cast<std::size_t>(succ_to_[e]) / width]++;
+        by_head[at] = e;
+        tail_of[at] = static_cast<std::int32_t>(i);
+      }
+    }
+  });
   pred_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (std::size_t e = 0; e < edges; ++e)
-    ++pred_offset_[static_cast<std::size_t>(succ_to_[e]) + 1];
+  runtime::parallel_for(pool, options_.jobs, parts, 1, [&](std::size_t head) {
+    for (std::size_t k = slice[head * parts]; k < slice[(head + 1) * parts];
+         ++k)
+      ++pred_offset_[succ_to_[by_head[k]] + 1];
+  });
   for (int i = 0; i < n; ++i) pred_offset_[i + 1] += pred_offset_[i];
   pred_to_.resize(edges);
   pred_delay_.resize(edges);
   pred_succ_index_.resize(edges);
   std::vector<int> cursor(pred_offset_.begin(), pred_offset_.end() - 1);
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (int e = succ_offset_[i]; e < succ_offset_[i + 1]; ++e) {
+  runtime::parallel_for(pool, options_.jobs, parts, 1, [&](std::size_t head) {
+    for (std::size_t k = slice[head * parts]; k < slice[(head + 1) * parts];
+         ++k) {
+      const int e = by_head[k];
       const int at = cursor[succ_to_[e]]++;
-      pred_to_[at] = i;
+      pred_to_[at] = tail_of[k];
       pred_delay_[at] = succ_delay_[e];
       pred_succ_index_[at] = e;
       succ_pred_index_[e] = at;
     }
-  }
+  });
 }
 
-// Kahn's algorithm over the cached CSR: topo order plus levels (longest
-// edge distance from a source). Every edge goes from a lower level to a
+// Kahn's algorithm over the cached CSR: topo order, levels (longest edge
+// distance from a source) and each pin's position in the order. Every edge goes from a lower level to a
 // strictly higher one, so one level's pins can be gathered independently
 // and a dirty pin's repair can only dirty higher (forward) or lower
 // (backward) levels.
@@ -285,6 +349,10 @@ void TimingEngine::topo_and_levels(const std::vector<std::uint8_t>& live) {
                     "Kahn order is not sorted by level");
   }
   level_begin_.push_back(topo_.size());
+
+  pos_of_.assign(n, -1);
+  for (std::size_t k = 0; k < topo_.size(); ++k)
+    pos_of_[topo_[k].index] = static_cast<std::int32_t>(k);
 }
 
 // Seeds, level sweeps and endpoint collection: the values are exactly
@@ -399,13 +467,10 @@ void TimingEngine::full_build() {
   topo_and_levels(live);
   seed_and_propagate();
 
-  fwd_stamp_.assign(n, 0);
-  bwd_stamp_.assign(n, 0);
   ep_stamp_.assign(n, 0);
   net_stamp_.assign(static_cast<std::size_t>(design_.net_count()), 0);
-  const std::size_t levels = level_begin_.empty() ? 0 : level_begin_.size() - 1;
-  fwd_bucket_.assign(levels, {});
-  bwd_bucket_.assign(levels, {});
+  fwd_.reset(topo_.size());
+  bwd_.reset(topo_.size());
   epoch_ = 0;
   changed_pins_.clear();
   changed_flag_.assign(n, 0);
@@ -414,12 +479,6 @@ void TimingEngine::full_build() {
 void TimingEngine::clear_changed_pins() {
   for (const std::int32_t pin : changed_pins_) changed_flag_[pin] = 0;
   changed_pins_.clear();
-}
-
-void TimingEngine::log_change(std::int32_t pin) {
-  if (changed_flag_[pin] != 0) return;
-  changed_flag_[pin] = 1;
-  changed_pins_.push_back(pin);
 }
 
 const TimingReport& TimingEngine::update(const SkewMap& skew) {
@@ -465,78 +524,92 @@ const TimingReport& TimingEngine::sync(const SkewMap* skew) {
   return report_;
 }
 
-// Repairs the seeded frontiers. The forward side (arrivals, endpoint slacks,
-// the failing index) and the backward side (required times) read and write
-// disjoint data: required times gather over successors' required times and
-// edge delays only, never over arrivals. So with jobs > 1, pool workers and
-// both frontiers wide, the backward sweep runs on the pool while this
-// thread runs the forward one.
-// Either way the backward side's changed pins are logged after the forward
-// side's, so changed_pins() has the serial order at any jobs count.
+// Repairs the seeded frontiers: the forward sweep and the endpoints it
+// re-filed, then the backward sweep. Required times gather over successors'
+// required times and edge delays only, never over arrivals, so the order of
+// the two sweeps changes no value; it fixes the change log's order.
 void TimingEngine::repair() {
-  const auto frontier = [](const std::vector<std::vector<std::int32_t>>& buckets,
-                           std::int32_t lo, std::int32_t hi) {
-    std::size_t pins = 0;
-    for (std::int32_t level = lo; level <= hi; ++level)
-      pins += buckets[level].size();
-    return pins;
-  };
-  runtime::ThreadPool& pool = runtime::ThreadPool::global();
-  const bool concurrent =
-      options_.jobs > 1 && pool.worker_count() > 0 &&
-      frontier(fwd_bucket_, fwd_lo_, fwd_hi_) >= kConcurrentRepairMin &&
-      frontier(bwd_bucket_, bwd_lo_, bwd_hi_) >= kConcurrentRepairMin;
-
-  RepairTally forward;
-  RepairTally backward;
-  if (concurrent) {
-    std::future<RepairTally> backward_future;
-    // The task captures this engine by reference; the drain guard keeps
-    // every exit path from leaving it running.
-    runtime::FutureDrain frame_drain(pool);
-    backward_future = pool.async([this] { return repair_backward(); });
-    frame_drain.watch(backward_future);
-    forward = repair_forward();
-    refresh_endpoints();
-    backward = runtime::help_get(pool, std::move(backward_future));
-    ++stats_.concurrent_repairs;
-  } else {
-    forward = repair_forward();
-    refresh_endpoints();
-    backward = repair_backward();
-  }
-  for (const std::int32_t pin : bwd_changed_) log_change(pin);
-  bwd_changed_.clear();
+  const RepairTally forward = sweep(true);
+  refresh_endpoints();
+  const RepairTally backward = sweep(false);
   stats_.last_repaired_pins += forward.repaired + backward.repaired;
   stats_.early_stops += forward.early + backward.early;
 }
 
 void TimingEngine::begin_epoch() {
   ++epoch_;
-  fwd_lo_ = static_cast<std::int32_t>(fwd_bucket_.size());
-  fwd_hi_ = -1;
-  bwd_lo_ = static_cast<std::int32_t>(bwd_bucket_.size());
-  bwd_hi_ = -1;
   ep_marks_.clear();
   stats_.last_repaired_pins = 0;
 }
 
+void TimingEngine::Frontier::reset(std::size_t positions) {
+  std::size_t words = positions;
+  for (auto& bits : layer) {
+    words = (words + 63) / 64;
+    bits.assign(words, 0);
+  }
+  lo = std::numeric_limits<std::int32_t>::max();
+  hi = -1;
+}
+
+void TimingEngine::Frontier::set(std::size_t pos) {
+  for (int k = 0; k < kLayers; ++k, pos /= 64) {
+    std::uint64_t& word = layer[k][pos / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    if ((word & bit) != 0) return;  // its summary bits are set already
+    word |= bit;
+  }
+}
+
+std::uint64_t TimingEngine::Frontier::collect(
+    std::size_t begin, std::size_t end, std::vector<std::size_t>& out) const {
+  std::uint64_t read = 0;
+  // Walks the words [lo_word, hi_word] of layer k. A layer-k bit stands for
+  // 64^k positions, so the range's bits there are [begin, end - 1] >> 6k.
+  const auto walk = [&](const auto& self, int k, std::size_t lo_word,
+                        std::size_t hi_word) -> void {
+    const std::size_t first = begin >> (6 * k);
+    const std::size_t last = (end - 1) >> (6 * k);
+    for (std::size_t w = lo_word; w <= hi_word; ++w) {
+      ++read;
+      std::uint64_t bits = layer[k][w] & range_mask(w * 64, first, last);
+      if (k == 0) {
+        if (bits != 0) out.push_back(w);
+        continue;
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        const std::size_t child =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        self(self, k - 1, child, child);
+      }
+    }
+  };
+  constexpr int kTop = kLayers - 1;
+  walk(walk, kTop, begin >> (6 * kLayers), (end - 1) >> (6 * kLayers));
+  return read;
+}
+
+void TimingEngine::Frontier::clear_summaries(
+    const std::vector<std::size_t>& words) {
+  for (const std::size_t w : words) {
+    std::size_t index = w;
+    for (int k = 1; k < kLayers && layer[k - 1][index] == 0; ++k) {
+      layer[k][index / 64] &= ~(std::uint64_t{1} << (index % 64));
+      index /= 64;
+    }
+  }
+}
+
 void TimingEngine::mark_forward(std::int32_t pin) {
-  if (fwd_stamp_[pin] == epoch_) return;
-  fwd_stamp_[pin] = epoch_;
-  const std::int32_t level = level_of_[pin];
-  fwd_bucket_[level].push_back(pin);
-  fwd_lo_ = std::min(fwd_lo_, level);
-  fwd_hi_ = std::max(fwd_hi_, level);
+  fwd_.set(static_cast<std::size_t>(pos_of_[pin]));
+  fwd_.lo = std::min(fwd_.lo, level_of_[pin]);
+  fwd_.hi = std::max(fwd_.hi, level_of_[pin]);
 }
 
 void TimingEngine::mark_backward(std::int32_t pin) {
-  if (bwd_stamp_[pin] == epoch_) return;
-  bwd_stamp_[pin] = epoch_;
-  const std::int32_t level = level_of_[pin];
-  bwd_bucket_[level].push_back(pin);
-  bwd_lo_ = std::min(bwd_lo_, level);
-  bwd_hi_ = std::max(bwd_hi_, level);
+  bwd_.set(static_cast<std::size_t>(pos_of_[pin]));
+  bwd_.lo = std::min(bwd_.lo, level_of_[pin]);
+  bwd_.hi = std::max(bwd_.hi, level_of_[pin]);
 }
 
 void TimingEngine::mark_endpoint(std::int32_t pin) {
@@ -548,8 +621,11 @@ void TimingEngine::mark_endpoint(std::int32_t pin) {
 // Refreshes the seeds that depend on a register's own parameters: launch
 // arrivals on the Q side (skew, intrinsic/drive, load) and endpoint
 // requirements on the D side (skew, setup/hold). Reachability cannot change
-// without a topology edit, so the endpoint *set* is stable here.
-void TimingEngine::refresh_register_seeds(CellId reg) {
+// without a topology edit, so the endpoint *set* is stable here. Writes only
+// the register's own pins' seeds and appends the pins whose seed moved to
+// `moved`, for mark_seed.
+void TimingEngine::refresh_register_seeds(CellId reg,
+                                          std::vector<std::int32_t>& moved) {
   const netlist::Cell& cell = design_.cell(reg);
   for (const PinId pin_id : cell.pins) {
     const Pin& p = design_.pin(pin_id);
@@ -558,7 +634,7 @@ void TimingEngine::refresh_register_seeds(CellId reg) {
       const double seed = launch_seed(pin_id);
       if (seed != seed_arrival_[i]) {
         seed_arrival_[i] = seed;
-        mark_forward(i);
+        moved.push_back(i);
       }
     } else if (is_endpoint_role(p.role) && p.net.valid()) {
       const double req = setup_required(reg);
@@ -569,11 +645,21 @@ void TimingEngine::refresh_register_seeds(CellId reg) {
       if (req != seed_required_[i] || hold_seed != seed_required_min_[i]) {
         seed_required_[i] = req;
         seed_required_min_[i] = hold_seed;
-        mark_backward(i);
-        if (endpoint_slot_[i] >= 0) mark_endpoint(i);
+        moved.push_back(i);
       }
     }
   }
+}
+
+// A register pin whose seed moved: a launch pin repairs forward, an
+// endpoint pin backward, and a reported endpoint re-files its slacks.
+void TimingEngine::mark_seed(std::int32_t pin) {
+  if (is_launch_role(design_.pin(PinId{pin}).role)) {
+    mark_forward(pin);
+    return;
+  }
+  mark_backward(pin);
+  if (endpoint_slot_[pin] >= 0) mark_endpoint(pin);
 }
 
 // Re-evaluates every cached edge delay that depends on `net`: the cell arcs
@@ -631,7 +717,11 @@ void TimingEngine::touch_cell(CellId cell_id) {
     const Pin& p = design_.pin(pin_id);
     if (p.net.valid()) touch_net(p.net);
   }
-  if (cell.kind == CellKind::kRegister) refresh_register_seeds(cell_id);
+  if (cell.kind == CellKind::kRegister) {
+    seed_moves_.clear();
+    refresh_register_seeds(cell_id, seed_moves_);
+    for (const std::int32_t pin : seed_moves_) mark_seed(pin);
+  }
 }
 
 void TimingEngine::apply_skew_diff(const SkewMap& skew) {
@@ -655,70 +745,154 @@ void TimingEngine::apply_skew_diff(const SkewMap& skew) {
   std::sort(changed.begin(), changed.end());
   changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
   current_skew_ = skew;
-  for (const CellId cell : changed) {
+  std::erase_if(changed, [&](CellId cell) {
     const netlist::Cell& c = design_.cell(cell);
-    if (c.dead || c.kind != CellKind::kRegister) continue;
-    refresh_register_seeds(cell);
-  }
+    return c.dead || c.kind != CellKind::kRegister;
+  });
+  // Each register rewrites only its own pins' seeds, so chunks of registers
+  // run in parallel; the moved pins are marked after, in register order.
+  std::vector<std::vector<std::int32_t>> moved(
+      (changed.size() + kSeedGrain - 1) / kSeedGrain);
+  runtime::parallel_for(
+      options_.jobs > 1 ? &runtime::ThreadPool::global() : nullptr,
+      options_.jobs, moved.size(), 1, [&](std::size_t c) {
+        const std::size_t stop =
+            std::min(changed.size(), (c + 1) * kSeedGrain);
+        for (std::size_t i = c * kSeedGrain; i < stop; ++i)
+          refresh_register_seeds(changed[i], moved[c]);
+      });
+  for (const auto& pins : moved)
+    for (const std::int32_t pin : pins) mark_seed(pin);
 }
 
-// Worklist repair of the max/min arrivals, ascending over the cached
-// levels. A pin's new value is a gather over the same operand set the full
-// sweep folds, so the result is bit-identical; when it equals the cached
-// value the cone is not expanded further (early termination).
-TimingEngine::RepairTally TimingEngine::repair_forward() {
-  auto& arrival = report_.arrival;
-  auto& arrival_min = report_.arrival_min;
+// Repairs one direction's frontier level by level: arrivals in ascending
+// levels (forward), required times in descending levels (backward). A dirty
+// pin re-gathers over the same operand set the full sweep folds, so its
+// value is bit-identical; when it equals the cached value the cone is not
+// expanded further (early termination), otherwise the pin marks its
+// successors (forward) or predecessors (backward), all in levels still to
+// come. Each level's dirty words are split into fixed chunks of
+// kChunkWords; chunks write disjoint pins and their own slots, and are
+// folded in chunk order, so the log, the tallies and the counter below are
+// the same at every `jobs`.
+TimingEngine::RepairTally TimingEngine::sweep(bool forward) {
+  static obs::Counter& c_words =
+      obs::counter("sta.engine.frontier_words_scanned");
+  Frontier& frontier = forward ? fwd_ : bwd_;
   RepairTally tally;
-  for (std::int32_t level = fwd_lo_; level <= fwd_hi_; ++level) {
-    auto& bucket = fwd_bucket_[level];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      const std::int32_t pin = bucket[k];
-      const auto [a, a_min] = gather_arrival(pin);
-      ++tally.repaired;
-      if (a == arrival[pin] && a_min == arrival_min[pin]) {
-        ++tally.early;
-        continue;
-      }
-      arrival[pin] = a;
-      arrival_min[pin] = a_min;
-      log_change(pin);
-      if (endpoint_slot_[pin] >= 0) mark_endpoint(pin);
-      for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e)
-        mark_forward(succ_to_[e]);  // strictly higher levels only
+  if (frontier.lo > frontier.hi) return tally;
+  runtime::ThreadPool* pool =
+      options_.jobs > 1 ? &runtime::ThreadPool::global() : nullptr;
+  std::uint64_t words_read = 0;
+  const std::int32_t step = forward ? 1 : -1;
+  std::int32_t level = forward ? frontier.lo : frontier.hi;
+  // The furthest position marked so far; levels are position ranges, so
+  // the sweep ends at the level that holds it.
+  std::int32_t reach = static_cast<std::int32_t>(
+      forward ? level_begin_[frontier.hi + 1] - 1 : level_begin_[frontier.lo]);
+  for (;; level += step) {
+    const std::size_t begin = level_begin_[level];
+    const std::size_t end = level_begin_[level + 1];
+    dirty_words_.clear();
+    words_read += frontier.collect(begin, end, dirty_words_);
+    const std::size_t chunk_words =
+        dirty_words_.size() <= kSerialWords ? kSerialWords : kChunkWords;
+    const std::size_t chunks =
+        (dirty_words_.size() + chunk_words - 1) / chunk_words;
+    if (slots_.size() < chunks) slots_.resize(chunks);
+    if (chunks > 1) ++stats_.split_levels;
+    runtime::parallel_for(pool, options_.jobs, chunks, 1, [&](std::size_t c) {
+      sweep_chunk(forward, begin, end, c * chunk_words,
+                  std::min(dirty_words_.size(), (c + 1) * chunk_words),
+                  slots_[c]);
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      ChunkSlot& slot = slots_[c];
+      tally.repaired += slot.tally.repaired;
+      tally.early += slot.tally.early;
+      changed_pins_.insert(changed_pins_.end(), slot.changed.begin(),
+                           slot.changed.end());
+      ep_marks_.insert(ep_marks_.end(), slot.endpoints.begin(),
+                       slot.endpoints.end());
+      for (const std::int32_t pos : slot.marks) frontier.set(pos);
+      reach = forward ? std::max(reach, slot.reach) : std::min(reach, slot.reach);
+      slot.changed.clear();
+      slot.endpoints.clear();
+      slot.marks.clear();
     }
-    bucket.clear();
+    frontier.clear_summaries(dirty_words_);
+    if (forward ? static_cast<std::size_t>(reach) < end
+                : static_cast<std::size_t>(reach) >= begin)
+      break;
   }
+  frontier.lo = std::numeric_limits<std::int32_t>::max();
+  frontier.hi = -1;
+  c_words.add(static_cast<std::int64_t>(words_read));
   return tally;
 }
 
-// Mirror image of repair_forward: required times, descending levels,
-// gathering over successors. Touches only required*, bwd_* and its own
-// change list bwd_changed_ (repair() merges that into the log), so it may
-// run beside repair_forward.
-TimingEngine::RepairTally TimingEngine::repair_backward() {
-  auto& required = report_.required;
-  auto& req_min = report_.required_min;
-  RepairTally tally;
-  for (std::int32_t level = bwd_hi_; level >= bwd_lo_; --level) {
-    auto& bucket = bwd_bucket_[level];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      const std::int32_t pin = bucket[k];
-      const auto [r, r_min] = gather_required(pin);
-      ++tally.repaired;
-      if (r == required[pin] && r_min == req_min[pin]) {
-        ++tally.early;
+// One chunk of a level's dirty words: takes the level's bits out of each
+// word (its other bits belong to other levels), then gathers, compares and
+// writes each pin in position order. The chunk owns its words and its pins;
+// the pins it logs and the marks it makes go into its slot, and the caller
+// appends and sets them.
+void TimingEngine::sweep_chunk(bool forward, std::size_t begin,
+                               std::size_t end, std::size_t first,
+                               std::size_t stop, ChunkSlot& slot) {
+  Frontier& frontier = forward ? fwd_ : bwd_;
+  auto& value = forward ? report_.arrival : report_.required;
+  auto& value_min = forward ? report_.arrival_min : report_.required_min;
+  slot.tally = {};
+  slot.reach = forward ? -1 : std::numeric_limits<std::int32_t>::max();
+  // The chunk's pins first, in position order: independent loads of topo_
+  // that overlap, where a load per pin behind its gather would not.
+  slot.pins.clear();
+  for (std::size_t k = first; k < stop; ++k) {
+    const std::size_t w = dirty_words_[k];
+    const std::uint64_t mask = range_mask(w * 64, begin, end - 1);
+    std::uint64_t bits = frontier.layer[0][w] & mask;
+    frontier.layer[0][w] &= ~mask;
+    for (; bits != 0; bits &= bits - 1)
+      slot.pins.push_back(
+          topo_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
+              .index);
+  }
+  for (const std::int32_t pin : slot.pins) {
+    {
+      const auto [v, v_min] =
+          forward ? gather_arrival(pin) : gather_required(pin);
+      ++slot.tally.repaired;
+      if (v == value[pin] && v_min == value_min[pin]) {
+        ++slot.tally.early;
         continue;
       }
-      required[pin] = r;
-      req_min[pin] = r_min;
-      bwd_changed_.push_back(pin);
-      for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e)
-        mark_backward(pred_to_[e]);  // strictly lower levels only
+      value[pin] = v;
+      value_min[pin] = v_min;
+      // The pin is this chunk's alone in this sweep, and so are its flag
+      // and stamp: log_change and mark_endpoint, without the shared lists.
+      if (changed_flag_[pin] == 0) {
+        changed_flag_[pin] = 1;
+        slot.changed.push_back(pin);
+      }
+      if (forward) {
+        if (endpoint_slot_[pin] >= 0 && ep_stamp_[pin] != epoch_) {
+          ep_stamp_[pin] = epoch_;
+          slot.endpoints.push_back(pin);
+        }
+        for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e) {
+          const std::int32_t mark = pos_of_[succ_to_[e]];
+          slot.marks.push_back(mark);
+          slot.reach = std::max(slot.reach, mark);
+        }
+      } else {
+        for (int e = pred_offset_[pin]; e < pred_offset_[pin + 1]; ++e) {
+          const std::int32_t mark = pos_of_[pred_to_[e]];
+          slot.marks.push_back(mark);
+          slot.reach = std::min(slot.reach, mark);
+        }
+      }
     }
-    bucket.clear();
   }
-  return tally;
 }
 
 void TimingEngine::refresh_endpoints() {

@@ -27,16 +27,21 @@
 //
 // Work split. The full build evaluates each cell-arc delay once per output
 // pin and fills the CSR rows in parallel, each pin at its precomputed
-// offset; its liveness, launch-seed and endpoint-seed passes also run per
-// pin in parallel. Kahn's topological order and the endpoint list stay
-// serial, because they fix the order endpoints are reported in; Kahn's FIFO
-// order is also sorted by level, so the level sweeps read it directly.
-// A repair's forward side (arrivals, endpoint slacks and the report's
-// failing-endpoint index) and backward side (required times) write disjoint
-// data, so with jobs > 1, pool workers and both seeded frontiers wide the
-// backward sweep runs on the pool beside the forward one. Its changed pins
-// are logged after the forward side's, the serial order, whichever side
-// finishes first.
+// offset, and the transpose as a counting sort over fixed pin ranges that
+// keeps the serial fill's order. Its liveness, launch-seed and endpoint-seed
+// passes also run per pin in parallel. Kahn's topological order and the
+// endpoint list stay serial, because they fix the order endpoints are
+// reported in; Kahn's FIFO order is also sorted by level, so each level is
+// one range of positions in it. A repair keeps one dirty bit per position
+// (plus two summary layers, so a level with no dirty pins costs a word or
+// two) for each direction. The forward sweep (arrivals, endpoint slacks and
+// the report's failing-endpoint index) runs in ascending levels, then the
+// backward sweep (required times) in descending levels. A level with more
+// than 32 dirty words is split into chunks of 8 words on the pool; each
+// chunk writes only its own pins and a slot of its own (the pins it logged,
+// the marks it made), and the calling thread folds the slots in chunk
+// order, so nothing a repair yields depends on `jobs`. A skew diff also
+// refreshes its registers' seeds in parallel, each register its own pins.
 //
 // The engine is the report's only writer. Wherever it writes an endpoint's
 // slacks (the full build's endpoint pass, refresh_endpoints) it re-files
@@ -51,6 +56,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -95,25 +101,35 @@ public:
     /// Pins re-gathered by the last incremental repair (0 after a full
     /// build); the dirty-cone size, the engine's unit of work.
     std::size_t last_repaired_pins = 0;
-    /// Repairs whose forward and backward sweeps ran side by side. Depends
-    /// on `jobs` and the pool's workers, so it stays out of the obs counter
-    /// registry.
-    std::uint64_t concurrent_repairs = 0;
+    /// Repair level sweeps split into more than one chunk (cumulative).
+    /// The split depends only on the dirty pins, not on `jobs`; with
+    /// jobs > 1 and pool workers the chunks run on the pool.
+    std::uint64_t split_levels = 0;
   };
   const Stats& stats() const { return stats_; }
 
   /// Change log for observers that derive data from the report (the
   /// service session's compatibility graph): every pin whose arrival or
   /// required time, setup or hold side, changed in an incremental repair
-  /// since the last clear_changed_pins(), each listed once, in repair
-  /// order. These are exactly the pins the repair did not early-stop on,
-  /// and a register endpoint's slack moves only with them. A full build
-  /// empties the log: observers detect it by stats().full_builds moving
-  /// and must then treat every pin as changed.
+  /// since the last clear_changed_pins(), each listed once. A repair
+  /// appends its forward changes, then the backward changes not already
+  /// logged, each sweep in its level order (ascending forward, descending
+  /// backward) and in topological order within a level; the order is the
+  /// same at every `jobs`. These are exactly the pins the repair did not
+  /// early-stop on, and a register endpoint's slack moves only with them.
+  /// A full build empties the log: observers detect it by
+  /// stats().full_builds moving and must then treat every pin as changed.
   const std::vector<std::int32_t>& changed_pins() const {
     return changed_pins_;
   }
   void clear_changed_pins();
+
+  /// The levelized graph, for tests of the change log's order: Kahn's
+  /// topological order of the live pins (sorted by level) and a pin's level.
+  const std::vector<netlist::PinId>& topo_order() const { return topo_; }
+  std::int32_t level_of(netlist::PinId pin) const {
+    return level_of_[pin.index];
+  }
 
 private:
   // --- delay model (identical to run_sta's; see sta.hpp header note) -----
@@ -146,20 +162,54 @@ private:
     std::size_t repaired = 0;
     std::uint64_t early = 0;
   };
+  /// One direction's dirty pins: a bit per position of `topo_` (layer 0),
+  /// a bit per nonzero word of the layer below (layers 1 and 2), and the
+  /// range of levels touched. A set bit always has its summary bits set;
+  /// a summary bit may outlive its word's bits until the sweep clears it.
+  /// Only the calling thread sets bits; a chunk takes bits out of the
+  /// layer-0 words it owns.
+  struct Frontier {
+    static constexpr int kLayers = 3;
+    std::vector<std::uint64_t> layer[kLayers];
+    std::int32_t lo = std::numeric_limits<std::int32_t>::max(), hi = -1;
+
+    void reset(std::size_t positions);
+    /// Sets `pos`'s bit and its summary bits.
+    void set(std::size_t pos);
+    /// Appends, ascending, every layer-0 word holding a set bit in
+    /// positions [begin, end); returns the words read on all layers.
+    std::uint64_t collect(std::size_t begin, std::size_t end,
+                          std::vector<std::size_t>& out) const;
+    /// Clears the summary bits of those `words` that are now zero.
+    void clear_summaries(const std::vector<std::size_t>& words);
+  };
+  /// What one chunk of a level's dirty words yields, folded in chunk order.
+  struct ChunkSlot {
+    std::vector<std::int32_t> pins;       // the chunk's dirty pins
+    std::vector<std::int32_t> changed;    // pins whose value moved
+    std::vector<std::int32_t> endpoints;  // changed pins that are endpoints
+    std::vector<std::int32_t> marks;      // positions to mark, later levels
+    RepairTally tally;
+    std::int32_t reach = 0;  // furthest position marked
+  };
   const TimingReport& sync(const SkewMap* skew);
   void begin_epoch();
   void touch_cell(netlist::CellId cell);
   void touch_net(netlist::NetId net);
-  void refresh_register_seeds(netlist::CellId reg);
+  void refresh_register_seeds(netlist::CellId reg,
+                              std::vector<std::int32_t>& moved);
+  void mark_seed(std::int32_t pin);
   void apply_skew_diff(const SkewMap& skew);
   void mark_forward(std::int32_t pin);
   void mark_backward(std::int32_t pin);
   void mark_endpoint(std::int32_t pin);
   void repair();
-  RepairTally repair_forward();
-  RepairTally repair_backward();
+  RepairTally sweep(bool forward);
+  /// Sweeps dirty_words_[first, stop) of the level at positions
+  /// [begin, end).
+  void sweep_chunk(bool forward, std::size_t begin, std::size_t end,
+                   std::size_t first, std::size_t stop, ChunkSlot& slot);
   void refresh_endpoints();
-  void log_change(std::int32_t pin);
 
   const netlist::Design& design_;
   const TimingOptions options_;
@@ -181,6 +231,7 @@ private:
   std::vector<double> pred_delay_;
   std::vector<std::int32_t> pred_succ_index_;
   std::vector<netlist::PinId> topo_;
+  std::vector<std::int32_t> pos_of_;  // pin -> index in topo_ (-1 if dead)
   std::vector<std::int32_t> level_of_;
   std::vector<std::size_t> level_begin_;  // level -> first topo_ index
 
@@ -194,24 +245,21 @@ private:
 
   TimingReport report_;
 
-  // Dirty tracking, epoch-stamped so nothing is cleared between updates.
+  // Dirty tracking. Nets and endpoints are epoch-stamped, so nothing is
+  // cleared between updates; a sweep leaves its frontier empty.
   std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> fwd_stamp_;
-  std::vector<std::uint64_t> bwd_stamp_;
   std::vector<std::uint64_t> net_stamp_;
   std::vector<std::uint64_t> ep_stamp_;
-  std::vector<std::vector<std::int32_t>> fwd_bucket_;  // by level
-  std::vector<std::vector<std::int32_t>> bwd_bucket_;
-  std::int32_t fwd_lo_ = 0, fwd_hi_ = -1;  // touched level range
-  std::int32_t bwd_lo_ = 0, bwd_hi_ = -1;
+  Frontier fwd_;
+  Frontier bwd_;
   std::vector<std::int32_t> ep_marks_;
+  std::vector<std::int32_t> seed_moves_;  // touch_cell's, reused
+  std::vector<std::size_t> dirty_words_;  // the swept level's, reused
+  std::vector<ChunkSlot> slots_;          // reused across levels
 
   // Change log (see changed_pins()); the flag keeps each pin in it once.
-  // The backward sweep collects into bwd_changed_, merged after the forward
-  // side's entries once both sweeps are done.
   std::vector<std::int32_t> changed_pins_;
   std::vector<std::uint8_t> changed_flag_;
-  std::vector<std::int32_t> bwd_changed_;
 
   Stats stats_;
 };

@@ -3,12 +3,16 @@
 // merges, TimingEngine::update() is bit-identical to a from-scratch
 // run_sta() -- every arrival, required time and endpoint slack, at jobs = 1
 // and jobs > 1. The engine must also actually be incremental: topology-
-// preserving edit sequences may trigger exactly one full build. Wide
-// repairs at jobs > 1 run their forward and backward sweeps side by side;
-// the report and the change log must still equal the serial repair's, and
-// refresh() must equal update() under an unchanged skew. The report's
-// failing-endpoint index must give the same aggregates as a full scan of
-// its endpoints after every build and repair.
+// preserving edit sequences may trigger exactly one full build. A repair
+// sweeps each level's dirty bits, and a wide level is split into chunks that
+// run on the pool at jobs > 1: at jobs 1, 2 and 4 the report, the tallies
+// and the change log must equal the jobs 1 repair's, the log must hold
+// exactly the moved pins in the documented order (forward changes, then new
+// backward changes, each by level and topological position), and a level
+// boundary inside a frontier word must repair both levels. refresh() must
+// equal update() under an unchanged skew. The report's failing-endpoint
+// index must give the same aggregates as a full scan of its endpoints
+// after every build and repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
@@ -132,31 +137,35 @@ bool required_moved(const sta::TimingReport& before,
          before.required_min[pin] != after.required_min[pin];
 }
 
-// The change log of one repair, against the reports around it: it lists
-// exactly the pins whose arrival or required time moved, each once, and
-// every pin whose arrival moved comes before every pin whose only change is
-// its required time (the forward sweep logs first, the backward sweep
-// appends what it adds).
-void expect_log_in_serial_order(const std::vector<std::int32_t>& log,
-                                const sta::TimingReport& before,
-                                const sta::TimingReport& after) {
-  std::vector<std::int32_t> moved;
-  for (std::int32_t pin = 0; pin < static_cast<std::int32_t>(after.arrival.size());
-       ++pin)
-    if (arrival_moved(before, after, pin) || required_moved(before, after, pin))
-      moved.push_back(pin);
-  std::vector<std::int32_t> logged = log;
-  std::sort(logged.begin(), logged.end());
-  ASSERT_EQ(logged, moved) << "log is not exactly the moved pins";
-
-  bool backward_part = false;
-  for (std::size_t k = 0; k < log.size(); ++k) {
-    const bool forward_entry = arrival_moved(before, after, log[k]);
-    if (!forward_entry) backward_part = true;
-    ASSERT_FALSE(forward_entry && backward_part)
-        << "arrival change of pin " << log[k] << " logged at " << k
-        << " after a required-only change";
+// The change log of one repair as documented, from the reports around it
+// and the engine's levelized order: the pins whose arrival moved in
+// topological order (the forward sweep ascends the levels, and Kahn's order
+// is sorted by level), then the pins whose required time alone moved, by
+// descending level and topological position within a level. Every pin
+// whose arrival or required time moved is listed exactly once.
+std::vector<std::int32_t> documented_log(const sta::TimingEngine& engine,
+                                         const sta::TimingReport& before,
+                                         const sta::TimingReport& after) {
+  const auto& topo = engine.topo_order();
+  std::vector<std::int32_t> log;
+  std::vector<std::pair<std::int32_t, std::size_t>> backward;  // (-level, pos)
+  for (std::size_t k = 0; k < topo.size(); ++k) {
+    const std::int32_t pin = topo[k].index;
+    if (arrival_moved(before, after, pin))
+      log.push_back(pin);
+    else if (required_moved(before, after, pin))
+      backward.emplace_back(-engine.level_of(topo[k]), k);
   }
+  std::sort(backward.begin(), backward.end());
+  for (const auto& [level, k] : backward) log.push_back(topo[k].index);
+  return log;
+}
+
+void expect_log_in_documented_order(const sta::TimingEngine& engine,
+                                    const sta::TimingReport& before,
+                                    const sta::TimingReport& after) {
+  ASSERT_EQ(engine.changed_pins(), documented_log(engine, before, after))
+      << "the log is not the moved pins in the documented order";
 }
 
 // Applies up to `limit` merges of a greedy plan (map -> place -> rewire) and
@@ -315,10 +324,10 @@ TEST(StaIncremental, FullBuildAtJobs4WithDeadCellsMatchesSerial) {
 }
 
 // Dense rounds: a new skew on at least a quarter of the registers plus
-// moves and swaps, so both repair frontiers are wide enough for the
-// concurrent sweeps at jobs 4. Two engines on two copies of the design take
-// the same rounds at jobs 1 and 4; the reports and the exact change logs
-// must match each other, and the reports must match run_sta.
+// moves and swaps, so both repair frontiers are wide. Two engines on two
+// copies of the design take the same rounds at jobs 1 and 4; the reports
+// and the exact change logs must match each other, and the reports must
+// match run_sta.
 TEST(StaIncremental, DenseRepairAtJobs4MatchesSerialRepairAndOracle) {
   const lib::Library library = lib::make_default_library();
   benchgen::GeneratedDesign generated = make_design(library, 515, 1500);
@@ -369,17 +378,157 @@ TEST(StaIncremental, DenseRepairAtJobs4MatchesSerialRepairAndOracle) {
         got, sta::run_sta(parallel_design, parallel_options, skew),
         "jobs 4 against run_sta");
     ASSERT_EQ(parallel.changed_pins(), serial.changed_pins());
-    expect_log_in_serial_order(parallel.changed_pins(), before, got);
+    expect_log_in_documented_order(parallel, before, got);
     EXPECT_EQ(parallel.stats().last_repaired_pins,
               serial.stats().last_repaired_pins);
     EXPECT_EQ(parallel.stats().early_stops, serial.stats().early_stops);
   }
   EXPECT_EQ(parallel.stats().full_builds, 1u);
-  EXPECT_EQ(serial.stats().concurrent_repairs, 0u);
-  // The rounds are wide enough for side-by-side sweeps whenever the host
-  // has pool workers to run them; without workers every repair is serial.
-  const bool workers = runtime::ThreadPool::global().worker_count() > 0;
-  EXPECT_EQ(parallel.stats().concurrent_repairs, workers ? 6u : 0u);
+}
+
+// Skews a random `fraction` of the registers (a tenth of them back to 0).
+void skew_registers(const std::vector<netlist::CellId>& registers,
+                    double fraction, sta::SkewMap& skew, util::Rng& rng) {
+  const auto count = static_cast<std::size_t>(
+      std::max(1.0, fraction * static_cast<double>(registers.size())));
+  for (std::size_t i = 0; i < count; ++i) {
+    const netlist::CellId reg = pick_register(registers, rng);
+    if (rng.chance(0.1))
+      skew.erase(reg);
+    else
+      skew[reg] = rng.uniform_real(-0.15, 0.15);
+  }
+}
+
+class StaRepairJobs : public ::testing::TestWithParam<int> {};
+
+// Narrow repairs (a few skews, moves and swaps: every level on the calling
+// thread) and wide ones (25-100 % of the registers skewed, with moves and
+// swaps: levels split into chunks, on the pool at jobs > 1) on two copies of
+// one design, at jobs 1 and at the parameter. After every repair: the
+// report equals run_sta and the jobs 1 report, the change log, the tallies
+// and the repaired-pin count equal the jobs 1 engine's, and the log holds
+// exactly the moved pins in the documented order.
+TEST_P(StaRepairJobs, NarrowAndWideRepairsMatchSerialAndOracle) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 3131, 2500);
+  netlist::Design serial_design = generated.design;
+  netlist::Design& design = generated.design;
+
+  sta::TimingOptions serial_options;
+  serial_options.clock_period = generated.calibrated_clock_period;
+  sta::TimingOptions options = serial_options;
+  options.jobs = GetParam();
+
+  sta::TimingEngine serial(serial_design, serial_options);
+  sta::TimingEngine engine(design, options);
+  sta::SkewMap skew;
+  serial.update(skew);
+  engine.update(skew);
+
+  const auto registers = design.registers();
+  util::Rng rng(0x1e7e1);
+  const double wide[] = {0.25, 1.0, 0.5};
+  std::uint64_t narrow_splits = 0;
+  for (int round = 0; round < 9; ++round) {
+    const bool is_wide = round % 3 == 2;
+    SCOPED_TRACE((is_wide ? "wide round " : "narrow round ") +
+                 std::to_string(round));
+    skew_registers(registers, is_wide ? wide[round / 3] : 0.001, skew, rng);
+    for (int edit = 0; edit < (is_wide ? 6 : 2); ++edit) {
+      const netlist::CellId reg = pick_register(registers, rng);
+      util::Rng twin = rng;  // the same placement and variant on both copies
+      move_register(serial_design, reg, twin);
+      swap_register(serial_design, reg, twin);
+      move_register(design, reg, rng);
+      swap_register(design, reg, rng);
+    }
+
+    const sta::TimingReport before = engine.report();
+    const std::uint64_t splits_before = engine.stats().split_levels;
+    serial.clear_changed_pins();
+    engine.clear_changed_pins();
+    const sta::TimingReport& want = serial.update(skew);
+    const sta::TimingReport& got = engine.update(skew);
+    expect_report_matches_oracle(got, want, "against jobs 1");
+    expect_report_matches_oracle(got, sta::run_sta(design, options, skew),
+                                 "against run_sta");
+    ASSERT_EQ(engine.changed_pins(), serial.changed_pins());
+    EXPECT_EQ(engine.stats().last_repaired_pins,
+              serial.stats().last_repaired_pins);
+    EXPECT_EQ(engine.stats().early_stops, serial.stats().early_stops);
+    EXPECT_EQ(engine.stats().split_levels, serial.stats().split_levels);
+    expect_log_in_documented_order(engine, before, got);
+    if (is_wide) {
+      EXPECT_GT(engine.stats().split_levels, splits_before)
+          << "a wide repair split no level into chunks";
+    } else {
+      narrow_splits += engine.stats().split_levels - splits_before;
+    }
+  }
+  EXPECT_EQ(narrow_splits, 0u) << "a narrow repair split a level";
+  EXPECT_EQ(engine.stats().full_builds, 1u);
+  // On a multi-core host the pool has workers, so at jobs > 1 the wide
+  // levels' chunks write the report, the log flags and the endpoint stamps
+  // from several threads: the case the thread-sanitizer job runs for.
+  if (GetParam() > 1 && std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(runtime::ThreadPool::global().worker_count(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, StaRepairJobs, ::testing::Values(1, 2, 4),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
+
+// A level boundary inside a frontier word, on the backward side: two
+// register D pins share a 64-position word of Kahn's order but sit on
+// different levels. Skewing both registers seeds both pins; the higher
+// level is swept first and must take only its own bit out of the word,
+// since a D pin has no successors that would mark it again.
+TEST(StaIncremental, LevelBoundaryInsideAFrontierWordRepairsBothLevels) {
+  const lib::Library library = lib::make_default_library();
+  benchgen::GeneratedDesign generated = make_design(library, 2718, 600);
+  netlist::Design& design = generated.design;
+
+  sta::TimingOptions options;
+  options.clock_period = generated.calibrated_clock_period;
+  sta::TimingEngine engine(design, options);
+  engine.update();
+
+  // The first word holding D pins of two registers on two levels.
+  const auto& topo = engine.topo_order();
+  std::optional<std::pair<netlist::PinId, netlist::PinId>> pair;
+  for (std::size_t word = 0; word * 64 < topo.size() && !pair; ++word) {
+    std::optional<netlist::PinId> low;
+    for (std::size_t k = word * 64; k < std::min(topo.size(), word * 64 + 64);
+         ++k) {
+      const netlist::Pin& p = design.pin(topo[k]);
+      if (p.role != netlist::PinRole::kD || !p.net.valid()) continue;
+      if (!low) {
+        low = topo[k];
+      } else if (engine.level_of(topo[k]) != engine.level_of(*low) &&
+                 design.pin(*low).cell != p.cell) {
+        pair.emplace(*low, topo[k]);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(pair.has_value()) << "no word straddles two levels' D pins";
+  ASSERT_LT(engine.level_of(pair->first), engine.level_of(pair->second));
+
+  sta::SkewMap skew;
+  skew[design.pin(pair->first).cell] = 0.07;
+  skew[design.pin(pair->second).cell] = -0.05;
+  const sta::TimingReport before = engine.report();
+  engine.clear_changed_pins();
+  const sta::TimingReport& got = engine.update(skew);
+  expect_report_matches_oracle(got, sta::run_sta(design, options, skew),
+                               "boundary word");
+  EXPECT_NE(got.required[pair->first.index], before.required[pair->first.index]);
+  EXPECT_NE(got.required[pair->second.index],
+            before.required[pair->second.index]);
+  expect_log_in_documented_order(engine, before, got);
 }
 
 class StaRefresh : public ::testing::TestWithParam<int> {};
