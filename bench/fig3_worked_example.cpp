@@ -49,10 +49,13 @@ int main() {
   // Fig. 3 lists the incomplete candidates (AE, ACE) even though the flow's
   // 5% area rule would reject them ("In reality, incomplete register AE
   // would have been rejected since its area is significantly larger") -- so
-  // this printer lifts the area-overhead cap to make them visible.
+  // this printer lifts the area-overhead cap to make them visible. It also
+  // keeps the blocked rows (BC, ABC, BCF), which the planner never
+  // enumerates because they cost more than their singletons.
   mbr::EnumerationOptions with_incomplete;
   with_incomplete.allow_incomplete = true;
   with_incomplete.incomplete_area_overhead = 10.0;
+  with_incomplete.keep_dominated = true;
   const auto enumeration = mbr::enumerate_candidates(
       graph, *example.library, blockers, subgraph, with_incomplete);
 

@@ -11,9 +11,10 @@
 // JSON, so a scaling row can never silently come from a divergent result.
 // Each run also records the legalizer's work counters (row probes and gap
 // steps of the nearest-free-spot search) and the candidate enumeration's
-// (candidates kept, cliques dropped as w = infinity, subtrees pruned, hulls
-// built), the deterministic measures of how those stages grow with the
-// design, the skew-map entries the timing engine compared
+// (candidates kept, cliques dropped as w = infinity or as dominated,
+// subtrees pruned, hulls built) with the composable-register count they
+// are read against, the deterministic measures of how those stages grow
+// with the design, the skew-map entries the timing engine compared
 // (sta.engine.skew_entries_scanned), which grows with the serial tail's
 // skew diffs, and the net sink-list slots the rewires touched
 // (netlist.sink_entries_scanned), which grows with the splices' sink
@@ -71,6 +72,7 @@ struct Run {
   double flow_seconds = 0.0;
   double speedup = 0.0;
   int mbrs_created = 0;
+  int composable_registers = 0;
   bool counters_match = false;
   std::map<std::string, double> stage_seconds;
   std::map<std::string, std::int64_t> counters;
@@ -81,6 +83,7 @@ const char* const kRecordedCounters[] = {
     "place.legalize.row_probes",       "place.legalize.gap_steps",
     "mbr.candidates.enumerated",       "flow.candidates.dropped_infinite_weight",
     "mbr.candidates.pruned_subtrees",  "mbr.candidates.hulls",
+    "mbr.candidates.dominated",
     "sta.engine.skew_entries_scanned", "netlist.sink_entries_scanned",
     "sta.engine.frontier_words_scanned"};
 
@@ -134,6 +137,7 @@ int main() {
       run.jobs = jobs;
       run.flow_seconds = result.total_seconds;
       run.mbrs_created = result.mbrs_created;
+      run.composable_registers = result.before.composable_registers;
       if (baseline_counters == nullptr) {
         baseline_seconds = result.total_seconds;
         snapshots.push_back(result.counters);
@@ -186,6 +190,7 @@ int main() {
         .kv("flow_seconds", run.flow_seconds)
         .kv("speedup", run.speedup)
         .kv("mbrs_created", run.mbrs_created)
+        .kv("composable_registers", run.composable_registers)
         .kv("counters_match", run.counters_match);
     w.key("stage_seconds").begin_object();
     for (const auto& [stage, seconds] : run.stage_seconds) w.kv(stage, seconds);

@@ -38,15 +38,19 @@ void convex_hull_of_sorted(std::span<const Point> points,
   }
   hull.resize(2 * n);
   std::size_t k = 0;
+  // A turn is dropped only when its sign says so, with no tolerance: two
+  // sort-adjacent points an ulp apart in x (abutting footprints whose edges
+  // were computed differently) make any absolute cross tolerance a huge
+  // angle, and a tolerance there dropped a true corner microns away.
   // Lower chain.
   for (std::size_t i = 0; i < n; ++i) {
-    while (k >= 2 && cross(hull[k - 2], hull[k - 1], points[i]) <= kEps) --k;
+    while (k >= 2 && cross(hull[k - 2], hull[k - 1], points[i]) <= 0.0) --k;
     hull[k++] = points[i];
   }
   // Upper chain.
   const std::size_t lower_size = k + 1;
   for (std::size_t i = n - 1; i-- > 0;) {
-    while (k >= lower_size && cross(hull[k - 2], hull[k - 1], points[i]) <= kEps)
+    while (k >= lower_size && cross(hull[k - 2], hull[k - 1], points[i]) <= 0.0)
       --k;
     hull[k++] = points[i];
   }

@@ -13,13 +13,15 @@
 
 namespace mbrc::geom {
 
-/// Cross-product tolerance of the hull and containment tests: a turn or a
-/// side within it counts as collinear.
+/// Cross-product tolerance of the containment tests: a side within it
+/// counts as on the boundary.
 inline constexpr double kHullEps = 1e-9;
 
 /// Convex hull of `points` in counter-clockwise order, first point not
-/// repeated. Collinear boundary points are dropped. Degenerate inputs
-/// (0/1/2 points or all collinear) return the reduced chain (<= 2 points).
+/// repeated. Boundary points collinear in floating point (cross product
+/// exactly 0, as on a shared row or column) are dropped; the chain takes
+/// no tolerance. Degenerate inputs (0/1/2 points or all collinear) return
+/// the reduced chain (<= 2 points).
 std::vector<Point> convex_hull(std::vector<Point> points);
 
 /// The monotone chain behind convex_hull(), for callers that keep their

@@ -20,6 +20,10 @@ double candidate_weight(int bits, int blockers) {
   return std::numeric_limits<double>::infinity();
 }
 
+bool candidate_dominated(double cost, double keep) {
+  return cost > keep + 1e-9 * std::abs(keep);
+}
+
 BlockerIndex::BlockerIndex(const CompatibilityGraph& graph, double bin_size)
     : bin_size_(bin_size) {
   MBRC_ASSERT(bin_size > 0);
@@ -153,6 +157,7 @@ struct Enumerator {
   std::vector<geom::Rect> node_region{};
   std::vector<geom::Rect> node_footprint{};
   std::vector<const netlist::ScanInfo*> node_scan{};
+  std::vector<double> node_keep{};  // singleton_candidate(node).weight
 
   // Every BlockerIndex entry inside the subgraph's footprint box, by x;
   // `local` is the entry's subgraph index or -1.
@@ -178,6 +183,7 @@ struct Enumerator {
     bool has_floor = false;
     int floor = 0;
     std::uint64_t floor_mask = 0;
+    double keep = 0.0;  // the members' singleton costs, summed in order
   };
   std::vector<Frame> frames{};
 
@@ -191,6 +197,13 @@ struct Enumerator {
 
   std::int64_t hulls = 0;
   std::int64_t pruned_subtrees = 0;
+
+  // Under the paper weight (alpha > 0, no power/area terms) a blocked
+  // clique costs alpha * b * 2^n >= 2 * alpha * b, while its singletons
+  // cost alpha * sum(1/b_i) <= alpha * b: one blocker already dominates
+  // (DESIGN.md §5). `drop_floor` is then 1, else b (w = infinity).
+  bool blocker_dominates = false;
+  int drop_floor(int bits) const { return blocker_dominates ? 1 : bits; }
 
   // Keep-as-is candidate for one node, priced exactly like the singletons
   // the main enumeration path emits: the paper weight with zero blockers
@@ -243,7 +256,11 @@ struct Enumerator {
   // bound every superset (DESIGN.md §5) when they beat the inherited floor.
   // Stops at 2W - bits robust blockers: the clique is dropped by then, and
   // no prune in its subtree asks for a higher floor (subtree_dropped needs
-  // at most bits + 2 * (W - bits)).
+  // at most bits + 2 * (W - bits)). When one blocker dominates, the subtree
+  // needs floor - k >= 1 with k <= W - bits, so the count stops at
+  // 1 + W - bits robust blockers, or at the first robust one no extension
+  // can absorb (a stranger, or a node outside the later common
+  // neighbours): that one blocks every clique below.
   int count_blockers(Frame& f) {
     ++hulls;
     geom::convex_hull_of_sorted(f.corners, hull);
@@ -254,7 +271,12 @@ struct Enumerator {
     for (std::size_t i = 0; i < h; ++i)
       edge_margin[i] = kPruneMargin * (std::abs(hull[i + 1].x - hull[i].x) +
                                        std::abs(hull[i + 1].y - hull[i].y));
-    const int enough = 2 * max_width - f.bits;
+    const int enough =
+        blocker_dominates ? 1 + max_width - f.bits : 2 * max_width - f.bits;
+    const int last = 63 - std::countl_zero(f.members);
+    const std::uint64_t may_join =
+        last >= 63 ? 0 : f.common & (~std::uint64_t{0} << (last + 1));
+    bool settled = false;
     int count = 0;
     int robust = 0;
     std::uint64_t robust_mask = 0;
@@ -262,7 +284,8 @@ struct Enumerator {
         blocker_list.begin(), blocker_list.end(), f.box.xlo,
         [](const Blocker& e, double x) { return e.center.x < x; });
     for (auto it = first; it != blocker_list.end() &&
-                          it->center.x <= f.box.xhi && robust < enough;
+                          it->center.x <= f.box.xhi && robust < enough &&
+                          !settled;
          ++it) {
       const geom::Point& p = it->center;
       if (p.y < f.box.ylo || p.y > f.box.yhi) continue;
@@ -280,6 +303,8 @@ struct Enumerator {
       if (!clears) continue;
       ++robust;
       if (it->local >= 0) robust_mask |= std::uint64_t{1} << it->local;
+      settled = blocker_dominates &&
+                (it->local < 0 || !(may_join >> it->local & 1));
     }
     if (!f.has_floor || robust >= f.floor) {
       f.has_floor = true;
@@ -334,9 +359,9 @@ struct Enumerator {
     int n_blockers = 0;
     double weight = 1.0;
     if (options.use_weights) {
-      // A floor at or above b already makes the weight infinite: the hull
-      // is not needed to know the clique is dropped.
-      if (size >= 2 && !(f.has_floor && f.floor >= bits))
+      // A floor at or above drop_floor already drops the clique: the hull
+      // is not needed to know it.
+      if (size >= 2 && !(f.has_floor && f.floor >= drop_floor(bits)))
         n_blockers = count_blockers(f);
       else if (size >= 2)
         n_blockers = f.floor;
@@ -357,6 +382,11 @@ struct Enumerator {
     weight = options.cost.candidate_cost(
         weight, size == 1 ? graph.node(member_nodes.front()).lib_cell
                           : merged_cell);
+    if (size >= 2 && !options.keep_dominated &&
+        candidate_dominated(weight, f.keep)) {
+      ++result.dominated;
+      return;
+    }
 
     Candidate candidate;
     candidate.nodes = member_nodes;
@@ -387,16 +417,18 @@ struct Enumerator {
     child.has_floor = f.has_floor;
     child.floor = f.floor - ((f.floor_mask & bit) ? 1 : 0);
     child.floor_mask = f.floor_mask & ~bit;
+    child.keep = f.keep + node_keep[lv];
   }
 
   // True when every extension S u T of frame f's clique S, T drawn from
-  // `reach`, has n >= b. T adds at most room = min(W - bits(S), reach_bits)
-  // bits, and at most k floor blockers can join it: the most nodes of
-  // floor_mask & reach that fit in W - bits(S), narrowest first. So
-  // n(S u T) >= floor - k and b(S u T) <= bits(S) + room.
+  // `reach`, has n >= drop_floor(b). T adds at most min(W - bits(S),
+  // reach_bits) bits, and at most k floor blockers can join it: the most
+  // nodes of floor_mask & reach that fit in room = W - bits(S), narrowest
+  // first. So n(S u T) >= floor - k and b(S u T) <= bits(S) + min(room,
+  // reach_bits).
   bool subtree_dropped(const Frame& f, std::uint64_t reach, int reach_bits) {
     const int room = max_width - f.bits;
-    const int need = f.bits + std::min(room, reach_bits);
+    const int need = drop_floor(f.bits + std::min(room, reach_bits));
     if (f.floor < need) return false;
     const std::uint64_t joinable = f.floor_mask & reach;
     if (f.floor - std::popcount(joinable) >= need) return true;
@@ -506,6 +538,7 @@ struct Enumerator {
     node_region.resize(un);
     node_footprint.resize(un);
     node_scan.resize(un);
+    node_keep.resize(un);
     for (int i = 0; i < n; ++i) {
       const std::vector<int>& neighbors = graph.neighbors(nodes[i]);
       std::size_t a = 0;
@@ -529,8 +562,12 @@ struct Enumerator {
       node_region[li] = info.region;
       node_footprint[li] = info.footprint;
       node_scan[li] = &info.scan;
+      node_keep[li] = singleton_candidate(nodes[i]).weight;
     }
     if (options.use_weights) collect_blockers();
+    blocker_dominates = options.use_weights && !options.keep_dominated &&
+                        options.cost.alpha > 0.0 &&
+                        !options.cost.multi_objective();
 
     // Singletons first (always feasible cover), then the DFS over cliques
     // of size >= 2 starting at each node.
@@ -546,6 +583,7 @@ struct Enumerator {
       if (options.use_weights)
         merge_corners({}, node_footprint[lv], f.corners);
       f.has_floor = false;
+      f.keep = node_keep[lv];
       members_local.assign(1, v);
       emit(1);
       dfs(1, v);
@@ -588,6 +626,8 @@ EnumerationResult enumerate_candidates(const CompatibilityGraph& graph,
   static obs::Counter& c_pruned =
       obs::counter("mbr.candidates.pruned_subtrees");
   static obs::Counter& c_hulls = obs::counter("mbr.candidates.hulls");
+  static obs::Counter& c_dominated =
+      obs::counter("mbr.candidates.dominated");
   static obs::Histogram& h_per =
       obs::histogram("mbr.candidates.per_subgraph");
   const EnumerationResult& result = enumerator.result;
@@ -596,6 +636,7 @@ EnumerationResult enumerate_candidates(const CompatibilityGraph& graph,
   c_dropped.add(result.dropped_infinite_weight);
   c_pruned.add(result.pruned_subtrees);
   c_hulls.add(result.hulls);
+  c_dominated.add(result.dominated);
   h_per.record(static_cast<std::int64_t>(result.candidates.size()));
   return std::move(enumerator.result);
 }

@@ -26,9 +26,12 @@
 // clique's sorted footprint corners down the recursion, so a hull is one
 // monotone chain with no sort; takes blockers from one per-subgraph list
 // instead of per-clique bin lookups; and skips whole any subtree in which
-// every clique would have n >= b. The candidate vector is the one the
-// plain DFS produces, candidate for candidate; only dropped_infinite_weight
-// no longer sees the skipped cliques.
+// every clique would be dropped. The candidate vector is the one the plain
+// DFS produces, candidate for candidate, less the dominated cliques (a
+// merge priced above keeping its members, never part of an optimal
+// partition) unless EnumerationOptions::keep_dominated is set. Under the
+// paper weight every blocked clique (n >= 1) is dominated, so a hull stops
+// at its first blocker and a subtree is skipped once one blocker is sure.
 #pragma once
 
 #include <vector>
@@ -56,6 +59,12 @@ struct EnumerationOptions {
   /// of the flat weight 1 when use_weights is off). The defaults reproduce
   /// the paper's weights exactly; see mbr/cost.hpp.
   CostModel cost;
+  /// False (the default) never emits a multi-member clique that costs more
+  /// than keeping its members as singletons: swapping it for them gives a
+  /// valid, strictly cheaper cover, so no optimal set partition selects it
+  /// (DESIGN.md §5, "Dominance"). True keeps them, e.g. to list the
+  /// paper's blocked Fig. 3 rows.
+  bool keep_dominated = false;
 };
 
 struct Candidate {
@@ -77,11 +86,16 @@ struct EnumerationResult {
   /// Cliques discarded because their weight was infinite (blockers >= bits,
   /// Sec. 3.2). Flushed to the flow.candidates.dropped_infinite_weight
   /// counter so the coverage loss is visible in flow_report.json. Counts
-  /// only cliques that reach the weight test: a pruned subtree's cliques
-  /// are never visited.
+  /// only cliques that reach the weight test with n >= b known: a pruned
+  /// subtree's cliques are never visited, and under the dominance rule a
+  /// blocker count that stops at the first blocker files the clique under
+  /// `dominated` instead.
   std::int64_t dropped_infinite_weight = 0;
+  /// Cliques with a finite cost above their members' singleton costs,
+  /// discarded by the dominance rule (mbr.candidates.dominated).
+  std::int64_t dominated = 0;
   /// DFS subtrees skipped because every clique in them would be dropped
-  /// (mbr.candidates.pruned_subtrees).
+  /// or dominated (mbr.candidates.pruned_subtrees).
   std::int64_t pruned_subtrees = 0;
   /// Convex hulls built for blocker counts (mbr.candidates.hulls).
   std::int64_t hulls = 0;
@@ -89,6 +103,11 @@ struct EnumerationResult {
 
 /// Sec. 3.2 weight formula. `blockers >= bits` yields +infinity.
 double candidate_weight(int bits, int blockers);
+
+/// The dominance rule: true when a multi-member clique priced `cost` costs
+/// more than `keep`, the sum of its members' singleton costs, by more than
+/// a 1e-9 relative margin (so floating-point rounding never decides).
+bool candidate_dominated(double cost, double keep);
 
 /// Spatial index over the composable-register centers, the source of the
 /// blocking registers of a candidate's convex hull.

@@ -85,7 +85,8 @@ void write_flow_report(std::ostream& os, const FlowOptions& options,
       .kv("use_weights", options.composition.enumeration.use_weights)
       .kv("max_candidates_per_subgraph",
           static_cast<std::int64_t>(
-              options.composition.enumeration.max_candidates_per_subgraph));
+              options.composition.enumeration.max_candidates_per_subgraph))
+      .kv("keep_dominated", options.composition.enumeration.keep_dominated);
   w.end_object();
   w.key("solver").begin_object();
   w.kv("max_nodes", options.composition.solver.max_nodes);

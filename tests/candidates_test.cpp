@@ -177,6 +177,16 @@ struct Enumerator {
     }
     weight = options.cost.candidate_cost(weight,
                                          priced_cell(members, mapped_width));
+    if (members.size() >= 2 && !options.keep_dominated) {
+      // The dominance rule, applied after the fact: drop the clique when it
+      // costs more than its members kept as singletons.
+      double keep = 0.0;
+      for (int m : members) keep += singleton_candidate(m).weight;
+      if (candidate_dominated(weight, keep)) {
+        ++result.dominated;
+        return;
+      }
+    }
 
     Candidate candidate;
     candidate.nodes = std::move(members);
@@ -371,6 +381,7 @@ protected:
 TEST_F(WorkedExampleCandidates, Fig3WeightsExact) {
   EnumerationOptions options;
   options.incomplete_area_overhead = 10.0;  // list AE/ACE like the figure
+  options.keep_dominated = true;            // and the blocked BC/ABC/BCF
   const EnumerationResult result = enumerate(options);
 
   std::map<std::string, const Candidate*> by_name;
@@ -451,6 +462,7 @@ TEST_F(WorkedExampleCandidates, MatchesMaximalCliqueSubsetEnumeration) {
   // maximal clique with a valid width and non-empty region appears.
   EnumerationOptions options;
   options.incomplete_area_overhead = 10.0;
+  options.keep_dominated = true;
   const EnumerationResult result = enumerate(options);
   const auto maximal = maximal_cliques(example.graph, subgraph);
 
@@ -528,8 +540,10 @@ TEST(BlockerIndexTest, CountsOnlyNonMembersStrictlyInside) {
   const BlockerIndex index(example.graph);
   std::vector<int> subgraph;
   for (int i = 0; i < example.graph.node_count(); ++i) subgraph.push_back(i);
+  EnumerationOptions options;
+  options.keep_dominated = true;  // ABC is blocked, so dominated
   const EnumerationResult result = enumerate_candidates(
-      example.graph, *example.library, index, subgraph, {});
+      example.graph, *example.library, index, subgraph, options);
   const auto blockers_of = [&](const std::vector<int>& nodes) {
     for (const Candidate& c : result.candidates)
       if (c.nodes == nodes) return c.blockers;
@@ -661,12 +675,15 @@ TEST(DroppedInfiniteWeight, TalliedAndFlushedToCounter) {
   const int a = 0;
   const int b = 1;
   const BlockerIndex blockers(graph);
+  // A blocked pair is dominated; keep it so that n >= b decides the drop.
+  EnumerationOptions options;
+  options.keep_dominated = true;
   {
     // The same geometry with 2-bit registers keeps the pair (n=2 < b=4),
     // so its Candidate::blockers shows the count that drops the 1-bit pair.
     const CompatibilityGraph wide = build(2);
     const EnumerationResult kept = enumerate_candidates(
-        wide, library, BlockerIndex(wide), {a, b}, {});
+        wide, library, BlockerIndex(wide), {a, b}, options);
     ASSERT_EQ(kept.candidates.size(), 3u);
     ASSERT_EQ(kept.candidates[1].nodes, (std::vector<int>{a, b}));
     ASSERT_EQ(kept.candidates[1].blockers, 2);
@@ -674,7 +691,7 @@ TEST(DroppedInfiniteWeight, TalliedAndFlushedToCounter) {
 
   const obs::CountersSnapshot before = obs::counters_snapshot();
   const EnumerationResult result =
-      enumerate_candidates(graph, library, blockers, {a, b}, {});
+      enumerate_candidates(graph, library, blockers, {a, b}, options);
   const obs::CountersSnapshot delta =
       obs::counters_delta(before, obs::counters_snapshot());
 
@@ -704,10 +721,11 @@ struct RandomCase {
 };
 
 RandomCase random_case(const lib::Library& library,
-                       const lib::RegisterFunction& function, util::Rng& rng) {
+                       const lib::RegisterFunction& function, util::Rng& rng,
+                       int max_nodes = 34) {
   RandomCase out;
   const std::vector<int>& widths = library.available_widths(function);
-  const int nodes = static_cast<int>(rng.uniform_int(2, 34));
+  const int nodes = static_cast<int>(rng.uniform_int(2, max_nodes));
   const int strangers = static_cast<int>(rng.uniform_int(0, 30));
   const double extent = rng.uniform_real(8.0, 60.0);
   const double edge_p = rng.uniform_real(0.3, 0.95);
@@ -760,6 +778,38 @@ RandomCase random_case(const lib::Library& library,
   return out;
 }
 
+// Per candidate of `full` (an untruncated keep_dominated enumeration):
+// whether it costs more than the singletons of its members that `full`
+// holds.
+std::vector<bool> dominated_mask(const EnumerationResult& full) {
+  std::map<int, double> singleton_cost;
+  for (const Candidate& c : full.candidates)
+    if (c.is_singleton()) singleton_cost[c.nodes.front()] = c.weight;
+  std::vector<bool> mask;
+  mask.reserve(full.candidates.size());
+  for (const Candidate& c : full.candidates) {
+    double keep = 0.0;
+    for (int m : c.nodes) {
+      const auto it = singleton_cost.find(m);
+      keep += it != singleton_cost.end()
+                  ? it->second
+                  : std::numeric_limits<double>::infinity();
+    }
+    mask.push_back(!c.is_singleton() && candidate_dominated(c.weight, keep));
+  }
+  return mask;
+}
+
+// `full` less its dominated candidates.
+EnumerationResult without_dominated(const EnumerationResult& full) {
+  const std::vector<bool> dominated = dominated_mask(full);
+  EnumerationResult out;
+  out.truncated = full.truncated;
+  for (std::size_t i = 0; i < full.candidates.size(); ++i)
+    if (!dominated[i]) out.candidates.push_back(full.candidates[i]);
+  return out;
+}
+
 TEST(CandidatesOracle, MatchesReferenceOnRandomSubgraphs) {
   lib::DefaultLibraryOptions with3;
   with3.include_width_3 = true;
@@ -774,6 +824,8 @@ TEST(CandidatesOracle, MatchesReferenceOnRandomSubgraphs) {
   std::int64_t pruned = 0;
   std::int64_t truncated = 0;
   std::int64_t candidates = 0;
+  std::int64_t pruned_default = 0;
+  std::int64_t dominated = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const lib::Library& library =
         libraries[static_cast<std::size_t>(rng.uniform_int(0, 2))];
@@ -794,20 +846,36 @@ TEST(CandidatesOracle, MatchesReferenceOnRandomSubgraphs) {
           static_cast<std::size_t>(rng.uniform_int(1, 60));
 
     const BlockerIndex index(c.graph);
-    const EnumerationResult got =
-        enumerate_candidates(c.graph, library, index, c.subgraph, options);
-    const EnumerationResult want =
-        reference::enumerate(c.graph, library, c.subgraph, options);
-    ASSERT_TRUE(same_enumeration(got, want)) << "trial " << trial;
-    EXPECT_LE(got.dropped_infinite_weight, want.dropped_infinite_weight);
-    pruned += got.pruned_subtrees;
-    truncated += got.truncated;
-    candidates += static_cast<std::int64_t>(got.candidates.size());
+    // The full list, then the default one without dominated cliques.
+    for (const bool keep_dominated : {true, false}) {
+      options.keep_dominated = keep_dominated;
+      const EnumerationResult got =
+          enumerate_candidates(c.graph, library, index, c.subgraph, options);
+      const EnumerationResult want =
+          reference::enumerate(c.graph, library, c.subgraph, options);
+      ASSERT_TRUE(same_enumeration(got, want))
+          << "trial " << trial << " keep_dominated " << keep_dominated;
+      EXPECT_LE(got.dropped_infinite_weight, want.dropped_infinite_weight);
+      EXPECT_LE(got.dropped_infinite_weight + got.dominated,
+                want.dropped_infinite_weight + want.dominated);
+      if (keep_dominated) {
+        EXPECT_EQ(got.dominated, 0);
+        pruned += got.pruned_subtrees;
+        truncated += got.truncated;
+        candidates += static_cast<std::int64_t>(got.candidates.size());
+      } else {
+        pruned_default += got.pruned_subtrees;
+        dominated += want.dominated;
+      }
+    }
   }
-  // The trials must actually exercise the prune and the truncation guard.
+  // The trials must actually exercise the prune and the truncation guard,
+  // and the default leg the dominance rule.
   EXPECT_GT(pruned, 0);
   EXPECT_GT(truncated, 0);
   EXPECT_GT(candidates, 0);
+  EXPECT_GT(pruned_default, 0);
+  EXPECT_GT(dominated, 0);
 }
 
 TEST(CandidatesOracle, PlantedHullPrunesSubtrees) {
@@ -837,12 +905,31 @@ TEST(CandidatesOracle, PlantedHullPrunesSubtrees) {
   graph.finalize();
 
   const BlockerIndex index(graph);
+  EnumerationOptions options;
+  options.keep_dominated = true;
   const EnumerationResult got =
-      enumerate_candidates(graph, library, index, subgraph, {});
-  const EnumerationResult want = reference::enumerate(graph, library, subgraph);
+      enumerate_candidates(graph, library, index, subgraph, options);
+  const EnumerationResult want =
+      reference::enumerate(graph, library, subgraph, options);
   EXPECT_GT(got.pruned_subtrees, 0);
   EXPECT_LT(got.dropped_infinite_weight, want.dropped_infinite_weight);
   EXPECT_TRUE(same_enumeration(got, want));
+
+  // Under the default options one blocker already prunes: the subtrees go
+  // sooner, and fewer cliques are visited at all.
+  const EnumerationResult pruned =
+      enumerate_candidates(graph, library, index, subgraph, {});
+  const EnumerationResult filtered =
+      reference::enumerate(graph, library, subgraph, {});
+  const auto visited = [](const EnumerationResult& r) {
+    return static_cast<std::int64_t>(r.candidates.size()) +
+           r.dropped_infinite_weight + r.dominated;
+  };
+  EXPECT_GT(pruned.pruned_subtrees, 0);
+  EXPECT_GT(pruned.dominated, 0);
+  EXPECT_LE(visited(pruned), visited(got));
+  EXPECT_LE(pruned.hulls, got.hulls);
+  EXPECT_TRUE(same_enumeration(pruned, filtered));
 }
 
 // Every subgraph of a generated design, enumerated both ways. The
@@ -871,24 +958,34 @@ TEST_P(CandidatesOracleDesign, MatchesReferenceOnEverySubgraph) {
   const CompatibilityGraph graph =
       build_compatibility_graph(generated.design, report, options.compatibility);
   const BlockerIndex index(graph);
+  EnumerationOptions full = options.enumeration;
+  full.keep_dominated = true;
   std::int64_t subgraphs = 0;
   std::int64_t pruned = 0;
+  std::int64_t pruned_default = 0;
   for (const std::vector<int>& part :
        partition_graph(graph, generated.design, options.partition)) {
-    const EnumerationResult got = enumerate_candidates(
-        graph, library, index, part, options.enumeration);
+    const EnumerationResult got =
+        enumerate_candidates(graph, library, index, part, full);
     const EnumerationResult want =
-        reference::enumerate(graph, library, part, options.enumeration);
+        reference::enumerate(graph, library, part, full);
     ASSERT_TRUE(same_enumeration(got, want)) << "subgraph " << subgraphs;
     // The default bound keeps every subgraph far below the candidate cap
     // (fewer than 65,536 candidates against 200,000): the truncation guard
     // exists for loaded designs, which are not bounded, not for these.
     ASSERT_FALSE(got.truncated) << "subgraph " << subgraphs;
     pruned += got.pruned_subtrees;
+    // The planner's default list: the reference's, less dominated cliques.
+    const EnumerationResult got_default = enumerate_candidates(
+        graph, library, index, part, options.enumeration);
+    ASSERT_TRUE(same_enumeration(got_default, without_dominated(want)))
+        << "subgraph " << subgraphs << " (default options)";
+    pruned_default += got_default.pruned_subtrees;
     ++subgraphs;
   }
   EXPECT_GT(subgraphs, 0);
   EXPECT_GT(pruned, 0);
+  EXPECT_GT(pruned_default, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, CandidatesOracleDesign,
@@ -897,6 +994,185 @@ INSTANTIATE_TEST_SUITE_P(Designs, CandidatesOracleDesign,
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
+
+// ---------------------------------------------------------------------------
+// Dominance oracle: dropping dominated cliques never moves the optimum.
+// ---------------------------------------------------------------------------
+
+TEST_F(WorkedExampleCandidates, DominatedBlockedRowsAreNotEnumerated) {
+  // Fig. 3's three blocked rows (BC, ABC, BCF: n = 1) cost b * 2 against
+  // singletons worth at most b, so the default enumeration leaves them out
+  // and counts them; every other candidate is the full list's, in order.
+  EnumerationOptions full_options;
+  full_options.keep_dominated = true;
+  const EnumerationResult full = enumerate(full_options);
+  const obs::CountersSnapshot before = obs::counters_snapshot();
+  const EnumerationResult pruned = enumerate();
+  const obs::CountersSnapshot delta =
+      obs::counters_delta(before, obs::counters_snapshot());
+
+  std::set<std::string> gone;
+  for (const Candidate& c : full.candidates) gone.insert(names(c.nodes));
+  for (const Candidate& c : pruned.candidates) gone.erase(names(c.nodes));
+  EXPECT_EQ(gone, (std::set<std::string>{"ABC", "BC", "BCF"}));
+  EXPECT_TRUE(same_enumeration(pruned, without_dominated(full)));
+  EXPECT_EQ(pruned.dominated, 3);
+  EXPECT_EQ(full.dominated, 0);
+  const auto it = delta.counters.find("mbr.candidates.dominated");
+  ASSERT_NE(it, delta.counters.end());
+  EXPECT_EQ(it->second, 3);
+  // The selection is the same: the paper's 6 -> 3 registers.
+  EXPECT_DOUBLE_EQ(mbr::solve_subgraph(subgraph, pruned.candidates).objective,
+                   mbr::solve_subgraph(subgraph, full.candidates).objective);
+}
+
+// Enumerates `part` with and without dominated cliques, solves both lists
+// and checks that the optimum is the same and that the full list's optimal
+// solution holds no dominated clique. Solves that hit the node budget
+// prove nothing and are only counted: the beta/gamma-heavy cost setting
+// makes a few design subgraphs too hard to prove in test time.
+struct OptimumTally {
+  std::int64_t solves = 0;
+  std::int64_t budget_hits = 0;
+  std::int64_t dominated = 0;  // dominated cliques the planner never sees
+};
+
+void expect_same_optimum(const CompatibilityGraph& graph,
+                         const lib::Library& library,
+                         const BlockerIndex& index,
+                         const std::vector<int>& part,
+                         EnumerationOptions options, OptimumTally& tally,
+                         std::int64_t max_nodes = 5'000'000) {
+  options.keep_dominated = true;
+  const EnumerationResult full =
+      enumerate_candidates(graph, library, index, part, options);
+  options.keep_dominated = false;
+  const EnumerationResult pruned =
+      enumerate_candidates(graph, library, index, part, options);
+  ASSERT_FALSE(full.truncated);
+  ASSERT_TRUE(same_enumeration(pruned, without_dominated(full)));
+
+  const ilp::SetPartitionOptions budget{.max_nodes = max_nodes};
+  const ilp::SetPartitionResult a =
+      solve_subgraph(part, full.candidates, budget);
+  const ilp::SetPartitionResult b =
+      solve_subgraph(part, pruned.candidates, budget);
+  ASSERT_TRUE(a.feasible);
+  ASSERT_TRUE(b.feasible);
+  ++tally.solves;
+  tally.dominated += static_cast<std::int64_t>(full.candidates.size() -
+                                               pruned.candidates.size());
+  if (a.nodes_explored > budget.max_nodes ||
+      b.nodes_explored > budget.max_nodes) {
+    ++tally.budget_hits;
+    return;
+  }
+  // SetPartitionResult::objective is the search's running sum, which
+  // drifts in the last digits over millions of nodes; sum the chosen
+  // weights afresh instead.
+  const auto chosen_cost = [](const ilp::SetPartitionResult& solved,
+                              const EnumerationResult& list) {
+    double sum = 0.0;
+    for (int i : solved.chosen)
+      sum += list.candidates[static_cast<std::size_t>(i)].weight;
+    return sum;
+  };
+  const double want = chosen_cost(a, full);
+  const double got = chosen_cost(b, pruned);
+  EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+      << got << " vs " << want;
+  const std::vector<bool> dominated = dominated_mask(full);
+  for (int i : a.chosen)
+    EXPECT_FALSE(dominated[static_cast<std::size_t>(i)])
+        << "optimal solution selects a dominated clique";
+}
+
+// The three (alpha, beta, gamma) settings of bench/debank_convergence.cpp;
+// the first is the default cost model.
+const CostModel kDebankSettings[] = {
+    {1.0, 0.0, 0.0}, {1.0, 0.3, 0.05}, {0.02, 1.0, 0.3}};
+
+class DominanceOracleDesign : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DominanceOracleDesign, OptimumDoesNotMoveOnEverySubgraph) {
+  const lib::Library library = lib::make_default_library();
+  std::vector<benchgen::DesignProfile> all = benchgen::standard_profiles();
+  for (const benchgen::DesignProfile& p : benchgen::scenario_profiles())
+    all.push_back(p);
+  const auto profile = std::find_if(
+      all.begin(), all.end(),
+      [&](const benchgen::DesignProfile& p) { return p.name == GetParam(); });
+  ASSERT_NE(profile, all.end()) << GetParam();
+  const benchgen::GeneratedDesign generated =
+      benchgen::generate_design(library, *profile);
+  sta::TimingOptions timing;
+  timing.clock_period = generated.calibrated_clock_period;
+  const sta::TimingReport report = sta::run_sta(generated.design, timing);
+  CompositionOptions options;
+  const CompatibilityGraph graph =
+      build_compatibility_graph(generated.design, report, options.compatibility);
+  const BlockerIndex index(graph);
+  OptimumTally tally;
+  for (const int bound : {20, 30}) {
+    options.partition.max_nodes = bound;
+    for (const std::vector<int>& part :
+         partition_graph(graph, generated.design, options.partition)) {
+      for (const CostModel& cost : kDebankSettings) {
+        options.enumeration.cost = cost;
+        expect_same_optimum(graph, library, index, part, options.enumeration,
+                            tally, 100'000);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(tally.solves, 0);
+  EXPECT_GT(tally.dominated, 0);
+  // Nearly every solve is proven optimal (D5: 62 of 3,156 hit the
+  // budget).
+  EXPECT_LE(tally.budget_hits * 50, tally.solves)
+      << tally.budget_hits << " of " << tally.solves << " solves";
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, DominanceOracleDesign,
+                         ::testing::Values("D1", "D2", "D3", "D4", "D5", "DM",
+                                           "DP"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(DominanceOracle, OptimumDoesNotMoveOnRandomSubgraphs) {
+  lib::DefaultLibraryOptions with3;
+  with3.include_width_3 = true;
+  const lib::Library libraries[] = {lib::make_default_library(),
+                                    lib::make_default_library(with3)};
+  const lib::RegisterFunction functions[] = {{}, {.is_scan = true}};
+
+  util::Rng rng(0xd0a11a7edULL);
+  OptimumTally tally;
+  for (int trial = 0; trial < 400; ++trial) {
+    const lib::Library& library =
+        libraries[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    const lib::RegisterFunction& function =
+        functions[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    // At most 16 nodes: every list stays below the candidate cap and every
+    // solve within the node budget, so both optima are proven.
+    const RandomCase c = random_case(library, function, rng, 16);
+
+    EnumerationOptions options;
+    options.allow_incomplete = rng.chance(0.7);
+    options.use_weights = rng.chance(0.85);
+    if (rng.chance(0.3)) options.incomplete_area_overhead = 10.0;
+    options.cost = kDebankSettings[static_cast<std::size_t>(
+        rng.uniform_int(0, 2))];
+    const BlockerIndex index(c.graph);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    expect_same_optimum(c.graph, library, index, c.subgraph, options, tally);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(tally.solves, 400);
+  EXPECT_GT(tally.dominated, 0);
+  EXPECT_EQ(tally.budget_hits, 0);
+}
 
 }  // namespace
 }  // namespace mbrc::mbr

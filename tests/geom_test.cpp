@@ -106,6 +106,26 @@ TEST(ConvexHull, OfRects) {
   EXPECT_FALSE(convex_contains(hull, {4, 0}));
 }
 
+TEST(ConvexHull, KeepsCornerBesideAnUlpApartColumn) {
+  // Six abutting register footprints of a generated design: two right
+  // edges meet at x = 542.3333...33 computed two ways, an ulp or so apart.
+  // With a 1e-9 collinearity tolerance the chain took (x+ulp, 64.8),
+  // (x, 66.6), (x, 64.8) for collinear and dropped the top corner
+  // (x, 66.6), so the register centered at (538.33, 67.5) fell outside.
+  const auto hull = convex_hull_of_rects({
+      {536.60000000000002, 63, 539.26666666666665, 64.799999999999997},
+      {532.39999999999998, 66.600000000000009, 535.4666666666667,
+       68.400000000000006},
+      {537, 64.799999999999997, 539.66666666666663, 66.599999999999994},
+      {539.66666666666663, 64.799999999999997, 542.33333333333326,
+       66.599999999999994},
+      {539.26666666666665, 63, 542.33333333333337, 64.799999999999997},
+      {531.80000000000007, 63, 534.4666666666667, 64.799999999999997}});
+  const Point corner{542.33333333333326, 66.599999999999994};
+  EXPECT_NE(std::find(hull.begin(), hull.end(), corner), hull.end());
+  EXPECT_TRUE(convex_contains_strict(hull, {538.33333333333326, 67.5}));
+}
+
 // Property: every input point is contained in its hull, and the hull's
 // vertices are input points.
 TEST(ConvexHull, ContainmentProperty) {

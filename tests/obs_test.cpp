@@ -538,6 +538,8 @@ mbr::FlowOptions fully_mutated(const mbr::FlowOptions& defaults) {
   o.composition.enumeration.use_weights =
       !o.composition.enumeration.use_weights;
   o.composition.enumeration.max_candidates_per_subgraph /= 2;
+  o.composition.enumeration.keep_dominated =
+      !o.composition.enumeration.keep_dominated;
   o.composition.solver.max_nodes += 1234;
   o.composition.jobs += 1;
   o.mapping.incomplete_area_overhead += 0.075;
@@ -595,6 +597,7 @@ TEST(FlowReport, OptionsEchoIsComplete) {
       "composition.compatibility.slack_similarity",
       "composition.enumeration.allow_incomplete",
       "composition.enumeration.incomplete_area_overhead",
+      "composition.enumeration.keep_dominated",
       "composition.enumeration.max_candidates_per_subgraph",
       "composition.enumeration.use_weights",
       "composition.jobs",
