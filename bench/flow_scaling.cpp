@@ -22,7 +22,11 @@
 // re-gathered (sta.engine.repaired_pins, a histogram's sum) and the
 // frontier bitmap and summary words their level sweeps read
 // (sta.engine.frontier_words_scanned), which must grow with the first,
-// not with the levels' widths.
+// not with the levels' widths. The repairs' edit intake is recorded as the
+// edit-journal entries replayed (sta.engine.journal_cells) and the arc
+// delays and load pins they cost (sta.engine.arcs_evaluated,
+// sta.engine.load_pins_scanned), which must grow with the edits, not with
+// the fan-out of the nets they touch.
 //
 // Wall times are measurement, not contract: on a single-core host
 // (hardware_threads 1 in the JSON) every jobs value runs the same work on
@@ -85,7 +89,8 @@ const char* const kRecordedCounters[] = {
     "mbr.candidates.pruned_subtrees",  "mbr.candidates.hulls",
     "mbr.candidates.dominated",
     "sta.engine.skew_entries_scanned", "netlist.sink_entries_scanned",
-    "sta.engine.frontier_words_scanned"};
+    "sta.engine.frontier_words_scanned", "sta.engine.journal_cells",
+    "sta.engine.arcs_evaluated",       "sta.engine.load_pins_scanned"};
 
 // Histograms whose sums are recorded with the counters, under their own
 // names.

@@ -325,11 +325,11 @@ DesignChecker& DesignChecker::check_conservation(const Baseline& baseline,
   return *this;
 }
 
-DesignChecker& DesignChecker::check_timing(sta::TimingEngine& engine,
-                                           const sta::SkewMap& skew) {
+DesignChecker& DesignChecker::check_timing(sta::TimingEngine& engine) {
   MBRC_ASSERT(&engine.design() == &design_);
-  const sta::TimingReport fresh = run_sta(design_, engine.options(), skew);
-  const sta::TimingReport& incremental = engine.update(skew);
+  const sta::TimingReport fresh =
+      run_sta(design_, engine.options(), engine.skew());
+  const sta::TimingReport& incremental = engine.refresh();
 
   int mismatches = 0;
   const auto compare_array = [&](const char* name,
@@ -389,8 +389,10 @@ void enforce_stage(const Design& design, const char* stage, CheckLevel level,
   if (expect.scan_stitched) checker.check_nets();
   if (expect.placement_legal) checker.check_placement();
   if (expect.scan_stitched) checker.check_scan_chains();
-  if (level == CheckLevel::kParanoid && engine)
-    checker.check_timing(*engine, skew);
+  if (level == CheckLevel::kParanoid && engine) {
+    engine->assign_skew(skew);
+    checker.check_timing(*engine);
+  }
   if (!checker.report().ok())
     throw util::AssertionError("flow-integrity violation at stage '" +
                                std::string(stage) + "':\n" +

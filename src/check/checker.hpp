@@ -102,10 +102,10 @@ public:
   /// until recomposition absorbs the pieces).
   DesignChecker& check_conservation(const Baseline& baseline,
                                     bool require_count_bounded = true);
-  /// The incremental engine's report is bit-identical to a fresh run_sta.
-  /// `engine` must be bound to this checker's design.
-  DesignChecker& check_timing(sta::TimingEngine& engine,
-                              const sta::SkewMap& skew);
+  /// The incremental engine's report, refreshed, is bit-identical to a
+  /// fresh run_sta under the engine's skew map. `engine` must be bound to
+  /// this checker's design.
+  DesignChecker& check_timing(sta::TimingEngine& engine);
 
   const CheckReport& report() const { return report_; }
 

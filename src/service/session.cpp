@@ -83,10 +83,9 @@ void Session::apply_one(const Edit& edit) {
     }
     case Edit::Op::kSkew: {
       if (edit.clear_skew)
-        skew_.erase(edit.cell);
+        engine_.clear_skew(edit.cell);
       else
-        skew_[edit.cell] = edit.skew;
-      skew_changed_ = true;
+        engine_.set_skew(edit.cell, edit.skew);
       break;
     }
   }
@@ -124,12 +123,6 @@ EditOutcome Session::apply(const std::vector<Edit>& edits) {
   return outcome;
 }
 
-const sta::TimingReport& Session::sync_engine() {
-  if (!skew_changed_) return engine_.refresh();
-  skew_changed_ = false;
-  return engine_.update(skew_);
-}
-
 TimingAnswer Session::query(const TimingQuery& query) {
   obs::Span span("service.session.query");
 
@@ -148,7 +141,7 @@ TimingAnswer Session::query(const TimingQuery& query) {
     }
   }
 
-  const sta::TimingReport& report = sync_engine();
+  const sta::TimingReport& report = engine_.refresh();
   const sta::TimingSummary summary = report.summary();
   answer.wns = summary.wns;
   answer.tns = summary.tns;
@@ -166,7 +159,7 @@ TimingAnswer Session::query(const TimingQuery& query) {
 
   if (options_.check_level == check::CheckLevel::kParanoid) {
     check::DesignChecker checker(design_);
-    checker.check_timing(engine_, skew_);
+    checker.check_timing(engine_);
     if (!checker.report().ok()) {
       answer.error =
           "paranoid timing cross-check failed: " + checker.report().to_string();
@@ -200,7 +193,7 @@ RecomposeAnswer Session::recompose(const std::vector<netlist::CellId>& region,
   answer.region_registers = static_cast<int>(cells.size());
   if (cells.empty()) return answer;  // nothing touched: empty plan
 
-  sync_engine();
+  engine_.refresh();
   graph_.sync(engine_);
   mbr::CompositionOptions composition = options_.composition;
   if (cost) composition.enumeration.cost = *cost;
@@ -229,7 +222,7 @@ check::CheckReport Session::check(bool include_placement) {
       check_conservation(baseline_);
   if (include_placement) checker.check_placement();
   if (options_.check_level == check::CheckLevel::kParanoid)
-    checker.check_timing(engine_, skew_);
+    checker.check_timing(engine_);
   return checker.report();
 }
 
@@ -246,7 +239,7 @@ Session::SnapshotOutcome Session::snapshot(const std::string& name) {
     outcome.snapshot_count = snapshots_.size();
     return outcome;
   }
-  snapshots_[name] = Saved{design_.snapshot(), skew_, touched_};
+  snapshots_[name] = Saved{design_.snapshot(), engine_.skew(), touched_};
   outcome.snapshot_count = snapshots_.size();
   return outcome;
 }
@@ -261,8 +254,8 @@ Session::SnapshotOutcome Session::rollback(const std::string& name) {
     return outcome;
   }
   design_.restore(it->second.design);
-  skew_ = it->second.skew;
-  skew_changed_ = true;
+  // The restore forces a rebuild, which seeds every register from this map.
+  engine_.assign_skew(it->second.skew);
   touched_ = it->second.touched;
   outcome.snapshot_count = snapshots_.size();
   return outcome;

@@ -1,8 +1,9 @@
 // One open design inside the composition service.
 //
 // A Session owns the mutable state the daemon multiplexes: the placed
-// netlist, the per-register useful-skew map, a persistent incremental
-// TimingEngine riding on the design's edit journal, named snapshots for
+// netlist, a persistent incremental TimingEngine riding on the design's
+// edit journal (it owns the per-register useful-skew map and journals skew
+// edits the same way), named snapshots for
 // rollback, and the flow-integrity checker's conservation baseline. All
 // methods must be called from one thread at a time (the daemon serializes a
 // session's requests on a strand); distinct sessions are independent and may
@@ -182,10 +183,6 @@ private:
   std::string validate(const Edit& edit) const;  // empty when applicable
   void apply_one(const Edit& edit);
   void note_touched(netlist::CellId cell);
-  /// Brings engine_ in sync with the design and skew_: update(skew_) when
-  /// skew_changed_, otherwise refresh(), which skips the diff of the two
-  /// whole skew maps and replays only the edit journal.
-  const sta::TimingReport& sync_engine();
 
   const lib::Library& library_;
   netlist::Design design_;
@@ -194,12 +191,6 @@ private:
   /// Kept in sync from the edit journal and engine_'s change log on each
   /// recompose; rebuilt after a rollback.
   mbr::IncrementalCompatibilityGraph graph_;
-  sta::SkewMap skew_;
-  /// Set by a skew edit or a rollback: skew_ may differ from the skew the
-  /// engine last synced to. A rollback must set it even when skew_ ends up
-  /// equal, since the restore forces a rebuild that would otherwise run
-  /// under the engine's kept skew.
-  bool skew_changed_ = true;
   /// Registers edited since the last implicit recompose, ordered by id
   /// (deterministic region resolution).
   std::set<netlist::CellId> touched_;

@@ -1,6 +1,7 @@
 #include "sta/timing_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -72,12 +73,36 @@ double TimingEngine::register_skew(CellId cell) const {
   return it == current_skew_.end() ? 0.0 : it->second;
 }
 
-double TimingEngine::driver_load(PinId driver) const {
+double TimingEngine::fold_load(PinId driver) {
   const Pin& p = design_.pin(driver);
   if (!p.net.valid()) return 0.0;
-  double load = design_.net_hpwl(p.net) * options_.wire_cap_per_um;
-  for (PinId s : design_.net(p.net).sinks) load += design_.pin(s).cap;
+  const netlist::Net& net = design_.net(p.net);
+  // Design::net_hpwl's box, grown pin by pin in the same order; a pin owns
+  // an edge when it moved it, so an edge's owner is its first extreme pin.
+  geom::Rect box = geom::Rect::empty();
+  std::array<std::int32_t, 4>& owner = box_owner_[p.net.index];
+  int pins = 0;
+  const auto grow = [&](PinId pin) {
+    const geom::Rect grown = box.expand(design_.pin_position(pin));
+    if (grown.xlo != box.xlo) owner[0] = pin.index;
+    if (grown.ylo != box.ylo) owner[1] = pin.index;
+    if (grown.xhi != box.xhi) owner[2] = pin.index;
+    if (grown.yhi != box.yhi) owner[3] = pin.index;
+    box = grown;
+    ++pins;
+  };
+  grow(driver);
+  for (PinId s : net.sinks) grow(s);
+  const double hpwl = pins >= 2 ? box.half_perimeter() : 0.0;
+  double load = hpwl * options_.wire_cap_per_um;
+  for (PinId s : net.sinks) load += design_.pin(s).cap;
+  net_load_[p.net.index] = load;
   return load;
+}
+
+double TimingEngine::cached_load(PinId driver) const {
+  const Pin& p = design_.pin(driver);
+  return p.net.valid() ? net_load_[p.net.index] : 0.0;
 }
 
 double TimingEngine::wire_delay(PinId driver, PinId sink) const {
@@ -105,7 +130,7 @@ double TimingEngine::cell_arc_delay(PinId out) const {
     default:
       return 0.0;
   }
-  return intrinsic + resistance * driver_load(out) * kNsPerKohmFf;
+  return intrinsic + resistance * cached_load(out) * kNsPerKohmFf;
 }
 
 // The register timing rules, shared by the full build and the repairs.
@@ -115,7 +140,7 @@ double TimingEngine::launch_seed(PinId q_pin) const {
   const netlist::Cell& cell = design_.cell(p.cell);
   const double clk_to_q =
       cell.reg->intrinsic_delay +
-      cell.reg->drive_resistance * driver_load(q_pin) * kNsPerKohmFf;
+      cell.reg->drive_resistance * cached_load(q_pin) * kNsPerKohmFf;
   return register_skew(p.cell) + clk_to_q;
 }
 
@@ -201,8 +226,9 @@ void TimingEngine::build_edges(const std::vector<std::uint8_t>& live) {
     }
   };
 
-  // Count pass, plus the cell-arc delay of every comb/buffer output: the
-  // only pins for_each_successor yields from an input.
+  // Count pass, plus the cell-arc delay of every comb/buffer output (the
+  // only pins for_each_successor yields from an input), on its net's load
+  // folded here.
   std::vector<double> arc_delay(static_cast<std::size_t>(n), 0.0);
   succ_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
   runtime::parallel_for(pool, options_.jobs, static_cast<std::size_t>(n),
@@ -212,8 +238,10 @@ void TimingEngine::build_edges(const std::vector<std::uint8_t>& live) {
     const Pin& p = design_.pin(pin);
     const netlist::Cell& cell = design_.cell(p.cell);
     if ((cell.kind == CellKind::kComb && p.role == PinRole::kCombOut) ||
-        (cell.kind == CellKind::kClockBuffer && p.role == PinRole::kBufOut))
+        (cell.kind == CellKind::kClockBuffer && p.role == PinRole::kBufOut)) {
+      fold_load(pin);
       arc_delay[i] = cell_arc_delay(pin);
+    }
     int count = 0;
     for_each_successor(pin, [&](PinId) { ++count; });
     succ_offset_[i + 1] = count;
@@ -373,16 +401,21 @@ void TimingEngine::seed_and_propagate() {
   report_.endpoints.clear();
 
   // Launch/input seeds (single-arc launch timing: min and max coincide),
-  // one live pin per iteration, each writing its own slot.
+  // one live pin per iteration, each writing its own slot; a launch pin
+  // folds its net's load first, and a register's clock pin records its
+  // library cell.
   seed_arrival_.assign(n, kNoArrival);
   runtime::parallel_for(pool, options_.jobs, topo_.size(), kLevelGrain,
                         [&](std::size_t k) {
     const PinId pin_id = topo_[k];
     const Pin& p = design_.pin(pin_id);
     const CellKind kind = design_.cell(p.cell).kind;
-    if (kind == CellKind::kRegister && is_launch_role(p.role))
+    if (kind == CellKind::kRegister && is_launch_role(p.role)) {
+      fold_load(pin_id);
       seed_arrival_[pin_id.index] = launch_seed(pin_id);
-    else if (kind == CellKind::kPort && p.is_output)
+    } else if (kind == CellKind::kRegister && p.role == PinRole::kClock) {
+      cell_reg_[p.cell.index] = design_.cell(p.cell).reg;  // one per register
+    } else if (kind == CellKind::kPort && p.is_output)
       seed_arrival_[pin_id.index] = options_.input_delay;
   });
 
@@ -460,6 +493,11 @@ void TimingEngine::full_build() {
         const PinId pin{static_cast<std::int32_t>(i)};
         live[i] = design_.cell(design_.pin(pin).cell).dead ? 0 : 1;
       });
+  // Filled by the passes below, each net by its driver's fold_load.
+  const auto nets = static_cast<std::size_t>(design_.net_count());
+  net_load_.assign(nets, 0.0);
+  box_owner_.assign(nets, {-1, -1, -1, -1});
+  cell_reg_.assign(static_cast<std::size_t>(design_.cell_count()), nullptr);
   {
     obs::Span span("sta.build_edges");
     build_edges(live);
@@ -467,11 +505,10 @@ void TimingEngine::full_build() {
   topo_and_levels(live);
   seed_and_propagate();
 
-  ep_stamp_.assign(n, 0);
-  net_stamp_.assign(static_cast<std::size_t>(design_.net_count()), 0);
+  ep_marked_.assign(n, 0);
+  net_refolded_.assign(nets, 0);
   fwd_.reset(topo_.size());
   bwd_.reset(topo_.size());
-  epoch_ = 0;
   changed_pins_.clear();
   changed_flag_.assign(n, 0);
 }
@@ -482,26 +519,52 @@ void TimingEngine::clear_changed_pins() {
 }
 
 const TimingReport& TimingEngine::update(const SkewMap& skew) {
-  return sync(&skew);
+  assign_skew(skew);
+  return refresh();
 }
 
-const TimingReport& TimingEngine::refresh() { return sync(nullptr); }
+bool TimingEngine::rebuild_pending() const {
+  return !built_ || design_.topology_version() != seen_topology_;
+}
 
-// One path for update() and refresh(): `skew` is null when the skew of the
-// last update stays in force, so only the edit journal is replayed.
-const TimingReport& TimingEngine::sync(const SkewMap* skew) {
+void TimingEngine::set_skew(CellId cell, double value) {
+  current_skew_[cell] = value;
+  skew_journal_.push_back(cell);
+  ++skew_scanned_;
+}
+
+void TimingEngine::clear_skew(CellId cell) {
+  current_skew_.erase(cell);
+  skew_journal_.push_back(cell);
+  ++skew_scanned_;
+}
+
+void TimingEngine::assign_skew(const SkewMap& skew) {
+  if (rebuild_pending())
+    current_skew_ = skew;  // the rebuild seeds every register from it
+  else
+    apply_skew_diff(skew);
+}
+
+const TimingReport& TimingEngine::refresh() {
   static obs::Counter& c_full = obs::counter("sta.engine.full_builds");
   static obs::Counter& c_inc = obs::counter("sta.engine.incremental_updates");
   static obs::Counter& c_early = obs::counter("sta.engine.early_stops");
+  static obs::Counter& c_scanned =
+      obs::counter("sta.engine.skew_entries_scanned");
+  static obs::Counter& c_journal = obs::counter("sta.engine.journal_cells");
+  static obs::Counter& c_arcs = obs::counter("sta.engine.arcs_evaluated");
+  static obs::Counter& c_load = obs::counter("sta.engine.load_pins_scanned");
   static obs::Histogram& h_cone = obs::histogram("sta.engine.repaired_pins");
 
-  if (!built_ || design_.topology_version() != seen_topology_) {
+  c_scanned.add(static_cast<std::int64_t>(std::exchange(skew_scanned_, 0)));
+  if (rebuild_pending()) {
     obs::Span span("sta.full_build");
-    if (skew != nullptr) current_skew_ = *skew;
     full_build();
     built_ = true;
     seen_topology_ = design_.topology_version();
     journal_cursor_ = design_.touched_cells().size();
+    skew_journal_.clear();
     ++stats_.full_builds;
     stats_.last_repaired_pins = 0;
     c_full.add(1);
@@ -509,17 +572,26 @@ const TimingReport& TimingEngine::sync(const SkewMap* skew) {
   }
 
   obs::Span span("sta.repair");
-  const std::uint64_t early_before = stats_.early_stops;
-  begin_epoch();
-  if (skew != nullptr) apply_skew_diff(*skew);
+  const Stats before = stats_;
+  stats_.last_repaired_pins = 0;
+  replay_skew_journal();
   const auto& journal = design_.touched_cells();
   for (std::size_t i = journal_cursor_; i < journal.size(); ++i)
     touch_cell(journal[i]);
+  for (const std::int32_t net : refolded_nets_) net_refolded_[net] = 0;
+  refolded_nets_.clear();
+  stats_.journal_cells += journal.size() - journal_cursor_;
   journal_cursor_ = journal.size();
   repair();
   ++stats_.incremental_updates;
+  const auto delta = [&](std::uint64_t Stats::*field) {
+    return static_cast<std::int64_t>(stats_.*field - before.*field);
+  };
   c_inc.add(1);
-  c_early.add(static_cast<std::int64_t>(stats_.early_stops - early_before));
+  c_early.add(delta(&Stats::early_stops));
+  c_journal.add(delta(&Stats::journal_cells));
+  c_arcs.add(delta(&Stats::arcs_evaluated));
+  c_load.add(delta(&Stats::load_pins_scanned));
   h_cone.record(static_cast<std::int64_t>(stats_.last_repaired_pins));
   return report_;
 }
@@ -534,12 +606,6 @@ void TimingEngine::repair() {
   const RepairTally backward = sweep(false);
   stats_.last_repaired_pins += forward.repaired + backward.repaired;
   stats_.early_stops += forward.early + backward.early;
-}
-
-void TimingEngine::begin_epoch() {
-  ++epoch_;
-  ep_marks_.clear();
-  stats_.last_repaired_pins = 0;
 }
 
 void TimingEngine::Frontier::reset(std::size_t positions) {
@@ -613,8 +679,8 @@ void TimingEngine::mark_backward(std::int32_t pin) {
 }
 
 void TimingEngine::mark_endpoint(std::int32_t pin) {
-  if (ep_stamp_[pin] == epoch_) return;
-  ep_stamp_[pin] = epoch_;
+  if (ep_marked_[pin] != 0) return;
+  ep_marked_[pin] = 1;
   ep_marks_.push_back(pin);
 }
 
@@ -662,60 +728,121 @@ void TimingEngine::mark_seed(std::int32_t pin) {
   if (endpoint_slot_[pin] >= 0) mark_endpoint(pin);
 }
 
-// Re-evaluates every cached edge delay that depends on `net`: the cell arcs
-// into its driver (the driver's load changed) and the wire arcs from the
-// driver to each sink (an end moved). Changed delays dirty the edge head
-// (forward) and tail (backward).
-void TimingEngine::touch_net(NetId net_id) {
-  if (net_stamp_[net_id.index] == epoch_) return;
-  net_stamp_[net_id.index] = epoch_;
-  const netlist::Net& net = design_.net(net_id);
-  if (!net.driver.valid()) return;
-  const std::int32_t d = net.driver.index;
+void TimingEngine::write_delay(std::int32_t tail, int e, double delay) {
+  if (succ_delay_[e] == delay) return;
+  succ_delay_[e] = delay;
+  pred_delay_[succ_pred_index_[e]] = delay;
+  const std::int32_t head = succ_to_[e];
+  if (has_arrival(tail)) mark_forward(head);
+  if (has_required(head)) mark_backward(tail);
+}
 
-  // Cell arcs into the driver first: its load includes this net even when
-  // the net is a clock net (a clock buffer's in->out arc reads the clock
-  // net's HPWL and sink caps, even though clock nets carry no wire arcs).
+bool TimingEngine::load_carries_value(std::int32_t d) const {
+  // A register drives its nets from launch pins (Q/SO), whose seeds read
+  // the load.
+  if (design_.cell(design_.pin(PinId{d}).cell).kind == CellKind::kRegister)
+    return true;
+  if (pred_offset_[d] == pred_offset_[d + 1]) return false;
+  if (has_required(d)) return true;
+  for (int e = pred_offset_[d]; e < pred_offset_[d + 1]; ++e)
+    if (has_arrival(pred_to_[e])) return true;
+  return false;
+}
+
+bool TimingEngine::moves_box(NetId net, PinId pin) const {
+  const std::array<std::int32_t, 4>& owner = box_owner_[net.index];
+  for (const std::int32_t o : owner)
+    if (o == pin.index) return true;
+  // An owner that moved since the last fold is in the journal too and
+  // refolds the net itself, so here the owners' positions are the edges.
+  const geom::Point at = design_.pin_position(pin);
+  return at.x < design_.pin_position(PinId{owner[0]}).x ||
+         at.y < design_.pin_position(PinId{owner[1]}).y ||
+         at.x > design_.pin_position(PinId{owner[2]}).x ||
+         at.y > design_.pin_position(PinId{owner[3]}).y;
+}
+
+void TimingEngine::refold(NetId net_id) {
+  if (net_refolded_[net_id.index] != 0) return;
+  net_refolded_[net_id.index] = 1;
+  refolded_nets_.push_back(net_id.index);
+  const netlist::Net& net = design_.net(net_id);
+  const std::int32_t d = net.driver.index;
+  fold_load(net.driver);
+  stats_.load_pins_scanned += 1 + net.sinks.size();
+
+  // The cell arcs into the driver: one delay, the output's.
   if (pred_offset_[d + 1] > pred_offset_[d]) {
     const double arc = cell_arc_delay(net.driver);
-    for (int e = pred_offset_[d]; e < pred_offset_[d + 1]; ++e) {
-      if (pred_delay_[e] == arc) continue;
-      pred_delay_[e] = arc;
-      succ_delay_[pred_succ_index_[e]] = arc;
-      mark_forward(d);
-      mark_backward(pred_to_[e]);
-    }
+    ++stats_.arcs_evaluated;
+    for (int e = pred_offset_[d]; e < pred_offset_[d + 1]; ++e)
+      write_delay(pred_to_[e], pred_succ_index_[e], arc);
   }
-
-  const Pin& dp = design_.pin(net.driver);
-  const netlist::Cell& dc = design_.cell(dp.cell);
-  if (dc.kind == CellKind::kRegister && is_launch_role(dp.role)) {
+  if (design_.cell(design_.pin(net.driver).cell).kind == CellKind::kRegister) {
     const double seed = launch_seed(net.driver);
     if (seed != seed_arrival_[d]) {
       seed_arrival_[d] = seed;
       mark_forward(d);
     }
   }
+}
 
-  if (net.is_clock) return;  // clock nets carry no wire arcs
+void TimingEngine::touch_pin(PinId pin, bool cap_changed) {
+  const Pin& p = design_.pin(pin);
+  const netlist::Net& net = design_.net(p.net);
+  if (!net.driver.valid()) return;
+  const std::int32_t d = net.driver.index;
 
-  for (int e = succ_offset_[d]; e < succ_offset_[d + 1]; ++e) {
-    const PinId sink{succ_to_[e]};
-    const double w = wire_delay(net.driver, sink);
-    if (succ_delay_[e] == w) continue;
-    succ_delay_[e] = w;
-    pred_delay_[succ_pred_index_[e]] = w;
-    mark_forward(sink.index);
-    mark_backward(d);
+  // Wire arcs: a driver's all (an end of each moved), a sink's own (at most
+  // one: an input pin's only predecessor is its net's driver). Clock nets
+  // carry none.
+  if (!net.is_clock) {
+    const auto evaluate = [&](int e) {
+      const std::int32_t head = succ_to_[e];
+      if (!arc_carries_value(d, head)) return;
+      ++stats_.arcs_evaluated;
+      write_delay(d, e, wire_delay(net.driver, PinId{head}));
+    };
+    if (p.is_output) {
+      for (int e = succ_offset_[d]; e < succ_offset_[d + 1]; ++e) evaluate(e);
+    } else {
+      for (int e = pred_offset_[pin.index]; e < pred_offset_[pin.index + 1];
+           ++e)
+        evaluate(pred_succ_index_[e]);
+    }
   }
+
+  // The driver's load: its HPWL changes only when the box does, and its
+  // cap sum only with a cap. A net the full build never folded has no
+  // reader of its load.
+  if (box_owner_[p.net.index][0] < 0 || !load_carries_value(d)) return;
+  if (cap_changed || moves_box(p.net, pin)) refold(p.net);
 }
 
 void TimingEngine::touch_cell(CellId cell_id) {
   const netlist::Cell& cell = design_.cell(cell_id);
   if (cell.dead) return;  // removal bumps the topology version anyway
+  // A sizing swap sets a register's D/SI pin caps to the variant's data
+  // pin cap and its clock pin cap to the variant's (swap_register_cell);
+  // a cap that differs changes its net's load.
+  bool data_cap = false;
+  bool clock_cap = false;
+  if (cell.kind == CellKind::kRegister) {
+    const lib::RegisterCell*& seen = cell_reg_[cell_id.index];
+    if (seen != cell.reg) {
+      data_cap = seen->data_pin_cap != cell.reg->data_pin_cap;
+      clock_cap = seen->clock_pin_cap != cell.reg->clock_pin_cap;
+      seen = cell.reg;
+    }
+  }
   for (const PinId pin_id : cell.pins) {
     const Pin& p = design_.pin(pin_id);
-    if (p.net.valid()) touch_net(p.net);
+    if (!p.net.valid()) continue;
+    const bool cap_changed =
+        p.role == PinRole::kClock
+            ? clock_cap
+            : data_cap && (p.role == PinRole::kD || p.role == PinRole::kScanIn);
+    touch_pin(pin_id, cap_changed);
   }
   if (cell.kind == CellKind::kRegister) {
     seed_moves_.clear();
@@ -725,26 +852,28 @@ void TimingEngine::touch_cell(CellId cell_id) {
 }
 
 void TimingEngine::apply_skew_diff(const SkewMap& skew) {
-  static obs::Counter& c_scanned =
-      obs::counter("sta.engine.skew_entries_scanned");
-  c_scanned.add(static_cast<std::int64_t>(skew.size() + current_skew_.size()));
-  std::vector<CellId> changed;
-  // mbrc-lint: allow(R1, collects into changed which is sorted below before any order-sensitive work)
+  skew_scanned_ += skew.size() + current_skew_.size();
+  const std::size_t journaled = skew_journal_.size();
+  // mbrc-lint: allow(R1, collects into the skew journal, which replay_skew_journal sorts before any order-sensitive work)
   for (const auto& [cell, value] : skew) {
     const auto it = current_skew_.find(cell);
     if ((it == current_skew_.end() ? 0.0 : it->second) != value)
-      changed.push_back(cell);
+      skew_journal_.push_back(cell);
   }
-  // mbrc-lint: allow(R1, collects into changed which is sorted below before any order-sensitive work)
+  // mbrc-lint: allow(R1, collects into the skew journal, which replay_skew_journal sorts before any order-sensitive work)
   for (const auto& [cell, value] : current_skew_) {
-    if (value != 0.0 && !skew.contains(cell)) changed.push_back(cell);
+    if (value != 0.0 && !skew.contains(cell)) skew_journal_.push_back(cell);
   }
-  if (changed.empty()) return;
-  // Canonicalize: the seeds are refreshed in cell-id order regardless of the
-  // two hash maps' iteration order above.
+  if (skew_journal_.size() > journaled) current_skew_ = skew;
+}
+
+void TimingEngine::replay_skew_journal() {
+  if (skew_journal_.empty()) return;
+  // Canonicalize: the seeds are refreshed in cell-id order, each register
+  // once, whatever the order of the edits (or of the diffed hash maps).
+  std::vector<CellId>& changed = skew_journal_;
   std::sort(changed.begin(), changed.end());
   changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  current_skew_ = skew;
   std::erase_if(changed, [&](CellId cell) {
     const netlist::Cell& c = design_.cell(cell);
     return c.dead || c.kind != CellKind::kRegister;
@@ -763,6 +892,7 @@ void TimingEngine::apply_skew_diff(const SkewMap& skew) {
       });
   for (const auto& pins : moved)
     for (const std::int32_t pin : pins) mark_seed(pin);
+  changed.clear();
 }
 
 // Repairs one direction's frontier level by level: arrivals in ascending
@@ -868,15 +998,15 @@ void TimingEngine::sweep_chunk(bool forward, std::size_t begin,
       }
       value[pin] = v;
       value_min[pin] = v_min;
-      // The pin is this chunk's alone in this sweep, and so are its flag
-      // and stamp: log_change and mark_endpoint, without the shared lists.
+      // The pin is this chunk's alone in this sweep, and so are its two
+      // flags: log_change and mark_endpoint, without the shared lists.
       if (changed_flag_[pin] == 0) {
         changed_flag_[pin] = 1;
         slot.changed.push_back(pin);
       }
       if (forward) {
-        if (endpoint_slot_[pin] >= 0 && ep_stamp_[pin] != epoch_) {
-          ep_stamp_[pin] = epoch_;
+        if (endpoint_slot_[pin] >= 0 && ep_marked_[pin] == 0) {
+          ep_marked_[pin] = 1;
           slot.endpoints.push_back(pin);
         }
         for (int e = succ_offset_[pin]; e < succ_offset_[pin + 1]; ++e) {
@@ -905,7 +1035,9 @@ void TimingEngine::refresh_endpoints() {
                         ? kNoRequired
                         : arrival_min[pin] - seed_required_min_[pin];
     report_.index_endpoint(static_cast<std::size_t>(endpoint_slot_[pin]));
+    ep_marked_[pin] = 0;
   }
+  ep_marks_.clear();
 }
 
 }  // namespace mbrc::sta

@@ -7,29 +7,36 @@
 // built once per netlist *topology* and repeated queries are served by
 // dirty-cone repair.
 //
-//   - A skew change on register R re-seeds R's launch arrivals and D-side
-//     endpoint requirements, then re-propagates only R's fan-out cone
-//     (arrivals, level order ascending) and fan-in cone (requireds,
-//     descending), terminating early wherever a recomputed value equals the
-//     cached one.
-//   - A localized netlist edit that keeps the topology intact -- a
-//     placement move or a register sizing swap -- reaches the engine
-//     through the Design edit journal (Design::notify_moved /
-//     swap_register_cell). The engine re-evaluates only the touched nets'
-//     edge delays and repairs the cones behind the ones that changed.
+// An edit costs its own arcs, not its nets' fan-out:
+//   - A skew edit (set_skew / clear_skew) journals the register in the
+//     engine; the next refresh() re-seeds only the journaled registers'
+//     launch arrivals and D-side endpoint requirements. update(skew) is the
+//     diffing wrapper: it journals the registers whose skew differs from the
+//     engine's map, then refreshes.
+//   - A placement move or a register sizing swap reaches the engine through
+//     the Design edit journal (Design::notify_moved / swap_register_cell),
+//     pin by pin. A moved driver re-evaluates its net's wire arcs; a moved
+//     sink re-evaluates only its own incoming arc. The driver's load (the
+//     net's HPWL plus its sink caps, which the cell arcs into the driver and
+//     a register driver's launch seed read) is cached per net and refolded,
+//     in sink order, only when the HPWL or a pin cap changed: a per-net
+//     bounding box with recorded edge-owning pins detects that in O(1).
+//   - A changed delay marks its head forward only if its tail carries an
+//     arrival, and its tail backward only if its head carries a required
+//     time; neither can change without a structural edit. An arc or a load
+//     whose ends carry no value is not evaluated at all.
+//   - The repair re-propagates the marked cones, terminating early
+//     wherever a recomputed value equals the cached one.
 //   - A structural edit (rewire, debank split, cell removal) bumps the
-//     design's topology version; the next update() falls back to a full
+//     design's topology version; the next sync falls back to a full
 //     rebuild, exactly run_sta's path.
-//   - refresh() is update() under the skew of the last update: it replays
-//     only the edit journal and skips the skew diff, which scans both whole
-//     skew maps. A loop of edits under a fixed skew (the sizing pass) pays
-//     per call only for the cells it touched.
 //
 // Work split. The full build evaluates each cell-arc delay once per output
 // pin and fills the CSR rows in parallel, each pin at its precomputed
 // offset, and the transpose as a counting sort over fixed pin ranges that
 // keeps the serial fill's order. Its liveness, launch-seed and endpoint-seed
-// passes also run per pin in parallel. Kahn's topological order and the
+// passes also run per pin in parallel; each net's load (and box) is folded
+// by its driver's pin in the CSR count or the launch-seed pass. Kahn's topological order and the
 // endpoint list stay serial, because they fix the order endpoints are
 // reported in; Kahn's FIFO order is also sorted by level, so each level is
 // one range of positions in it. A repair keeps one dirty bit per position
@@ -40,8 +47,8 @@
 // than 32 dirty words is split into chunks of 8 words on the pool; each
 // chunk writes only its own pins and a slot of its own (the pins it logged,
 // the marks it made), and the calling thread folds the slots in chunk
-// order, so nothing a repair yields depends on `jobs`. A skew diff also
-// refreshes its registers' seeds in parallel, each register its own pins.
+// order, so nothing a repair yields depends on `jobs`. The skew journal's
+// registers are re-seeded in parallel too, each register its own pins.
 //
 // The engine is the report's only writer. Wherever it writes an endpoint's
 // slacks (the full build's endpoint pass, refresh_endpoints) it re-files
@@ -49,12 +56,14 @@
 // walk only failing endpoints.
 //
 // Determinism contract (inherited from the parallel runtime, DESIGN.md §6):
-// every value is a pure max/min gather over a fixed operand set, so an
-// incremental update is bit-identical to a from-scratch run_sta at any
-// `jobs` count. tests/sta_incremental_test.cpp enforces this after
-// randomized edit sequences.
+// every value is a pure max/min gather over a fixed operand set, and every
+// cached load is a fold in run_sta's order, so an incremental update is
+// bit-identical to a from-scratch run_sta at any `jobs` count.
+// tests/sta_incremental_test.cpp enforces this after randomized edit
+// sequences and on a net of more than 5k sinks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -67,23 +76,34 @@ namespace mbrc::sta {
 class TimingEngine {
 public:
   /// Binds the engine to `design` (which must outlive it). Nothing is
-  /// built until the first update().
+  /// built until the first sync.
   TimingEngine(const netlist::Design& design, const TimingOptions& options);
 
-  /// Brings the cached report in sync with the design and `skew` and
-  /// returns it. Incremental (dirty-cone repair) when only skews changed
-  /// or the design's edit journal holds topology-preserving edits; full
-  /// rebuild after structural edits. The reference stays valid until the
-  /// engine is destroyed but its contents mutate on the next update().
+  /// assign_skew(skew), then refresh(): the report in sync with the design
+  /// and `skew`. The reference stays valid until the engine is destroyed
+  /// but its contents mutate on the next sync.
   const TimingReport& update(const SkewMap& skew = {});
 
-  /// update() under the skew of the last update (empty before the first):
-  /// repairs only what the design's edit journal names, without comparing
-  /// skew maps. Falls back to a full build after structural edits, like
-  /// update().
+  /// Brings the cached report in sync with the design and the engine's
+  /// skew map and returns it. Incremental (dirty-cone repair over the skew
+  /// journal and the design's edit journal) unless a structural edit
+  /// happened since the last sync; then a full rebuild.
   const TimingReport& refresh();
 
-  /// The report of the last update(). Invalid before the first update().
+  /// Journaled skew edits: the map changes now, and the next refresh()
+  /// re-seeds only the journaled registers. A skew of 0 and no entry time
+  /// the same; clear_skew removes the entry.
+  void set_skew(netlist::CellId cell, double value);
+  void clear_skew(netlist::CellId cell);
+  /// Replaces the whole skew map, journaling each register whose skew
+  /// differs (a scan of both maps); when the next sync rebuilds anyway
+  /// (after a structural edit or a Design::restore) the map is replaced
+  /// without a diff.
+  void assign_skew(const SkewMap& skew);
+  /// The skew the next sync times under.
+  const SkewMap& skew() const { return current_skew_; }
+
+  /// The report of the last sync. Invalid before the first sync.
   const TimingReport& report() const { return report_; }
 
   const TimingOptions& options() const { return options_; }
@@ -91,7 +111,7 @@ public:
 
   /// Observability for tests and benches. The same quantities flow into
   /// the process-wide obs counter registry (sta.engine.*) once per
-  /// update(), so traced runs and the flow report see them too.
+  /// sync, so traced runs and the flow report see them too.
   struct Stats {
     std::uint64_t full_builds = 0;
     std::uint64_t incremental_updates = 0;
@@ -105,6 +125,12 @@ public:
     /// The split depends only on the dirty pins, not on `jobs`; with
     /// jobs > 1 and pool workers the chunks run on the pool.
     std::uint64_t split_levels = 0;
+    /// Edit-journal entries the repairs replayed (cumulative).
+    std::uint64_t journal_cells = 0;
+    /// Wire and cell-arc delays the repairs evaluated (cumulative).
+    std::uint64_t arcs_evaluated = 0;
+    /// Pins folded by the repairs' load refolds (cumulative).
+    std::uint64_t load_pins_scanned = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -134,12 +160,21 @@ public:
 private:
   // --- delay model (identical to run_sta's; see sta.hpp header note) -----
   double register_skew(netlist::CellId cell) const;
-  double driver_load(netlist::PinId driver) const;
+  /// Folds the load of `driver`'s net exactly as run_sta does (the net's
+  /// HPWL times the wire cap, then each sink's cap in sink order), caches it
+  /// in net_load_ and records the pins that own the net's bounding-box
+  /// edges in box_owner_. Writes only the net's own slots.
+  double fold_load(netlist::PinId driver);
+  /// The cached load of `driver`'s net (0 when unconnected).
+  double cached_load(netlist::PinId driver) const;
   double wire_delay(netlist::PinId driver, netlist::PinId sink) const;
+  /// Reads the cached load: fold_load must have run for `out` since the
+  /// last change of its net's HPWL or caps.
   double cell_arc_delay(netlist::PinId out) const;
 
   // --- register timing rules, one definition for build and repair -------
-  /// Launch arrival seed of a register Q/SO pin: skew + clk->Q delay.
+  /// Launch arrival seed of a register Q/SO pin: skew + clk->Q delay (on
+  /// the cached load, as cell_arc_delay).
   double launch_seed(netlist::PinId q_pin) const;
   /// Setup and hold required-time seeds of a register's D/SI pins.
   double setup_required(netlist::CellId reg) const;
@@ -192,13 +227,47 @@ private:
     RepairTally tally;
     std::int32_t reach = 0;  // furthest position marked
   };
-  const TimingReport& sync(const SkewMap* skew);
-  void begin_epoch();
+  bool rebuild_pending() const;
+  /// Re-seeds the registers of the skew journal, in parallel, and marks
+  /// the pins whose seed moved.
+  void replay_skew_journal();
   void touch_cell(netlist::CellId cell);
-  void touch_net(netlist::NetId net);
+  /// Re-evaluates the arcs a moved or resized pin can change: all wire
+  /// arcs of the net a driver drives, a sink's own incoming arc, and the
+  /// driver's load when it may have changed (`cap_changed`, or the pin
+  /// moves the net's bounding box).
+  void touch_pin(netlist::PinId pin, bool cap_changed);
+  /// Whether `pin`, at its current position, may have changed the HPWL of
+  /// `net`: it owns an edge of the recorded box or lies outside it.
+  bool moves_box(netlist::NetId net, netlist::PinId pin) const;
+  /// Refolds the load of `net`'s driver (once per sync) and re-evaluates
+  /// what reads it: the cell arcs into the driver and a register driver's
+  /// launch seed.
+  void refold(netlist::NetId net);
+  /// Whether the load of driver pin `d` feeds a value: `d` is a register
+  /// launch pin, or a cell arc into `d` carries a value.
+  bool load_carries_value(std::int32_t d) const;
+  bool has_arrival(std::int32_t pin) const {
+    return report_.arrival[pin] != kNoArrival;
+  }
+  bool has_required(std::int32_t pin) const {
+    return report_.required[pin] != kNoRequired ||
+           report_.required_min[pin] != kNoArrival;
+  }
+  /// An arc whose tail has no arrival and whose head has no required time
+  /// feeds no value: its delay is never read until the next full build.
+  bool arc_carries_value(std::int32_t tail, std::int32_t head) const {
+    return has_arrival(tail) || has_required(head);
+  }
+  /// Stores `delay` on the successor edge `e` (tail -> its head) in both
+  /// CSR views when it differs, marking the head forward if the tail has
+  /// an arrival and the tail backward if the head has a required time.
+  void write_delay(std::int32_t tail, int e, double delay);
   void refresh_register_seeds(netlist::CellId reg,
                               std::vector<std::int32_t>& moved);
   void mark_seed(std::int32_t pin);
+  /// Journals the registers whose skew differs between `skew` and the
+  /// engine's map, then takes `skew` as the map.
   void apply_skew_diff(const SkewMap& skew);
   void mark_forward(std::int32_t pin);
   void mark_backward(std::int32_t pin);
@@ -245,11 +314,27 @@ private:
 
   TimingReport report_;
 
-  // Dirty tracking. Nets and endpoints are epoch-stamped, so nothing is
-  // cleared between updates; a sweep leaves its frontier empty.
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> net_stamp_;
-  std::vector<std::uint64_t> ep_stamp_;
+  // Skew edits since the last sync (cells, in edit order, duplicates
+  // allowed) and the skew entries scanned to find them, flushed to
+  // sta.engine.skew_entries_scanned at the sync.
+  std::vector<netlist::CellId> skew_journal_;
+  std::uint64_t skew_scanned_ = 0;
+
+  // Per net, the load its driver's delay reads (kept only where the full
+  // build folds it: comb and clock-buffer outputs, register Q/SO) and the
+  // pins owning the edges of its bounding box (xlo, ylo, xhi, yhi; -1 where
+  // never folded). Per register cell, the library cell the engine last saw,
+  // so a sizing swap that changes a pin cap is told from a move.
+  std::vector<double> net_load_;
+  std::vector<std::array<std::int32_t, 4>> box_owner_;
+  std::vector<const lib::RegisterCell*> cell_reg_;
+
+  // Dirty tracking. A refolded net and a marked endpoint are flagged and
+  // listed, and the list clears its flags at the end of the intake and of
+  // refresh_endpoints; a sweep leaves its frontier empty.
+  std::vector<std::uint8_t> net_refolded_;
+  std::vector<std::int32_t> refolded_nets_;
+  std::vector<std::uint8_t> ep_marked_;
   Frontier fwd_;
   Frontier bwd_;
   std::vector<std::int32_t> ep_marks_;

@@ -60,7 +60,7 @@ TEST_F(CheckerFixture, CleanDesignPassesEveryCheck) {
   timing.clock_period = generated->calibrated_clock_period;
   sta::TimingEngine engine(design(), timing);
   DesignChecker checker(design());
-  checker.check_timing(engine, {});
+  checker.check_timing(engine);
   EXPECT_TRUE(checker.report().ok()) << checker.report().to_string();
 }
 
@@ -206,7 +206,7 @@ TEST_F(CheckerFixture, StaleTimingEngineCaught) {
   design().cell(reg).position.y = design().core().ylo;
 
   DesignChecker checker(design());
-  checker.check_timing(engine, {});
+  checker.check_timing(engine);
   EXPECT_TRUE(mentions(checker.report(), "timing"))
       << checker.report().to_string();
 }

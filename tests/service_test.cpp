@@ -522,13 +522,13 @@ TEST(ServiceTest, RollbackRestoresTimingExactly) {
             before.int_or("failing_endpoints", -2));
 }
 
-// A session diffs its skew map against the engine's only after a skew edit
-// or a rollback: queries after moves and swaps replay the edit journal
-// alone, so they scan no skew entries, and every answer still equals a
-// direct engine's update() under the same skew. After a rollback the
-// rebuild must run under the restored skew, not the engine's last one.
-// Each query's summary walks only the failing and hold-failing endpoints,
-// never the whole endpoint list.
+// The engine owns the session's skew and journals its edits: each query
+// adds to sta.engine.skew_entries_scanned exactly the skew edits since the
+// last sync (0 after a batch of moves and swaps), never a scan of the skew
+// map, and every answer still equals run_sta under the same skew. After a
+// rollback the rebuild must run under the restored skew, not the engine's
+// last one. Each query's summary walks only the failing and hold-failing
+// endpoints, never the whole endpoint list.
 TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   const lib::Library library = lib::make_default_library();
   const benchgen::GeneratedDesign generated = reference_design(library);
@@ -616,12 +616,12 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
     skew_round(round);
     std::int64_t before = scanned.value();
     expect_answer("after skew edits " + std::to_string(round));
-    EXPECT_GT(scanned.value(), before) << "a skew edit must diff the maps";
+    EXPECT_EQ(scanned.value() - before, 4) << "one entry per skew edit";
 
     motion_round(round);
     before = scanned.value();
     expect_answer("after moves and swaps " + std::to_string(round));
-    EXPECT_EQ(scanned.value(), before) << "no skew edit, yet the maps were diffed";
+    EXPECT_EQ(scanned.value(), before) << "no skew edit, yet skews were scanned";
   }
   EXPECT_EQ(session.engine_stats().full_builds, 1u);
 
@@ -641,6 +641,71 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   const std::int64_t before = scanned.value();
   expect_answer("moves after rollback");
   EXPECT_EQ(scanned.value(), before);
+}
+
+// A rollback restores the engine's skew from the snapshot. A session
+// that skews and moves registers, snapshots, then skews, clears and moves
+// others, and rolls back must answer query_timing as a fresh session that
+// replays only the edits before the snapshot: byte for byte when the
+// rollback's rebuild is the session's first sync, and apart from the
+// engine's build counters when the later edits were synced first.
+TEST(ServiceTest, RollbackToSkewedSnapshotAnswersAsAFreshReplay) {
+  const lib::Library library = lib::make_default_library();
+  const benchgen::GeneratedDesign generated = reference_design(library);
+  std::vector<netlist::CellId> movable;
+  for (const netlist::CellId reg : generated.design.registers())
+    if (!generated.design.cell(reg).fixed) movable.push_back(reg);
+  ASSERT_GE(movable.size(), 12u);
+
+  const auto skew = [](netlist::CellId cell, double value) {
+    RecordedEdit e{RecordedEdit::Op::kSkew, cell};
+    e.skew = value;
+    return e;
+  };
+  const auto move = [&](netlist::CellId cell, double dx) {
+    const netlist::Cell& c = generated.design.cell(cell);
+    RecordedEdit e{RecordedEdit::Op::kMove, cell};
+    e.x = std::clamp(c.position.x + dx, generated.design.core().xlo,
+                     generated.design.core().xhi - c.width());
+    e.y = c.position.y;
+    return e;
+  };
+  std::vector<RecordedEdit> kept;
+  for (std::size_t k = 0; k < 6; ++k)
+    kept.push_back(skew(movable[k], 0.015 * static_cast<double>(k + 1)));
+  kept.push_back(move(movable[6], 3.0));
+  std::vector<RecordedEdit> undone{
+      skew(movable[0], -0.06), skew(movable[8], 0.05), skew(movable[9], 0.04),
+      RecordedEdit{RecordedEdit::Op::kClearSkew, movable[1]},
+      move(movable[10], -4.0)};
+
+  std::vector<netlist::CellId> queried(movable.begin(), movable.begin() + 12);
+  const std::string query = query_request(100, "s", {}, queried);
+  // The response without its trailing engine counters.
+  const auto timing_part = [](const std::string& response) {
+    return response.substr(0, response.find(",\"engine\":"));
+  };
+
+  service::Daemon fresh(library, {.jobs = 1});
+  parse_ok(fresh.handle_sync(open_request(1, "s")));
+  parse_ok(fresh.handle_sync(edits_request(2, "s", kept)));
+  const std::string want = fresh.handle_sync(query);
+  parse_ok(want);
+
+  service::Daemon rolled(library, {.jobs = 1});
+  parse_ok(rolled.handle_sync(open_request(1, "s")));
+  parse_ok(rolled.handle_sync(edits_request(2, "s", kept)));
+  parse_ok(rolled.handle_sync(simple_request(3, "snapshot", "s", "k")));
+  parse_ok(rolled.handle_sync(edits_request(4, "s", undone)));
+  parse_ok(rolled.handle_sync(simple_request(5, "rollback", "s", "k")));
+  EXPECT_EQ(rolled.handle_sync(query), want) << "rollback before any sync";
+
+  parse_ok(rolled.handle_sync(edits_request(6, "s", undone)));
+  const std::string synced = rolled.handle_sync(query);
+  EXPECT_NE(timing_part(synced), timing_part(want)) << "a vacuous edit batch";
+  parse_ok(rolled.handle_sync(simple_request(7, "rollback", "s", "k")));
+  EXPECT_EQ(timing_part(rolled.handle_sync(query)), timing_part(want))
+      << "rollback after the later edits were synced";
 }
 
 TEST(ServiceTest, ProtocolErrorsAreReported) {

@@ -593,6 +593,150 @@ INSTANTIATE_TEST_SUITE_P(Jobs, StaRefresh, ::testing::Values(1, 4),
                            return "jobs" + std::to_string(info.param);
                          });
 
+// A net with more than 5k sinks, driven by an inverter whose input comes
+// from an input port: every sink is an endpoint, so every arc of the net
+// and the inverter's cell arc carry values. An edit must cost the arcs it
+// changes, not the net's fan-out: a moved interior sink evaluates its own
+// arc and scans no load pins, while each edit that changes the net's HPWL
+// or a cap on it (an edge-owning sink moved inward, a sink moved outside
+// the box, the driver moved, a swap that changes a D-pin cap) refolds the
+// driver's load once. After every edit the report equals run_sta and the
+// change log holds exactly the moved pins in the documented order.
+class StaBigNet : public ::testing::TestWithParam<int> {};
+
+TEST_P(StaBigNet, AnEditCostsItsOwnArcs) {
+  lib::Library library = lib::make_default_library();
+  // A 1-bit register family with a second variant of equal caps, plus a
+  // variant whose D pins are heavier.
+  std::string family;
+  for (const lib::RegisterCell& cell : library.registers()) {
+    if (cell.bits != 1 || cell.function.is_scan) continue;
+    const auto variants = library.drive_variants(cell);
+    if (variants.size() > 1) {
+      family = variants.front()->name;
+      break;
+    }
+  }
+  ASSERT_FALSE(family.empty());
+  lib::RegisterCell heavy = *library.register_by_name(family);
+  heavy.name += "_HEAVY_D";
+  heavy.data_pin_cap *= 1.8;
+  library.add_register(heavy);
+  const lib::RegisterCell* plain = library.register_by_name(family);
+  const lib::RegisterCell* heavy_d = library.register_by_name(heavy.name);
+  const lib::RegisterCell* resized = nullptr;
+  for (const lib::RegisterCell* v : library.drive_variants(*plain))
+    if (v != plain && v != heavy_d && v->data_pin_cap == plain->data_pin_cap &&
+        v->width != plain->width)
+      resized = v;
+  ASSERT_NE(resized, nullptr);
+
+  netlist::Design design(&library, geom::Rect{0.0, 0.0, 400.0, 400.0});
+  const auto first_pin = [&](netlist::CellId cell) {
+    return design.cell(cell).pins.front();
+  };
+  const netlist::CellId in = design.add_port("in", true, {0.0, 200.0});
+  const netlist::CellId inv = design.add_comb(
+      "drv", library.comb_by_name("INV_X4"), {20.0, 200.0});
+  const netlist::NetId feed = design.create_net();
+  design.connect(first_pin(in), feed);
+  design.connect(design.cell(inv).pins[0], feed);
+  const netlist::PinId driver = design.cell(inv).pins[1];
+  const netlist::NetId big = design.create_net();
+  design.connect(driver, big);
+  // The interior sink at the centre, 5,200 ports strewn around it, the
+  // right edge's owner, and four registers' D pins.
+  const netlist::CellId interior =
+      design.add_port("interior", false, {200.0, 200.0});
+  design.connect(first_pin(interior), big);
+  util::Rng rng(0xb16);
+  for (int i = 0; i < 5200; ++i) {
+    const netlist::CellId port = design.add_port(
+        "out" + std::to_string(i), false,
+        {rng.uniform_real(60.0, 340.0), rng.uniform_real(40.0, 360.0)});
+    design.connect(first_pin(port), big);
+  }
+  const netlist::CellId edge = design.add_port("edge", false, {390.0, 200.0});
+  design.connect(first_pin(edge), big);
+  std::vector<netlist::CellId> regs;
+  for (int i = 0; i < 4; ++i) {
+    regs.push_back(design.add_register("r" + std::to_string(i), plain,
+                                       {150.0 + 20.0 * i, 180.0}));
+    design.connect(design.register_d_pin(regs.back(), 0), big);
+  }
+  const std::size_t net_pins = 1 + design.net(big).sinks.size();
+  ASSERT_GT(net_pins, 5000u);
+
+  sta::TimingOptions options;
+  options.jobs = GetParam();
+  sta::TimingEngine engine(design, options);
+  expect_report_matches_oracle(engine.refresh(), sta::run_sta(design, options),
+                               "initial build");
+
+  struct Cost {
+    std::uint64_t arcs = 0;
+    std::uint64_t load_pins = 0;
+  };
+  // Applies one edit, refreshes, checks the report and the log, and
+  // returns the arcs evaluated and load pins scanned; `moved` must move.
+  const auto edit = [&](const std::string& what, auto&& apply,
+                        netlist::PinId moved) {
+    SCOPED_TRACE(what);
+    const sta::TimingReport before = engine.report();
+    const sta::TimingEngine::Stats stats = engine.stats();
+    engine.clear_changed_pins();
+    apply();
+    const sta::TimingReport& got = engine.refresh();
+    expect_report_matches_oracle(got, sta::run_sta(design, options), what);
+    expect_log_in_documented_order(engine, before, got);
+    EXPECT_TRUE(arrival_moved(before, got, moved.index)) << "a vacuous edit";
+    return Cost{engine.stats().arcs_evaluated - stats.arcs_evaluated,
+                engine.stats().load_pins_scanned - stats.load_pins_scanned};
+  };
+  const auto move = [&](netlist::CellId cell, geom::Point to) {
+    design.cell(cell).position = to;
+    design.notify_moved(cell);
+  };
+
+  Cost cost = edit("interior sink moved",
+                   [&] { move(interior, {203.0, 198.0}); },
+                   first_pin(interior));
+  EXPECT_LE(cost.arcs, 2u);
+  EXPECT_EQ(cost.load_pins, 0u);
+
+  const netlist::PinId d0 = design.register_d_pin(regs[0], 0);
+  cost = edit("interior register resized, caps kept",
+              [&] { design.swap_register_cell(regs[0], resized); }, d0);
+  EXPECT_LE(cost.arcs, 2u);
+  EXPECT_EQ(cost.load_pins, 0u);
+
+  cost = edit("edge-owning sink moved inward",
+              [&] { move(edge, {300.0, 200.0}); }, driver);
+  EXPECT_LE(cost.arcs, 2u);
+  EXPECT_EQ(cost.load_pins, net_pins);
+
+  cost = edit("interior sink moved outside the box",
+              [&] { move(interior, {395.0, 398.0}); }, driver);
+  EXPECT_LE(cost.arcs, 2u);
+  EXPECT_EQ(cost.load_pins, net_pins);
+
+  cost = edit("driver moved", [&] { move(inv, {12.0, 201.0}); }, driver);
+  EXPECT_GE(cost.arcs, net_pins - 1);  // every wire arc of the net
+  EXPECT_EQ(cost.load_pins, net_pins);
+
+  cost = edit("swap that changes a D-pin cap",
+              [&] { design.swap_register_cell(regs[1], heavy_d); }, driver);
+  EXPECT_LE(cost.arcs, 2u);
+  EXPECT_EQ(cost.load_pins, net_pins);
+
+  EXPECT_EQ(engine.stats().full_builds, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, StaBigNet, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "jobs" + std::to_string(info.param);
+                         });
+
 // The five aggregates as full scans of the endpoint list: the reference the
 // failing-endpoint index must reproduce bit for bit.
 sta::TimingSummary scan_endpoints(const sta::TimingReport& report) {
