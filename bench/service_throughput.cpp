@@ -32,9 +32,10 @@
 // the bench reports query_timing and recompose_region p50/p99 per size. A
 // recompose runs on the session's kept compatibility graph, so its latency
 // should follow the edited region, not the design. A query repairs the
-// edited cones and then walks the report's failing-endpoint index, so its
-// latency follows the cones and the failing endpoints; the point records
-// both endpoint counts and the summary entries each query visited.
+// edited cones and re-files the endpoints whose failing slack moved (an
+// exact TNS update and a min-tree path each), so its latency follows the
+// cones, not the failing endpoints; the point records both endpoint counts
+// and the endpoints re-filed and min-tree nodes folded per query.
 //
 // Results go to BENCH_service_throughput.json (or argv[1]) with
 // "schema": 1.
@@ -506,11 +507,13 @@ struct SizePoint {
   double open_seconds = 0.0;  // generation + first full timing build
   double query_p50_ms = 0.0;
   double query_p99_ms = 0.0;
-  // From the last query: the endpoints the summary walks and all of them.
+  // From the last query: the failing endpoints and all of them.
   std::int64_t failing_endpoints = 0;
   std::int64_t total_endpoints = 0;
-  // sta.summary.entries_visited per timed query (failing + hold-failing).
-  double summary_entries_per_query = 0.0;
+  // Per timed query: sta.engine.endpoints_refiled and
+  // sta.engine.summary_nodes_folded.
+  double endpoints_refiled_per_query = 0.0;
+  double summary_nodes_per_query = 0.0;
   double recompose_p50_ms = 0.0;
   double recompose_p99_ms = 0.0;
   std::int64_t compat_full_builds = 0;
@@ -589,8 +592,10 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
   std::int64_t next_id = 1;
   std::vector<double> recompose_ms;
   std::vector<double> query_ms;
-  const obs::Counter& visited = obs::counter("sta.summary.entries_visited");
-  std::int64_t visited_by_queries = 0;
+  const obs::Counter& refiled = obs::counter("sta.engine.endpoints_refiled");
+  const obs::Counter& folded = obs::counter("sta.engine.summary_nodes_folded");
+  std::int64_t refiled_by_queries = 0;
+  std::int64_t folded_by_queries = 0;
   for (int round = -1; round < kSizeRounds; ++round) {
     std::ostringstream os;
     obs::JsonWriter w(os, 0);
@@ -619,12 +624,14 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
     }
     w.end_array().end_object();
     request(os.str());
-    const std::int64_t visited_before = visited.value();
+    const std::int64_t refiled_before = refiled.value();
+    const std::int64_t folded_before = folded.value();
     const Clock::time_point tq = Clock::now();
     const std::string answer = request(query_request(next_id++, "s"));
     if (round >= 0) {
       query_ms.push_back(1e-3 * micros_between(tq, Clock::now()));
-      visited_by_queries += visited.value() - visited_before;
+      refiled_by_queries += refiled.value() - refiled_before;
+      folded_by_queries += folded.value() - folded_before;
     }
     if (round + 1 == kSizeRounds) {
       const obs::JsonParseResult parsed = obs::parse_json(answer);
@@ -661,8 +668,10 @@ SizePoint run_size_point(const lib::Library& library, const Settings& settings,
   std::sort(query_ms.begin(), query_ms.end());
   point.query_p50_ms = obs::Histogram::percentile(query_ms, 0.50);
   point.query_p99_ms = obs::Histogram::percentile(query_ms, 0.99);
-  point.summary_entries_per_query =
-      static_cast<double>(visited_by_queries) / kSizeRounds;
+  point.endpoints_refiled_per_query =
+      static_cast<double>(refiled_by_queries) / kSizeRounds;
+  point.summary_nodes_per_query =
+      static_cast<double>(folded_by_queries) / kSizeRounds;
   std::sort(recompose_ms.begin(), recompose_ms.end());
   point.recompose_p50_ms = obs::Histogram::percentile(recompose_ms, 0.50);
   point.recompose_p99_ms = obs::Histogram::percentile(recompose_ms, 0.99);
@@ -844,7 +853,8 @@ int main(int argc, char** argv) {
         .end_object();
     w.kv("failing_endpoints", p.failing_endpoints)
         .kv("total_endpoints", p.total_endpoints)
-        .kv("summary_entries_per_query", p.summary_entries_per_query);
+        .kv("endpoints_refiled_per_query", p.endpoints_refiled_per_query)
+        .kv("summary_nodes_per_query", p.summary_nodes_per_query);
     w.key("recompose_region_ms")
         .begin_object()
         .kv("p50", p.recompose_p50_ms)

@@ -1,7 +1,9 @@
 #include "check/checker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -373,6 +375,27 @@ DesignChecker& DesignChecker::check_timing(sta::TimingEngine& engine) {
          << b.pin.index << ", " << b.slack << ", " << b.hold_slack << ')';
       add("timing", os.str());
     }
+  }
+  // The repaired aggregates against the fresh build's: they depend only on
+  // the endpoint slacks, so they match bit for bit, TNS included.
+  const sta::TimingSummary a = incremental.summary();
+  const sta::TimingSummary b = fresh.summary();
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (!same_bits(a.wns, b.wns) || !same_bits(a.tns, b.tns) ||
+      !same_bits(a.hold_wns, b.hold_wns) ||
+      a.failing_endpoints != b.failing_endpoints ||
+      a.failing_hold_endpoints != b.failing_hold_endpoints) {
+    std::ostringstream os;
+    os.precision(17);
+    os << "summary diverged: engine (wns " << a.wns << ", tns " << a.tns
+       << ", failing " << a.failing_endpoints << ", hold wns " << a.hold_wns
+       << ", hold failing " << a.failing_hold_endpoints << ") vs run_sta (wns "
+       << b.wns << ", tns " << b.tns << ", failing " << b.failing_endpoints
+       << ", hold wns " << b.hold_wns << ", hold failing "
+       << b.failing_hold_endpoints << ')';
+    add("timing", os.str());
   }
   return *this;
 }

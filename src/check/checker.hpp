@@ -103,8 +103,8 @@ public:
   DesignChecker& check_conservation(const Baseline& baseline,
                                     bool require_count_bounded = true);
   /// The incremental engine's report, refreshed, is bit-identical to a
-  /// fresh run_sta under the engine's skew map. `engine` must be bound to
-  /// this checker's design.
+  /// fresh run_sta under the engine's skew map, its summary included.
+  /// `engine` must be bound to this checker's design.
   DesignChecker& check_timing(sta::TimingEngine& engine);
 
   const CheckReport& report() const { return report_; }

@@ -145,6 +145,11 @@ struct Search {
       return;
     }
 
+    // Each branch starts from this node's cost and bound and restores them
+    // as saved, so `cost` is always the exact left-to-right sum of the
+    // chosen weights along the path, with no drift from undoing by `-=`.
+    const double node_cost = cost;
+    const double node_bound = bound_remaining;
     for (int c : covering[element]) {
       const auto& cand = problem.candidates[c];
       if (mask_hits_covered(c)) continue;
@@ -152,16 +157,16 @@ struct Search {
       const std::uint64_t* m = mask(c);
       for (int w = 0; w < words; ++w) covered[w] |= m[w];
       chosen.push_back(c);
-      cost += cand.weight;
+      cost = node_cost + cand.weight;
       double removed_bound = 0.0;
       for (int e : cand.elements) removed_bound += min_ratio[e];
-      bound_remaining -= removed_bound;
+      bound_remaining = node_bound - removed_bound;
 
       run();
 
       // Undo.
-      bound_remaining += removed_bound;
-      cost -= cand.weight;
+      bound_remaining = node_bound;
+      cost = node_cost;
       chosen.pop_back();
       for (int w = 0; w < words; ++w) covered[w] &= ~m[w];
       if (budget_hit) return;
@@ -203,9 +208,10 @@ SetPartitionResult solve_set_partition(const SetPartitionProblem& problem,
   h_nodes.record(search.nodes);
   if (search.best_cost == std::numeric_limits<double>::infinity()) return result;
   result.feasible = true;
-  result.objective = search.best_cost;
   result.chosen = std::move(search.best_chosen);
   std::sort(result.chosen.begin(), result.chosen.end());
+  for (const int c : result.chosen)
+    result.objective += problem.candidates[c].weight;
   return result;
 }
 

@@ -34,8 +34,9 @@ struct SetPartitionProblem {
 
 struct SetPartitionResult {
   bool feasible = false;
+  /// The chosen weights summed left to right in `chosen` order.
   double objective = 0.0;
-  std::vector<int> chosen;  // indices into problem.candidates
+  std::vector<int> chosen;  // indices into problem.candidates, ascending
   std::int64_t nodes_explored = 0;
 };
 

@@ -1,8 +1,8 @@
 #include "sta/sta.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sta/timing_engine.hpp"
 
@@ -10,64 +10,92 @@ namespace mbrc::sta {
 
 namespace {
 
-// Endpoint entries the summary walks read: the failing and hold-failing
-// slots, never the whole list. Flushed once per walk.
-void count_visited(int entries) {
-  static obs::Counter& c_visited = obs::counter("sta.summary.entries_visited");
-  c_visited.add(entries);
-}
+// The filed value of a slack: itself when failing, else 0.0. A slack >= 0
+// (or a NaN) never lowers a minimum that starts at 0.0 and is no part of
+// TNS, so the min-tree's root holds the bits of the same minimum over every
+// endpoint, and the exact sum holds only the failing slacks.
+double failing(double slack) { return slack < 0 ? slack : 0.0; }
 
 }  // namespace
 
-// The walks fold only the indexed slots, in slot order. A slack >= 0 (or
-// NaN) never lowers a minimum that starts at 0.0 and is no part of TNS, so
-// each walk returns the bits of the same fold over every endpoint.
-
-double TimingReport::wns() const {
-  double w = 0.0;
-  failing_.for_each(
-      [&](std::size_t slot) { w = std::min(w, endpoints[slot].slack); });
-  count_visited(failing_.size());
-  return w;
+TimingReport::FiledMin TimingReport::filed(std::size_t node) const {
+  if (node < tree_.size()) return tree_[node];
+  const EndpointSlack& e = endpoints[node - tree_.size()];
+  return {failing(e.slack), failing(e.hold_slack)};
 }
 
-double TimingReport::tns() const {
-  double t = 0.0;
-  failing_.for_each([&](std::size_t slot) { t += endpoints[slot].slack; });
-  count_visited(failing_.size());
-  return t;
+void TimingReport::refold(std::size_t node) {
+  const FiledMin left = filed(2 * node);
+  const FiledMin right = filed(2 * node + 1);
+  tree_[node] = {std::min(left.setup, right.setup),
+                 std::min(left.hold, right.hold)};
+}
+
+double TimingReport::wns() const {
+  return endpoints.empty() ? 0.0 : filed(1).setup;
 }
 
 double TimingReport::hold_wns() const {
-  double w = 0.0;
-  hold_failing_.for_each(
-      [&](std::size_t slot) { w = std::min(w, endpoints[slot].hold_slack); });
-  count_visited(hold_failing_.size());
-  return w;
+  return endpoints.empty() ? 0.0 : filed(1).hold;
 }
 
 TimingSummary TimingReport::summary() const {
   obs::Span span("sta.summary");
-  TimingSummary s;
-  s.failing_endpoints = failing_.size();
-  s.failing_hold_endpoints = hold_failing_.size();
-  failing_.for_each([&](std::size_t slot) {
-    const double slack = endpoints[slot].slack;
-    s.wns = std::min(s.wns, slack);
-    s.tns += slack;
-  });
-  hold_failing_.for_each([&](std::size_t slot) {
-    s.hold_wns = std::min(s.hold_wns, endpoints[slot].hold_slack);
-  });
-  count_visited(s.failing_endpoints + s.failing_hold_endpoints);
-  return s;
+  return {wns(), tns(), failing_, hold_wns(), hold_failing_};
 }
 
 void TimingReport::index_all_endpoints() {
-  failing_.reset(endpoints.size());
-  hold_failing_.reset(endpoints.size());
-  for (std::size_t slot = 0; slot < endpoints.size(); ++slot)
-    index_endpoint(slot);
+  const std::size_t slots = endpoints.size();
+  tree_.assign(slots, FiledMin{});
+  for (std::size_t node = slots; node-- > 1;) refold(node);
+  tree_marked_.assign(slots, 0);
+  marked_by_depth_.assign(static_cast<std::size_t>(std::bit_width(slots)), {});
+  tns_.clear();
+  failing_ = 0;
+  hold_failing_ = 0;
+  for (const EndpointSlack& e : endpoints) {
+    if (e.slack < 0) {
+      tns_.add(e.slack);
+      ++failing_;
+    }
+    if (e.hold_slack < 0) ++hold_failing_;
+  }
+}
+
+bool TimingReport::refile_endpoint(std::size_t slot, const EndpointSlack& old) {
+  const EndpointSlack& now = endpoints[slot];
+  const double old_setup = failing(old.slack);
+  const double new_setup = failing(now.slack);
+  const double old_hold = failing(old.hold_slack);
+  const double new_hold = failing(now.hold_slack);
+  if (old_setup == new_setup && old_hold == new_hold) return false;
+  if (old_setup != new_setup) {
+    tns_.subtract(old_setup);
+    tns_.add(new_setup);
+    failing_ += (new_setup < 0) - (old_setup < 0);
+  }
+  hold_failing_ += (new_hold < 0) - (old_hold < 0);
+  // Mark the path up to the first node already marked: its ancestors are.
+  for (std::size_t node = (tree_.size() + slot) / 2;
+       node != 0 && tree_marked_[node] == 0; node /= 2) {
+    tree_marked_[node] = 1;
+    marked_by_depth_[static_cast<std::size_t>(std::bit_width(node)) - 1]
+        .push_back(node);
+  }
+  return true;
+}
+
+std::size_t TimingReport::fold_summaries() {
+  std::size_t folded = 0;
+  for (std::size_t depth = marked_by_depth_.size(); depth-- > 0;) {
+    for (const std::size_t node : marked_by_depth_[depth]) {
+      refold(node);
+      tree_marked_[node] = 0;
+    }
+    folded += marked_by_depth_[depth].size();
+    marked_by_depth_[depth].clear();
+  }
+  return folded;
 }
 
 double TimingReport::worst_register_slack(const netlist::Design& design,

@@ -13,13 +13,13 @@
 // yields a DAG; a combinational cycle is reported as an error.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/design.hpp"
+#include "util/exact_sum.hpp"
 
 namespace mbrc::sta {
 
@@ -49,8 +49,7 @@ struct EndpointSlack {
   double hold_slack = 0.0;  // hold (min-delay) slack; kNoRequired if unchecked
 };
 
-/// The five endpoint aggregates of a report, from one walk over its
-/// failing-endpoint index (TimingReport::summary).
+/// The five endpoint aggregates of a report (TimingReport::summary).
 struct TimingSummary {
   double wns = 0.0;
   double tns = 0.0;
@@ -59,44 +58,17 @@ struct TimingSummary {
   int failing_hold_endpoints = 0;
 };
 
-/// A set of endpoint slots: one bit per slot plus the member count. Walks
-/// visit the members in slot order, testing one word per 64 slots.
-class SlotSet {
-public:
-  /// Empties the set and sizes it for `slots` slots.
-  void reset(std::size_t slots) {
-    words_.assign((slots + 63) / 64, 0);
-    count_ = 0;
-  }
-  /// Makes `slot` a member or not; the count follows.
-  void assign(std::size_t slot, bool member) {
-    std::uint64_t& word = words_[slot / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    if (((word & bit) != 0) == member) return;
-    word ^= bit;
-    count_ += member ? 1 : -1;
-  }
-  int size() const { return count_; }
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t k = 0; k < words_.size(); ++k)
-      for (std::uint64_t word = words_[k]; word != 0; word &= word - 1)
-        fn(k * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-  }
-
-private:
-  std::vector<std::uint64_t> words_;
-  int count_ = 0;
-};
-
 /// Result of one STA run. Pin arrays are indexed by PinId.
 ///
-/// The report also indexes its failing endpoints: the slots of `endpoints`
-/// whose setup slack is < 0, and those whose hold slack is < 0. TimingEngine
-/// is the report's only writer and keeps the index in step wherever it
-/// writes a slack, so the aggregates below cost O(failing) (plus one word
-/// test per 64 endpoints), not O(endpoints). Code that edits `endpoints`
-/// directly leaves the index stale.
+/// The report keeps its endpoint aggregates filed per endpoint slot, so
+/// reading them costs O(1) and keeping them costs O(endpoints re-filed). A
+/// slot files its failing slacks: its setup slack when < 0 and its hold
+/// slack when < 0, else 0.0. TNS is the exact sum of the filed setup slacks
+/// (util::ExactSum), rounded once when read; WNS and hold WNS are the root
+/// of a min-tree over the filed values; two counts hold the failing slots.
+/// TimingEngine is the report's only writer and re-files a slot wherever it
+/// writes its slacks. Code that edits `endpoints` directly leaves the
+/// aggregates stale.
 class TimingReport {
 public:
   std::vector<double> arrival;      // latest arrival; kNoArrival if unreachable
@@ -124,19 +96,19 @@ public:
 
   /// Worst negative slack (0 when nothing fails).
   double wns() const;
-  /// Total negative slack over endpoints (ns, <= 0), summed in endpoint
-  /// order.
-  double tns() const;
-  int failing_endpoints() const { return failing_.size(); }
+  /// Total negative slack over endpoints (ns, <= 0): the exact sum of the
+  /// failing setup slacks rounded to nearest, so its bits depend only on
+  /// the set of slacks, not on the endpoint order or the edit history.
+  double tns() const { return tns_.round(); }
+  int failing_endpoints() const { return failing_; }
   int total_endpoints() const { return static_cast<int>(endpoints.size()); }
 
   /// Hold-side aggregates (register D endpoints only; ports carry no hold
   /// check in this model).
   double hold_wns() const;
-  int failing_hold_endpoints() const { return hold_failing_.size(); }
+  int failing_hold_endpoints() const { return hold_failing_; }
 
-  /// All five aggregates above from one walk over the failing index, each
-  /// bit-identical to its accessor.
+  /// All five aggregates above, each bit-identical to its accessor.
   TimingSummary summary() const;
 
   /// Worst slack over the register's D (and SI) pins; kNoRequired when the
@@ -166,16 +138,40 @@ public:
 private:
   friend class TimingEngine;
 
-  /// Rebuilds the failing index from every endpoint (after a full build).
-  void index_all_endpoints();
-  /// Re-files one endpoint slot after its slacks were rewritten.
-  void index_endpoint(std::size_t slot) {
-    failing_.assign(slot, endpoints[slot].slack < 0);
-    hold_failing_.assign(slot, endpoints[slot].hold_slack < 0);
-  }
+  /// One min-tree node: the least filed setup and hold slacks below it.
+  struct FiledMin {
+    double setup = 0.0;
+    double hold = 0.0;
+  };
 
-  SlotSet failing_;       // slots with setup slack < 0
-  SlotSet hold_failing_;  // slots with hold slack < 0
+  /// Files every endpoint afresh (after a full build): O(endpoints).
+  void index_all_endpoints();
+  /// Re-files endpoint `slot`, whose slacks were `old` before the caller
+  /// rewrote them. TNS and the counts follow at once; a changed filed value
+  /// marks the slot's min-tree path for fold_summaries(). Returns whether a
+  /// filed value changed.
+  bool refile_endpoint(std::size_t slot, const EndpointSlack& old);
+  /// Recomputes each min-tree node marked since the last fold, once,
+  /// children before parents. Returns the nodes recomputed.
+  std::size_t fold_summaries();
+  /// The filed values of tree node `node`: an internal node's, or for
+  /// `node` >= the slot count, the filed slacks of slot `node - slots`.
+  FiledMin filed(std::size_t node) const;
+  /// Recomputes internal node `node` from its two children.
+  void refold(std::size_t node);
+
+  // The min-tree, over the implicit layout of a bottom-up segment tree:
+  // internal node i (1 <= i < slots) has children 2i and 2i + 1, and node
+  // slots + s is the leaf of slot s, read from `endpoints`. Every node lies
+  // below node 1, the root. A marked node is flagged and listed by its
+  // depth (the bit width of its index, less one), so a fold walks the
+  // depths upward and every child is final before its parent.
+  std::vector<FiledMin> tree_;
+  std::vector<std::uint8_t> tree_marked_;
+  std::vector<std::vector<std::size_t>> marked_by_depth_;
+  util::ExactSum tns_;    // the failing setup slacks
+  int failing_ = 0;       // slots with setup slack < 0
+  int hold_failing_ = 0;  // slots with hold slack < 0
 
   /// Worst setup (or `hold`) slack over the register's connected data and
   /// scan pins of one side: D/SI, or Q/SO when `q_side`.

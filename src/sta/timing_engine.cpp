@@ -79,8 +79,10 @@ double TimingEngine::fold_load(PinId driver) {
   const netlist::Net& net = design_.net(p.net);
   // Design::net_hpwl's box, grown pin by pin in the same order; a pin owns
   // an edge when it moved it, so an edge's owner is its first extreme pin.
+  // The owners live in locals until the end: a store into box_owner_ per
+  // pin would force the pin and cell reads behind it to be reloaded.
   geom::Rect box = geom::Rect::empty();
-  std::array<std::int32_t, 4>& owner = box_owner_[p.net.index];
+  std::array<std::int32_t, 4> owner{-1, -1, -1, -1};
   int pins = 0;
   const auto grow = [&](PinId pin) {
     const geom::Rect grown = box.expand(design_.pin_position(pin));
@@ -93,6 +95,7 @@ double TimingEngine::fold_load(PinId driver) {
   };
   grow(driver);
   for (PinId s : net.sinks) grow(s);
+  box_owner_[p.net.index] = owner;
   const double hpwl = pins >= 2 ? box.half_perimeter() : 0.0;
   double load = hpwl * options_.wire_cap_per_um;
   for (PinId s : net.sinks) load += design_.pin(s).cap;
@@ -452,9 +455,9 @@ void TimingEngine::seed_and_propagate() {
     }
   });
 
-  // The endpoint report: one serial pass in topo order, matching run_sta's
-  // historical iteration order (the order TNS sums in). The same slack rule
-  // as refresh_endpoints; the failing index is rebuilt after it.
+  // The endpoint report: one serial pass in topo order, which fixes the
+  // order endpoints are listed in. The same slack rule as
+  // refresh_endpoints; the report's aggregates are filed after it.
   endpoint_slot_.assign(n, -1);
   for (const PinId pin_id : topo_) {
     const std::int32_t i = pin_id.index;
@@ -555,6 +558,9 @@ const TimingReport& TimingEngine::refresh() {
   static obs::Counter& c_journal = obs::counter("sta.engine.journal_cells");
   static obs::Counter& c_arcs = obs::counter("sta.engine.arcs_evaluated");
   static obs::Counter& c_load = obs::counter("sta.engine.load_pins_scanned");
+  static obs::Counter& c_refiled = obs::counter("sta.engine.endpoints_refiled");
+  static obs::Counter& c_folded =
+      obs::counter("sta.engine.summary_nodes_folded");
   static obs::Histogram& h_cone = obs::histogram("sta.engine.repaired_pins");
 
   c_scanned.add(static_cast<std::int64_t>(std::exchange(skew_scanned_, 0)));
@@ -592,6 +598,8 @@ const TimingReport& TimingEngine::refresh() {
   c_journal.add(delta(&Stats::journal_cells));
   c_arcs.add(delta(&Stats::arcs_evaluated));
   c_load.add(delta(&Stats::load_pins_scanned));
+  c_refiled.add(delta(&Stats::endpoints_refiled));
+  c_folded.add(delta(&Stats::summary_nodes_folded));
   h_cone.record(static_cast<std::int64_t>(stats_.last_repaired_pins));
   return report_;
 }
@@ -1029,15 +1037,18 @@ void TimingEngine::refresh_endpoints() {
   const auto& arrival = report_.arrival;
   const auto& arrival_min = report_.arrival_min;
   for (const std::int32_t pin : ep_marks_) {
-    EndpointSlack& ep = report_.endpoints[endpoint_slot_[pin]];
+    const auto slot = static_cast<std::size_t>(endpoint_slot_[pin]);
+    EndpointSlack& ep = report_.endpoints[slot];
+    const EndpointSlack old = ep;
     ep.slack = seed_required_[pin] - arrival[pin];
     ep.hold_slack = seed_required_min_[pin] == kNoArrival
                         ? kNoRequired
                         : arrival_min[pin] - seed_required_min_[pin];
-    report_.index_endpoint(static_cast<std::size_t>(endpoint_slot_[pin]));
+    if (report_.refile_endpoint(slot, old)) ++stats_.endpoints_refiled;
     ep_marked_[pin] = 0;
   }
   ep_marks_.clear();
+  stats_.summary_nodes_folded += report_.fold_summaries();
 }
 
 }  // namespace mbrc::sta

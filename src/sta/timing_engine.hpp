@@ -42,7 +42,7 @@
 // one range of positions in it. A repair keeps one dirty bit per position
 // (plus two summary layers, so a level with no dirty pins costs a word or
 // two) for each direction. The forward sweep (arrivals, endpoint slacks and
-// the report's failing-endpoint index) runs in ascending levels, then the
+// the report's aggregates) runs in ascending levels, then the
 // backward sweep (required times) in descending levels. A level with more
 // than 32 dirty words is split into chunks of 8 words on the pool; each
 // chunk writes only its own pins and a slot of its own (the pins it logged,
@@ -50,10 +50,12 @@
 // order, so nothing a repair yields depends on `jobs`. The skew journal's
 // registers are re-seeded in parallel too, each register its own pins.
 //
-// The engine is the report's only writer. Wherever it writes an endpoint's
-// slacks (the full build's endpoint pass, refresh_endpoints) it re-files
-// the endpoint in the report's failing index, so the report's summaries
-// walk only failing endpoints.
+// The engine is the report's only writer. The full build files every
+// endpoint's failing slacks in the report's aggregates; refresh_endpoints
+// re-files each endpoint whose slacks it rewrote (the exact TNS sum and the
+// counts at once) and then folds the report's min-tree once, so a summary
+// is O(1) to read and a repair pays O(log endpoints) per endpoint whose
+// filed value changed.
 //
 // Determinism contract (inherited from the parallel runtime, DESIGN.md §6):
 // every value is a pure max/min gather over a fixed operand set, and every
@@ -131,6 +133,12 @@ public:
     std::uint64_t arcs_evaluated = 0;
     /// Pins folded by the repairs' load refolds (cumulative).
     std::uint64_t load_pins_scanned = 0;
+    /// Endpoints whose filed failing slack, setup or hold, the repairs
+    /// changed (cumulative).
+    std::uint64_t endpoints_refiled = 0;
+    /// Report min-tree nodes the repairs recomputed (cumulative): at most
+    /// ceil(log2 endpoints) per re-filed endpoint, each node once per sync.
+    std::uint64_t summary_nodes_folded = 0;
   };
   const Stats& stats() const { return stats_; }
 

@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -527,8 +528,10 @@ TEST(ServiceTest, RollbackRestoresTimingExactly) {
 // last sync (0 after a batch of moves and swaps), never a scan of the skew
 // map, and every answer still equals run_sta under the same skew. After a
 // rollback the rebuild must run under the restored skew, not the engine's
-// last one. Each query's summary walks only the failing and hold-failing
-// endpoints, never the whole endpoint list.
+// last one. A query's summary costs the endpoints its sync re-filed, never
+// the endpoint list: a query with no edit folds no node of the report's
+// min-tree, and one after k re-filed endpoints at most
+// k * (ceil(log2 endpoints) + 1).
 TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   const lib::Library library = lib::make_default_library();
   const benchgen::GeneratedDesign generated = reference_design(library);
@@ -539,7 +542,9 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   sta::SkewMap skew;
   const obs::Counter& scanned =
       obs::counter("sta.engine.skew_entries_scanned");
-  const obs::Counter& visited = obs::counter("sta.summary.entries_visited");
+  const obs::Counter& folded = obs::counter("sta.engine.summary_nodes_folded");
+  const obs::Counter& refiled = obs::counter("sta.engine.endpoints_refiled");
+  std::int64_t refiled_by_queries = 0;
 
   std::vector<netlist::CellId> movable;
   for (const netlist::CellId reg : reference.registers())
@@ -590,14 +595,24 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
     SCOPED_TRACE(context);
     service::TimingQuery query;
     query.registers = movable;
-    const std::int64_t visited_before = visited.value();
+    const std::int64_t folded_before = folded.value();
+    const std::int64_t refiled_before = refiled.value();
     const service::TimingAnswer answer = session.query(query);
-    const std::int64_t visited_by_query = visited.value() - visited_before;
+    const std::int64_t folded_by_query = folded.value() - folded_before;
+    const std::int64_t refiled_by_query = refiled.value() - refiled_before;
     ASSERT_TRUE(answer.ok()) << answer.error;
     const sta::TimingReport want = sta::run_sta(reference, options.timing, skew);
-    EXPECT_EQ(visited_by_query,
-              want.failing_endpoints() + want.failing_hold_endpoints());
-    EXPECT_LT(visited_by_query, want.total_endpoints());
+    const auto depth = static_cast<std::int64_t>(std::bit_width(
+        static_cast<std::uint64_t>(want.total_endpoints()) - 1));
+    EXPECT_LE(folded_by_query, refiled_by_query * (depth + 1));
+    if (refiled_by_query > 0) {
+      EXPECT_GT(folded_by_query, 0);
+    }
+    refiled_by_queries += refiled_by_query;
+    // The same query again has no edit to sync.
+    const std::int64_t folded_after = folded.value();
+    EXPECT_TRUE(session.query(query).ok());
+    EXPECT_EQ(folded.value(), folded_after) << "a query with no edit folded";
     EXPECT_EQ(answer.wns, want.wns());
     EXPECT_EQ(answer.tns, want.tns());
     EXPECT_EQ(answer.hold_wns, want.hold_wns());
@@ -641,6 +656,7 @@ TEST(ServiceTest, QueriesAfterMovesAndSwapsSkipTheSkewDiff) {
   const std::int64_t before = scanned.value();
   expect_answer("moves after rollback");
   EXPECT_EQ(scanned.value(), before);
+  EXPECT_GT(refiled_by_queries, 0) << "no query re-filed an endpoint";
 }
 
 // A rollback restores the engine's skew from the snapshot. A session

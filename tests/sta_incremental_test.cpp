@@ -28,6 +28,7 @@
 #include "mbr/mapping.hpp"
 #include "mbr/placement.hpp"
 #include "mbr/rewire.hpp"
+#include "reference_sum.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sta/timing_engine.hpp"
 #include "util/rng.hpp"
@@ -738,13 +739,17 @@ INSTANTIATE_TEST_SUITE_P(Jobs, StaBigNet, ::testing::Values(1, 4),
                          });
 
 // The five aggregates as full scans of the endpoint list: the reference the
-// failing-endpoint index must reproduce bit for bit.
+// report's filed aggregates must reproduce bit for bit. WNS, hold WNS and
+// the counts fold in endpoint order; TNS is the correctly rounded sum of the
+// failing slacks (a Shewchuk reference that shares no code with the
+// report's accumulator).
 sta::TimingSummary scan_endpoints(const sta::TimingReport& report) {
   sta::TimingSummary s;
+  std::vector<double> failing;
   for (const sta::EndpointSlack& e : report.endpoints) {
     s.wns = std::min(s.wns, e.slack);
     if (e.slack < 0) {
-      s.tns += e.slack;
+      failing.push_back(e.slack);
       ++s.failing_endpoints;
     }
     if (e.hold_slack != sta::kNoRequired) {
@@ -752,6 +757,7 @@ sta::TimingSummary scan_endpoints(const sta::TimingReport& report) {
       if (e.hold_slack < 0) ++s.failing_hold_endpoints;
     }
   }
+  s.tns = oracle::correctly_rounded_sum(failing);
   return s;
 }
 
@@ -780,7 +786,7 @@ void expect_summaries_match_scan(const sta::TimingReport& report,
 
 class StaFailingIndex : public ::testing::TestWithParam<int> {};
 
-// Every full build and every repair keeps the failing index in step with
+// Every full build and every repair keeps the filed aggregates in step with
 // the slacks it writes. Large skews push register D endpoints across zero
 // in both directions (a late capture clock passes setup and fails hold, an
 // early one fails setup), moves and swaps reach the index through the edit
@@ -860,6 +866,102 @@ TEST_P(StaFailingIndex, SummariesMatchEndpointScanAfterEveryUpdate) {
                                "after restore");
   mutate_round(design, saved_skew, rng);
   check(engine.update(saved_skew), "repair after restore");
+}
+
+// The aggregates depend only on the final slacks, not on the history that
+// filed them: two engines that take the same skew and move edits in
+// different orders, syncing at different points, end with bit-identical
+// summaries, equal to a fresh build's. Each register takes at most one skew
+// and one move, so every order reaches the same design.
+TEST_P(StaFailingIndex, SummaryDoesNotDependOnEditOrder) {
+  const lib::Library library = lib::make_default_library();
+  const benchgen::GeneratedDesign generated = make_design(library, 913, 400);
+  netlist::Design design_a = generated.design;
+  netlist::Design design_b = generated.design;
+
+  sta::TimingOptions options;
+  options.clock_period = generated.calibrated_clock_period;
+  options.jobs = GetParam();
+
+  struct Edit {
+    netlist::CellId cell;
+    bool move = false;
+    double skew = 0.0;
+    geom::Point position;
+  };
+  std::vector<netlist::CellId> registers = design_a.registers();
+  util::Rng rng(0x0dde'0000u + static_cast<std::uint64_t>(GetParam()));
+  for (std::size_t i = registers.size(); i > 1; --i)
+    std::swap(registers[i - 1],
+              registers[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  std::vector<Edit> edits;
+  const geom::Rect& core = design_a.core();
+  for (std::size_t k = 0; k < 80; ++k) {
+    edits.push_back({registers[k], false,
+                     rng.chance(0.5) ? rng.uniform_real(0.3, 0.6)
+                                     : rng.uniform_real(-0.6, -0.3),
+                     {}});
+    const netlist::Cell& cell = design_a.cell(registers[80 + k]);
+    edits.push_back(
+        {registers[80 + k], true, 0.0,
+         {std::clamp(cell.position.x + rng.uniform_real(-30.0, 30.0),
+                     core.xlo, core.xhi - cell.width()),
+          std::clamp(cell.position.y + rng.uniform_real(-30.0, 30.0),
+                     core.ylo, core.yhi - cell.height())}});
+  }
+  const auto apply = [](netlist::Design& design, sta::TimingEngine& engine,
+                        const Edit& e) {
+    if (!e.move) {
+      engine.set_skew(e.cell, e.skew);
+      return;
+    }
+    design.cell(e.cell).position = e.position;
+    design.notify_moved(e.cell);
+  };
+
+  // Engine A syncs after every edit, in list order; engine B takes the
+  // edits in a shuffled order and syncs every seventh.
+  sta::TimingEngine engine_a(design_a, options);
+  sta::TimingEngine engine_b(design_b, options);
+  engine_a.refresh();
+  engine_b.refresh();
+  for (const Edit& e : edits) {
+    apply(design_a, engine_a, e);
+    engine_a.refresh();
+  }
+  std::vector<Edit> shuffled = edits;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1],
+              shuffled[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    apply(design_b, engine_b, shuffled[i]);
+    if (i % 7 == 6) engine_b.refresh();
+  }
+  const sta::TimingReport& a = engine_a.refresh();
+  const sta::TimingReport& b = engine_b.refresh();
+  expect_report_matches_oracle(b, a, "shuffled against in order");
+  EXPECT_GT(engine_a.stats().endpoints_refiled, 0u);
+  EXPECT_GT(engine_b.stats().endpoints_refiled, 0u);
+
+  sta::SkewMap skew;
+  for (const Edit& e : edits)
+    if (!e.move) skew[e.cell] = e.skew;
+  const sta::TimingReport fresh = sta::run_sta(design_a, options, skew);
+  const sta::TimingSummary want = fresh.summary();
+  for (const sta::TimingReport* report : {&a, &b}) {
+    const sta::TimingSummary got = report->summary();
+    expect_bits(got.wns, want.wns, "wns");
+    expect_bits(got.tns, want.tns, "tns");
+    expect_bits(got.hold_wns, want.hold_wns, "hold_wns");
+    EXPECT_EQ(got.failing_endpoints, want.failing_endpoints);
+    EXPECT_EQ(got.failing_hold_endpoints, want.failing_hold_endpoints);
+  }
+  expect_summaries_match_scan(a, "in order");
+  EXPECT_GT(want.failing_endpoints, 0);
+  EXPECT_EQ(engine_a.stats().full_builds, 1u);
+  EXPECT_EQ(engine_b.stats().full_builds, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, StaFailingIndex, ::testing::Values(1, 4),

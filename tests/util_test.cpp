@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "reference_sum.hpp"
 #include "util/assert.hpp"
+#include "util/exact_sum.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -176,6 +183,150 @@ TEST(Table, AlignsAndFormats) {
 TEST(Table, CellBeforeRowThrows) {
   Table t({"a"});
   EXPECT_THROW(t.cell(1), AssertionError);
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+double sum_of(const std::vector<double>& values) {
+  ExactSum sum;
+  for (double v : values) sum.add(v);
+  return sum.round();
+}
+
+// The accumulator's rounding against the Shewchuk reference, bit for bit.
+void expect_reference(const std::vector<double>& values) {
+  const double want = oracle::correctly_rounded_sum(values);
+  const double got = sum_of(values);
+  EXPECT_EQ(bits_of(got), bits_of(want)) << got << " vs " << want;
+}
+
+TEST(ExactSum, EmptyAndZerosAreZero) {
+  EXPECT_EQ(bits_of(ExactSum().round()), bits_of(0.0));
+  EXPECT_EQ(bits_of(sum_of({-0.0})), bits_of(0.0));
+  EXPECT_EQ(bits_of(sum_of({0.0, -0.0, -0.0})), bits_of(0.0));
+  ExactSum sum;
+  sum.add(-3.25);
+  sum.subtract(-3.25);
+  EXPECT_EQ(bits_of(sum.round()), bits_of(0.0));
+  expect_reference({2.5, -2.5});
+}
+
+TEST(ExactSum, KeepsWhatCancellationLoses) {
+  EXPECT_EQ(sum_of({1e16, 1.0, -1e16}), 1.0);
+  EXPECT_EQ(sum_of({1.0, 1e16, -1e16}), 1.0);
+  EXPECT_EQ(sum_of({1e100, 1.0, -1e100, 1e-100}), 1.0);
+  // Left to right, 0.1 + 0.2 - 0.3 reads 2^-54; the exact sum of the three
+  // doubles is 2^-55.
+  expect_reference({0.1, 0.2, -0.3});
+  EXPECT_EQ(sum_of({0.1, 0.2, -0.3}), std::ldexp(1.0, -55));
+  expect_reference({1e16, 1.0, -1e16, 3.0, 1e-20});
+}
+
+TEST(ExactSum, RoundsTiesToEven) {
+  const double half_ulp = std::ldexp(1.0, -53);  // of 1.0
+  EXPECT_EQ(sum_of({1.0, half_ulp}), 1.0);
+  const double odd = 1.0 + std::ldexp(1.0, -52);
+  EXPECT_EQ(sum_of({odd, half_ulp}), 1.0 + std::ldexp(1.0, -51));
+  // Anything below the tie, however small, breaks it upward.
+  EXPECT_EQ(sum_of({1.0, half_ulp, std::ldexp(1.0, -1000)}), odd);
+  EXPECT_EQ(sum_of({1.0, half_ulp, -std::ldexp(1.0, -1000)}), 1.0);
+  expect_reference({1.0, half_ulp, std::ldexp(1.0, -1000)});
+  expect_reference({-1.0, -half_ulp, std::ldexp(1.0, -1000)});
+  // A carry out of the kept bits moves the exponent.
+  const double below_two = 2.0 - std::ldexp(1.0, -52);
+  EXPECT_EQ(sum_of({below_two, std::ldexp(1.0, -53)}), 2.0);
+}
+
+TEST(ExactSum, Subnormals) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  EXPECT_EQ(sum_of({tiny, tiny, tiny}), 3 * tiny);
+  EXPECT_EQ(sum_of({min_normal, -tiny}), min_normal - tiny);
+  EXPECT_EQ(sum_of({min_normal - tiny, tiny}), min_normal);
+  EXPECT_EQ(sum_of({-tiny, tiny}), 0.0);
+  expect_reference({min_normal / 3, min_normal / 7, -tiny, min_normal});
+  expect_reference({1.0, tiny, -1.0});
+  EXPECT_EQ(sum_of({1.0, tiny, -1.0}), tiny);
+}
+
+TEST(ExactSum, NearTheTopOfTheRange) {
+  expect_reference({1e300, 3e299, -7e299, 1e-300, 2.5e300});
+  expect_reference({1e308, -1e308, 1e292, 1.0});
+  const double max = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The limbs hold a sum past the range; only the rounding overflows.
+  EXPECT_EQ(sum_of({max, max}), inf);
+  EXPECT_EQ(sum_of({-max, -max}), -inf);
+  ExactSum sum;
+  sum.add(max);
+  sum.add(max);
+  sum.subtract(max);
+  EXPECT_EQ(sum.round(), max);
+  // max plus half its ulp is a tie that rounds to even, past the range.
+  EXPECT_EQ(sum_of({max, std::ldexp(1.0, 970)}), inf);
+  EXPECT_EQ(sum_of({max, std::ldexp(1.0, 969)}), max);
+}
+
+TEST(ExactSum, InfinitiesAndNansAreCounted) {
+  const double inf = std::numeric_limits<double>::infinity();
+  ExactSum sum;
+  sum.add(2.0);
+  sum.add(-inf);
+  EXPECT_EQ(sum.round(), -inf);
+  sum.add(inf);
+  EXPECT_TRUE(std::isnan(sum.round()));
+  sum.subtract(-inf);
+  EXPECT_EQ(sum.round(), inf);
+  sum.subtract(inf);
+  sum.add(std::nan(""));
+  EXPECT_TRUE(std::isnan(sum.round()));
+  sum.subtract(std::nan(""));
+  EXPECT_EQ(sum.round(), 2.0);
+}
+
+// A million random adds and removes over values from subnormal to 1e300:
+// the sum equals the reference over the values present at every
+// checkpoint, and removing the rest in another order returns it to +0.0.
+TEST(ExactSum, RandomAddsAndRemovesReturnToZero) {
+  Rng rng(0x5e5a'0001);
+  const auto draw = [&] {
+    const double mantissa = rng.uniform_real(0.5, 1.0);
+    const int exponent = static_cast<int>(rng.uniform_int(-1080, 998));
+    const double v = std::ldexp(mantissa, exponent);
+    return rng.chance(0.5) ? -v : v;
+  };
+  ExactSum sum;
+  std::vector<double> present;
+  constexpr int kOps = 1'000'000;
+  int removes = 0;
+  for (int op = 1; op <= kOps; ++op) {
+    if (present.empty() || rng.chance(0.55)) {
+      present.push_back(draw());
+      sum.add(present.back());
+    } else {
+      const auto k = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(present.size()) - 1));
+      sum.subtract(present[k]);
+      present[k] = present.back();
+      present.pop_back();
+      ++removes;
+    }
+    if (op % 125'000 == 0) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const double want = oracle::correctly_rounded_sum(present);
+      ASSERT_EQ(bits_of(sum.round()), bits_of(want));
+    }
+  }
+  ASSERT_GT(removes, kOps / 3);
+  ASSERT_GT(present.size(), 10'000u);
+  while (!present.empty()) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(present.size()) - 1));
+    sum.subtract(present[k]);
+    present[k] = present.back();
+    present.pop_back();
+  }
+  EXPECT_EQ(bits_of(sum.round()), bits_of(0.0));
 }
 
 }  // namespace
